@@ -1,0 +1,94 @@
+"""Frozen CLI outputs: one small-n command per subcommand.
+
+Each case's stdout is compared with `tests/golden/<name>.txt`.  Text
+between numbers must match exactly; numbers must agree to a relative
+1e-12 or an absolute 1e-15, so a refactor may reorder floating-point
+work but may not change what the CLI reports.
+
+Regenerate the files (only when an output is meant to change) with
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import math
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from qwalk import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "graph": ["graph", "--n", "5"],
+    "spectrum": ["spectrum", "--n", "7", "--format", "json"],
+    "walk": ["walk", "--n", "7", "--from", "1", "--to", "9", "--t-max", "12", "--steps", "24"],
+    "average": ["average", "--n", "7", "--T", "250", "--full-matrix"],
+    "limit": ["limit", "--n", "9"],
+    "classical": ["classical", "--n", "9", "--t-max", "40"],
+    "classical-mix": ["classical-mix", "--n", "9", "--norm", "column_pairs"],
+    "mix": ["mix", "--n", "9"],
+    "bounds": ["bounds", "--n", "101"],
+    "conjecture": ["conjecture", "--n-max", "41"],
+    "sample": ["sample", "--n", "7", "--T", "300", "--T-prime", "5", "--trials", "400", "--seed", "11"],
+    "figure-1b": [
+        "figure-1b", "--n", "9", "--to", "12", "--T-max", "1e4", "--t-max", "30", "--points", "9",
+    ],
+    "speedup": ["speedup", "--n-list", "5,9", "--format", "json"],
+}
+
+NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+REL_TOL = 1e-12
+ABS_TOL = 1e-15
+
+
+def run_case(argv):
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def mismatches(expected, actual):
+    """Token-level differences: odd split positions hold numbers."""
+    want = NUMBER.split(expected)
+    got = NUMBER.split(actual)
+    if len(want) != len(got):
+        return [f"token count {len(got)} != {len(want)}"]
+    bad = []
+    for k, (a, b) in enumerate(zip(want, got)):
+        if k % 2 == 0:
+            if a != b:
+                bad.append(f"text {b!r} != {a!r}")
+        elif not math.isclose(float(a), float(b), rel_tol=REL_TOL, abs_tol=ABS_TOL):
+            bad.append(f"number {b} != {a}")
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    code, out = run_case(CASES[name])
+    assert code == 0
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text()
+    assert mismatches(expected, out) == []
+
+
+def test_numeric_tolerance_is_enforced():
+    assert mismatches("x=1.0,2", "x=1.0,2") == []
+    assert mismatches("x=1.0", "x=1.0000000000001") == []
+    assert mismatches("x=1.0", "x=1.000001") != []
+    assert mismatches("x=1e-17", "x=-5e-17") == []
+    assert mismatches("x=1", "y=1") != []
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        status, text = run_case(argv)
+        if status != 0:
+            sys.exit(f"{case}: exit code {status}")
+        (GOLDEN_DIR / f"{case}.txt").write_text(text)
+        print(f"wrote {case}.txt ({len(text)} bytes)")
