@@ -71,6 +71,21 @@ def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (1.0 + 2.0 * cos) / 3.0, (2.0 * cos - 1.0) / 3.0, mult
 
 
+def _inv_gap_sum(a, b, weight=1.0, shift=0.0, skip_diagonal=False) -> float:
+    """sum over i, k of weight / |a_i - b_k + shift| on the outer grid.
+
+    weight is a scalar or an (len(a), len(b)) array; skip_diagonal drops
+    the i = k terms of a square grid.
+    """
+    gaps = a[:, None] - b[None, :]
+    if shift:
+        gaps += shift
+    np.abs(gaps, out=gaps)
+    if skip_diagonal:
+        np.fill_diagonal(gaps, np.inf)
+    return float(np.divide(weight, gaps, out=gaps).sum())
+
+
 def cross_branch_gap_check(n) -> float:
     """Smallest gap between the two branches; hard error inside the guard band."""
     lp, lm, _ = _branch_values(n)
@@ -133,14 +148,11 @@ def decomposed_sum(n) -> DecomposedSum:
     cross_branch_gap_check(n)
     lp, lm, mult = _branch_values(n)
     weight = np.outer(mult, mult) / 4.0
-    cross = (weight / np.abs(lp[:, None] - lm[None, :])).sum()
-    gaps_p = np.abs(lp[:, None] - lp[None, :])
-    np.fill_diagonal(gaps_p, np.inf)
-    gaps_m = np.abs(lm[:, None] - lm[None, :])
-    np.fill_diagonal(gaps_m, np.inf)
-    within_c1 = (weight / gaps_p).sum()
-    within_c2 = (weight / gaps_m).sum()
-    return DecomposedSum(float(cross), float(within_c1), float(within_c2))
+    return DecomposedSum(
+        _inv_gap_sum(lp, lm, weight),
+        _inv_gap_sum(lp, lp, weight, skip_diagonal=True),
+        _inv_gap_sum(lm, lm, weight, skip_diagonal=True),
+    )
 
 
 def cross_sum_plain(n) -> float:
@@ -148,7 +160,7 @@ def cross_sum_plain(n) -> float:
     check_odd_order(n)
     cross_branch_gap_check(n)
     lp, lm, _ = _branch_values(n)
-    return float((1.0 / np.abs(lp[:, None] - lm[None, :])).sum())
+    return _inv_gap_sum(lp, lm)
 
 
 def cross_sum_cosine_form(n) -> float:
@@ -157,7 +169,7 @@ def cross_sum_cosine_form(n) -> float:
     check_odd_order(n)
     mu, _ = folded_modes(n)
     cos = np.cos(2.0 * np.pi * mu / n)
-    return float(1.5 * (1.0 / np.abs(cos[:, None] - cos[None, :] + 1.0)).sum())
+    return 1.5 * _inv_gap_sum(cos, cos, shift=1.0)
 
 
 @dataclass(frozen=True)
@@ -179,26 +191,21 @@ class QuadrantSums:
         return self.su1 + self.su2 + self.su3 + self.su4
 
 
-def _quadrant_modes(n) -> tuple[np.ndarray, np.ndarray]:
+def _quadrant_cosines(n) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 pi m / n) for the folded modes below and above n/4."""
     low = np.arange(0, n // 4 + 1)
     high = np.arange(n // 4 + 1, (n - 1) // 2 + 1)
-    return low, high
+    return np.cos(2.0 * np.pi * low / n), np.cos(2.0 * np.pi * high / n)
 
 
 def su_sums(n) -> QuadrantSums:
     check_odd_order(n)
-    low, high = _quadrant_modes(n)
-    cos_low = np.cos(2.0 * np.pi * low / n)
-    cos_high = np.cos(2.0 * np.pi * high / n)
-
-    def quadrant(cj, ck):
-        return float(1.5 * (1.0 / np.abs(cj[:, None] - ck[None, :] + 1.0)).sum())
-
+    cos_low, cos_high = _quadrant_cosines(n)
     return QuadrantSums(
-        su1=quadrant(cos_low, cos_low),
-        su2=quadrant(cos_low, cos_high),
-        su3=quadrant(cos_high, cos_low),
-        su4=quadrant(cos_high, cos_high),
+        su1=1.5 * _inv_gap_sum(cos_low, cos_low, shift=1.0),
+        su2=1.5 * _inv_gap_sum(cos_low, cos_high, shift=1.0),
+        su3=1.5 * _inv_gap_sum(cos_high, cos_low, shift=1.0),
+        su4=1.5 * _inv_gap_sum(cos_high, cos_high, shift=1.0),
     )
 
 
@@ -206,10 +213,8 @@ def su3_raw(n) -> float:
     """The near-resonant quadrant sum without the 3/2 prefactor; this is
     the quantity the conjectured bound f(n) dominates."""
     check_odd_order(n)
-    low, high = _quadrant_modes(n)
-    cos_low = np.cos(2.0 * np.pi * low / n)
-    cos_high = np.cos(2.0 * np.pi * high / n)
-    return float((1.0 / np.abs(cos_high[:, None] - cos_low[None, :] + 1.0)).sum())
+    cos_low, cos_high = _quadrant_cosines(n)
+    return _inv_gap_sum(cos_high, cos_low, shift=1.0)
 
 
 def su_caps(n) -> dict:
@@ -234,11 +239,9 @@ class WithinBranchSums:
 def case5_sums(n) -> WithinBranchSums:
     check_odd_order(n)
     lp, lm, _ = _branch_values(n)
-    gaps_p = np.abs(lp[:, None] - lp[None, :])
-    np.fill_diagonal(gaps_p, np.inf)
-    gaps_m = np.abs(lm[:, None] - lm[None, :])
-    np.fill_diagonal(gaps_m, np.inf)
-    return WithinBranchSums(float((1.0 / gaps_p).sum()), float((1.0 / gaps_m).sum()))
+    return WithinBranchSums(
+        _inv_gap_sum(lp, lp, skip_diagonal=True), _inv_gap_sum(lm, lm, skip_diagonal=True)
+    )
 
 
 def within_branch_cap(n) -> float:

@@ -34,24 +34,23 @@ def classical_profile(n, t) -> np.ndarray:
     (block parity, residue offset); O(n log n) via branch eigenvalue powers."""
     check_odd_order(n)
     check_step_count(t)
-    zp = np.power(eigenvalues(n, PLUS), int(t))
-    zm = np.power(eigenvalues(n, MINUS), int(t))
-    same = np.fft.ifft(zp + zm).real / 2.0
-    other = np.fft.ifft(zp - zm).real / 2.0
-    return np.vstack([same, other])
+    return classical_profiles(n, [t])[0]
 
 
 def classical_profiles(n, ts) -> np.ndarray:
-    """Profiles for many step counts at once; shape (len(ts), 2, n)."""
+    """Profiles for many step counts at once; shape (len(ts), 2, n).
+
+    Each block is reduced to float before the next one is formed, so only
+    one complex transform of the window is alive at a time.
+    """
     check_odd_order(n)
     ts = np.asarray(ts, dtype=np.int64)
     if ts.size and ts.min() < 0:
         raise ValueError("step counts must be nonnegative")
     zp = np.power(eigenvalues(n, PLUS)[None, :], ts[:, None])
     zm = np.power(eigenvalues(n, MINUS)[None, :], ts[:, None])
-    same = np.fft.ifft(zp + zm, axis=1).real / 2.0
-    other = np.fft.ifft(zp - zm, axis=1).real / 2.0
-    return np.stack([same, other], axis=1)
+    blocks = [np.fft.ifft(op(zp, zm), axis=1).real / 2.0 for op in (np.add, np.subtract)]
+    return np.stack(blocks, axis=1)
 
 
 def uniform_matrix(n) -> np.ndarray:

@@ -69,45 +69,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_PROVENANCE_KEYS = (
-    "n",
-    "n_max",
-    "n_list",
-    "residue",
-    "src",
-    "dst",
-    "start",
-    "t_max",
-    "T",
-    "T_max",
-    "T_prime",
-    "steps",
-    "points",
-    "trials",
-    "seed",
-    "epsilon",
-    "norm",
-    "su3_cap",
-    "full_matrix",
-    "format",
-)
+# parsed attributes that are plumbing, not settings of the run
+_NOT_SETTINGS = ("command", "handler", "out")
+
+
+def _settings(args) -> dict:
+    """Every option the subcommand ran with, in declaration order."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_SETTINGS and value is not None
+    }
 
 
 def _provenance(args) -> str:
     parts = [f"# qwalk {args.command}"]
-    for key in _PROVENANCE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            parts.append(f"{key}={value}")
+    parts += [f"{key}={value}" for key, value in _settings(args).items()]
     return " ".join(parts)
 
 
 def _config_dict(args) -> dict:
-    out = {"subcommand": args.command}
-    for key in _PROVENANCE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
+    out = {"subcommand": args.command, **_settings(args)}
     if getattr(args, "out", None):
         out["out"] = args.out
     return out
@@ -249,8 +231,8 @@ def _cmd_walk(args) -> int:
     n = args.n
     src = vertex_to_internal(args.src, n)
     dst = vertex_to_internal(args.dst, n)
-    if args.t_max <= 0:
-        raise ValueError(f"--t-max must be positive, got {args.t_max}")
+    if not (args.t_max > 0 and math.isfinite(args.t_max)):
+        raise ValueError(f"--t-max must be positive and finite, got {args.t_max}")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     ts = [args.t_max * k / args.steps for k in range(args.steps + 1)]
@@ -374,28 +356,38 @@ def _cmd_classical_mix(args) -> int:
     return 0
 
 
-def _cmd_mix(args) -> int:
+def _epsilon(args) -> float:
+    from . import spectra
+
+    return args.epsilon if args.epsilon is not None else spectra.DEFAULT_EPSILON
+
+
+def _mixing_comparison(n, epsilon) -> tuple:
+    """(classical tau, its spectral lower bound, quantum T*, budget horizon,
+    tau / T*, whether tau respects the lower bound) at one n."""
     from . import bounds, classical, spectra
 
-    n = args.n
-    epsilon = args.epsilon if args.epsilon is not None else spectra.DEFAULT_EPSILON
-    quantum = bounds.quantum_mixing_threshold(n, epsilon)
-    classical_report = classical.classical_mixing_time(n, epsilon)
+    quantum = bounds.quantum_mixing_threshold(n, epsilon).threshold_time
+    tau = classical.classical_mixing_time(n, epsilon).threshold_time
     lower = spectra.classical_lower_bound(n, epsilon)
-    budget = bounds.budget_time(n)
-    lower_ok = classical_report.threshold_time >= math.floor(lower)
+    return tau, lower, quantum, bounds.budget_time(n), tau / quantum, bool(tau >= math.floor(lower))
+
+
+def _cmd_mix(args) -> int:
+    epsilon = _epsilon(args)
+    tau, lower, quantum, budget, ratio, ok = _mixing_comparison(args.n, epsilon)
     payload = {
-        "n": n,
+        "n": args.n,
         "epsilon": epsilon,
-        "quantum_threshold": quantum.threshold_time,
-        "classical_mixing_time": classical_report.threshold_time,
+        "quantum_threshold": quantum,
+        "classical_mixing_time": tau,
         "classical_lower_bound": lower,
         "budget_horizon": budget,
-        "speedup_ratio": classical_report.threshold_time / quantum.threshold_time,
-        "lower_bound_respected": bool(lower_ok),
+        "speedup_ratio": ratio,
+        "lower_bound_respected": ok,
     }
     _emit_json(args, payload)
-    return 0 if lower_ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_bounds(args) -> int:
@@ -514,23 +506,19 @@ def _cmd_figure_1b(args) -> int:
     n = args.n
     src = vertex_to_internal(args.src, n)
     dst = vertex_to_internal(args.dst, n)
-    if args.T_max <= 1:
-        raise ValueError(f"--T-max must exceed 1, got {args.T_max}")
+    if not (args.T_max > 1 and math.isfinite(args.T_max)):
+        raise ValueError(f"--T-max must be finite and exceed 1, got {args.T_max}")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     delta, eps = dihedral.pair_geometry(n, src, dst)
+    block = 0 if eps == 1 else 1
     reference = 1.0 / (2 * n)
     horizons = [10 ** (math.log10(args.T_max) * k / (args.points - 1)) for k in range(args.points)]
-    quantum = [
-        _clamp_tiny_negative(walk.averaged_entry(n, delta, eps, T)) for T in horizons
-    ]
+    quantum = [_clamp_tiny_negative(walk.averaged_matrix(n, T).entry(src, dst)) for T in horizons]
     steps = [round(args.t_max * k / (args.points - 1)) for k in range(args.points)]
-    power_cache = {}
-    classical_vals = []
-    for t in steps:
-        if t not in power_cache:
-            power_cache[t] = float(classical.classical_power(n, t)[src, dst])
-        classical_vals.append(_clamp_tiny_negative(power_cache[t]))
+    classical_vals = [
+        _clamp_tiny_negative(classical.classical_profile(n, t)[block, delta]) for t in steps
+    ]
     if args.format == "svg":
         _write_text(
             args,
@@ -555,36 +543,21 @@ def _cmd_figure_1b(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
-    from . import bounds, classical, spectra
-
     try:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from exc
     if not ns:
         raise ValueError("--n-list is empty")
-    epsilon = args.epsilon if args.epsilon is not None else spectra.DEFAULT_EPSILON
+    epsilon = _epsilon(args)
+    header = ["n", "classical_tau", "classical_lower_bound", "quantum_T_star", "budget_horizon", "ratio"]
     rows = []
     all_ok = True
     for n in ns:
-        quantum = bounds.quantum_mixing_threshold(n, epsilon)
-        classical_report = classical.classical_mixing_time(n, epsilon)
-        lower = spectra.classical_lower_bound(n, epsilon)
-        budget = bounds.budget_time(n)
-        ok = classical_report.threshold_time >= math.floor(lower)
+        tau, lower, quantum, budget, ratio, ok = _mixing_comparison(n, epsilon)
         all_ok = all_ok and ok
-        rows.append(
-            (
-                n,
-                classical_report.threshold_time,
-                lower,
-                quantum.threshold_time,
-                budget,
-                classical_report.threshold_time / quantum.threshold_time,
-            )
-        )
-        print(f"n={n}: classical {classical_report.threshold_time}, quantum {quantum.threshold_time}", file=sys.stderr)
-    header = ["n", "classical_tau", "classical_lower_bound", "quantum_T_star", "budget_horizon", "ratio"]
+        rows.append((n, tau, lower, quantum, budget, ratio))
+        print(f"n={n}: classical {tau}, quantum {quantum}", file=sys.stderr)
     if args.format == "json":
         _emit_json(args, {"rows": [dict(zip(header, row)) for row in rows]})
     else:
@@ -681,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=101)
     p.add_argument("--from", dest="src", type=int, default=1, help="1-based source vertex")
     p.add_argument("--to", dest="dst", type=int, default=15, help="1-based target vertex")
-    p.add_argument("--T-max", type=float, default=1e6)
+    # --t-max before --T-max keeps the provenance line's key order
     p.add_argument("--t-max", type=int, default=200)
+    p.add_argument("--T-max", type=float, default=1e6)
     p.add_argument("--points", type=int, default=41)
     _add_output_flags(p, ["csv", "svg"], "csv")
     p.set_defaults(handler=_cmd_figure_1b)

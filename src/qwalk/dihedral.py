@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def check_odd_order(n) -> None:
@@ -202,18 +203,40 @@ def normalized_adjacency(n) -> np.ndarray:
     return semi_cayley_adjacency(n) / 3.0
 
 
+def pair_values_rows(n, values, vertices) -> np.ndarray:
+    """Rows of the 2n x 2n matrix whose (i, j) entry is
+    values[0 if same block else 1, (rho_j - rho_i) mod n], one per vertex.
+
+    values is one (2, n) profile shared by every row, or a (k, 2, n) stack
+    with one profile per vertex; the result has shape (k, 2n).
+    """
+    vertices = np.asarray(vertices)
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= 2 * n):
+        raise ValueError(f"vertex indices must lie in [0, {2 * n})")
+    # flat index into the (2n,) profile: a vertex in block b reads
+    # values[b] on block-0 columns and values[1 - b] on block-1 columns
+    base = (vertices // n)[:, None] * n
+    idx = (np.arange(n) - vertices[:, None] % n) % n
+    cols = np.concatenate([idx + base, idx + (n - base)], axis=1)
+    values = np.asarray(values)
+    if values.ndim == 2:
+        return values.reshape(2 * n)[cols]
+    return np.take_along_axis(values.reshape(-1, 2 * n), cols, axis=1)
+
+
 def pair_values_row(n, values, i) -> np.ndarray:
-    """Row i of the 2n x 2n matrix whose (i, j) entry is
-    values[0 if same block else 1, (rho_j - rho_i) mod n]."""
+    """Row i of the `pair_values_rows` expansion of a (2, n) profile."""
     check_vertex(n, i)
-    idx = (np.arange(n) - int(i) % n) % n
-    same = np.asarray(values)[0][idx]
-    other = np.asarray(values)[1][idx]
-    if i < n:
-        return np.concatenate([same, other])
-    return np.concatenate([other, same])
+    return pair_values_rows(n, values, [i])[0]
 
 
 def pair_values_dense(n, values) -> np.ndarray:
-    """Full matrix expansion of a (2, n) distinct-value profile."""
-    return np.stack([pair_values_row(n, values, i) for i in range(2 * n)])
+    """Full matrix expansion of a (2, n) distinct-value profile.
+
+    Each n x n block is the circulant C[r, c] = v[(c - r) mod n]; its rows
+    are the length-n windows of v[1:] + v, read bottom to top.
+    """
+    same, other = (
+        sliding_window_view(np.concatenate([v[1:], v]), n)[::-1] for v in np.asarray(values)
+    )
+    return np.block([[same, other], [other, same]])

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dihedral import check_odd_order, check_vertex
-from .spectra import MINUS, PLUS, eigenvalues
-from .walk import check_horizon, probability_row
+from .walk import check_horizon, probability_row, probability_rows
 
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
+
+# doubles `empirical_check` draws at once over all trials (2 MiB)
+DRAW_BUFFER = 2**18
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class SamplerConfig:
             raise ValueError(f"step count must be a nonnegative integer, got {self.steps!r}")
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError(f"trial count must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def trial_rng(seed, trial) -> np.random.Generator:
@@ -62,7 +64,7 @@ def single_measured_step(n, current, horizon, rng) -> int:
     t = rng.uniform(0.0, horizon)
     row = probability_row(n, current, t)
     total = row.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
+    if not (abs(total - 1.0) <= ROW_SUM_TOL):
         raise RuntimeError(f"probability row sums to {total}, outside tolerance")
     u = rng.random() * total
     idx = int(np.searchsorted(np.cumsum(row), u, side="right"))
@@ -104,44 +106,31 @@ class SampleHistogram:
         return float(np.sqrt(self.counts.shape[0] / self.trials))
 
 
-def _probability_rows(n, currents, times) -> np.ndarray:
-    """Probability rows for many (vertex, time) pairs at once; one batched
-    inverse DFT per branch combination."""
-    zp = np.exp(1j * np.outer(times, eigenvalues(n, PLUS)))
-    zm = np.exp(1j * np.outer(times, eigenvalues(n, MINUS)))
-    p_same = np.abs(0.5 * np.fft.ifft(zp + zm, axis=1)) ** 2
-    p_other = np.abs(0.5 * np.fft.ifft(zp - zm, axis=1)) ** 2
-    currents = np.asarray(currents)
-    rho = currents % n
-    beta = currents // n
-    cols = np.arange(2 * n)
-    delta = (cols[None, :] % n - rho[:, None]) % n
-    same_block = (cols[None, :] // n) == beta[:, None]
-    gathered_same = np.take_along_axis(p_same, delta, axis=1)
-    gathered_other = np.take_along_axis(p_other, delta, axis=1)
-    return np.where(same_block, gathered_same, gathered_other)
-
-
 def empirical_check(config: SamplerConfig) -> SampleHistogram:
     """Histogram of the endpoints of `config.trials` independent walks.
 
-    Trials are batched: within a step every trial draws its measurement
-    time, then its inverse-CDF uniform, from its own stream, so the batch
+    Trials are batched.  A measured step takes two doubles from its trial's
+    stream, the time fraction and then the inverse-CDF uniform, so each
+    stream is drawn a block of steps at a time; `horizon * u` is the value
+    `rng.uniform(0, horizon)` returns for the same draw.  The batch thus
     reproduces `measured_walk(config, trial)` exactly for every trial.
     """
     rngs = [trial_rng(config.seed, k) for k in range(config.trials)]
     current = np.full(config.trials, config.start_vertex, dtype=np.int64)
     n = config.n
-    for _ in range(config.steps):
-        times = np.array([rng.uniform(0.0, config.horizon) for rng in rngs])
-        rows = _probability_rows(n, current, times)
-        totals = rows.sum(axis=1)
-        if np.abs(totals - 1.0).max() > ROW_SUM_TOL:
-            raise RuntimeError("a probability row drifted away from total 1")
-        draws = np.array([rng.random() for rng in rngs]) * totals
-        cumulative = np.cumsum(rows, axis=1)
-        current = np.minimum(
-            (cumulative <= draws[:, None]).sum(axis=1), 2 * n - 1
-        ).astype(np.int64)
+    block = max(1, DRAW_BUFFER // (2 * config.trials))
+    for first in range(0, config.steps, block):
+        draws = np.empty((config.trials, min(block, config.steps - first), 2))
+        for rng, trial_draws in zip(rngs, draws):
+            rng.random(out=trial_draws)
+        for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):
+            rows = probability_rows(n, current, times)
+            totals = rows.sum(axis=1)
+            if not (np.abs(totals - 1.0).max() <= ROW_SUM_TOL):
+                raise RuntimeError("a probability row drifted away from total 1")
+            cumulative = np.cumsum(rows, axis=1)
+            current = np.minimum(
+                (cumulative <= (uniforms * totals)[:, None]).sum(axis=1), 2 * n - 1
+            ).astype(np.int64)
     counts = np.bincount(current, minlength=2 * n)
     return SampleHistogram(counts, config.trials)

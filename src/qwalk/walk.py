@@ -9,6 +9,7 @@ cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .dihedral import (
     pair_geometry,
     pair_values_dense,
     pair_values_row,
+    pair_values_rows,
 )
 from .spectra import MINUS, PLUS, eigenbasis, eigenvalues, full_spectrum
 
@@ -30,8 +32,8 @@ IMAG_TOL = 1e-9
 
 
 def check_horizon(T) -> None:
-    if not T > 0:
-        raise ValueError(f"averaging horizon must be positive, got {T!r}")
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"averaging horizon must be positive and finite, got {T!r}")
 
 
 def amplitude(n, i, j, t) -> complex:
@@ -50,30 +52,37 @@ def probability(n, i, j, t) -> float:
     return abs(amplitude(n, i, j, t)) ** 2
 
 
-def probability_row(n, i, t) -> np.ndarray:
-    """All 2n transition probabilities from vertex i at time t.
+def _probability_profiles(n, times) -> np.ndarray:
+    """P_t profiles for many times at once; shape (len(times), 2, n).
 
     The amplitudes over residue offsets are inverse DFTs of the branch
-    phases, so a full row costs O(n log n).
+    phases: their sum for same-block pairs, their difference otherwise.
     """
+    zp = np.exp(1j * np.outer(times, eigenvalues(n, PLUS)))
+    zm = np.exp(1j * np.outer(times, eigenvalues(n, MINUS)))
+    blocks = [np.abs(0.5 * np.fft.ifft(op(zp, zm), axis=1)) ** 2 for op in (np.add, np.subtract)]
+    return np.stack(blocks, axis=1)
+
+
+def probability_rows(n, vertices, times) -> np.ndarray:
+    """Transition-probability rows for many (vertex, time) pairs; shape
+    (len(vertices), 2n), one O(n log n) row per pair."""
+    check_odd_order(n)
+    return pair_values_rows(n, _probability_profiles(n, times), vertices)
+
+
+def probability_row(n, i, t) -> np.ndarray:
+    """All 2n transition probabilities from vertex i at time t."""
     check_odd_order(n)
     check_vertex(n, i)
-    zp = np.exp(1j * eigenvalues(n, PLUS) * t)
-    zm = np.exp(1j * eigenvalues(n, MINUS) * t)
-    p_same = np.abs(0.5 * np.fft.ifft(zp + zm)) ** 2
-    p_other = np.abs(0.5 * np.fft.ifft(zp - zm)) ** 2
-    return pair_values_row(n, np.vstack([p_same, p_other]), i)
+    return pair_values_row(n, _probability_profiles(n, [t])[0], i)
 
 
 def probability_matrix(n, t) -> np.ndarray:
     """Dense 2n x 2n probability matrix at time t; symmetric and doubly
     stochastic."""
     check_odd_order(n)
-    zp = np.exp(1j * eigenvalues(n, PLUS) * t)
-    zm = np.exp(1j * eigenvalues(n, MINUS) * t)
-    p_same = np.abs(0.5 * np.fft.ifft(zp + zm)) ** 2
-    p_other = np.abs(0.5 * np.fft.ifft(zp - zm)) ** 2
-    return pair_values_dense(n, np.vstack([p_same, p_other]))
+    return pair_values_dense(n, _probability_profiles(n, [t])[0])
 
 
 def propagator_oracle(n, t, size_cap=ORACLE_SIZE_CAP) -> np.ndarray:
@@ -123,7 +132,7 @@ def averaged_entry(n, delta, eps, T) -> float:
             sgn = eps if sa != sb else 1
             total += sgn * (w * phase_average(la[:, None] - lb[None, :], T)).sum()
     total /= (2 * n) ** 2
-    if abs(total.imag) > IMAG_TOL:
+    if not (abs(total.imag) <= IMAG_TOL):
         raise RuntimeError(f"imaginary residue {total.imag} above tolerance")
     return float(total.real)
 
@@ -180,7 +189,7 @@ def averaged_matrix(n, T) -> AveragedWalkMatrix:
     same = binned(lp, lp) + binned(lm, lm)
     cross = binned(lp, lm) + binned(lm, lp)
     vals = np.vstack([same + cross, same - cross]) / (2 * n) ** 2
-    if np.abs(vals.imag).max() > IMAG_TOL:
+    if not (np.abs(vals.imag).max() <= IMAG_TOL):
         raise RuntimeError(f"imaginary residue {np.abs(vals.imag).max()} above tolerance")
     return AveragedWalkMatrix(n, float(T), np.ascontiguousarray(vals.real))
 

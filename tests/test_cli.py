@@ -337,6 +337,21 @@ def test_error_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["average", "--n", "5", "--T", "0"])
     assert code == 2
+    for argv in (
+        ["average", "--n", "5", "--T", "inf"],
+        ["average", "--n", "5", "--T", "nan"],
+        ["walk", "--n", "5", "--t-max", "nan"],
+        ["walk", "--n", "5", "--t-max", "inf"],
+        ["figure-1b", "--n", "5", "--to", "2", "--T-max", "inf"],
+        ["figure-1b", "--n", "5", "--to", "2", "--T-max", "nan"],
+        ["sample", "--n", "5", "--T", "inf", "--T-prime", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "finite" in err, argv
+    code, out, err = run_cli(capsys, ["sample", "--n", "5", "--T", "10", "--T-prime", "1", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert "seed must be a nonnegative integer" in err
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
 

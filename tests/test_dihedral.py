@@ -9,7 +9,7 @@ model of the group against which the canonical-form product is checked.
 import numpy as np
 import pytest
 
-from qwalk import dihedral
+from qwalk import dihedral, walk
 
 
 def perm_of(el):
@@ -179,18 +179,31 @@ def test_normalized_adjacency_doubly_stochastic():
     assert np.allclose(mat.sum(axis=1), 1.0)
 
 
-def test_pair_geometry_and_profile_expansion():
-    n = 5
-    assert dihedral.pair_geometry(n, 0, 3) == (3, 1)
-    assert dihedral.pair_geometry(n, 3, 0) == (2, 1)
-    assert dihedral.pair_geometry(n, 1, n + 4) == (3, -1)
-    assert dihedral.pair_geometry(n, n + 2, 2) == (0, -1)
+@pytest.mark.parametrize("n", [3, 5, 7, 21])
+def test_pair_geometry_and_profile_expansion(n):
+    assert dihedral.pair_geometry(5, 0, 3) == (3, 1)
+    assert dihedral.pair_geometry(5, 3, 0) == (2, 1)
+    assert dihedral.pair_geometry(5, 1, 5 + 4) == (3, -1)
+    assert dihedral.pair_geometry(5, 5 + 2, 2) == (0, -1)
     values = np.arange(2 * n, dtype=float).reshape(2, n)
     dense = dihedral.pair_values_dense(n, values)
     for i in range(2 * n):
         for j in range(2 * n):
             delta, eps = dihedral.pair_geometry(n, i, j)
             assert dense[i, j] == values[0 if eps == 1 else 1, delta]
+    # the row, batched-row and dense expansions agree bit for bit
+    rows = np.stack([dihedral.pair_values_row(n, values, i) for i in range(2 * n)])
+    assert np.array_equal(dense, rows)
+    t = 1.7
+    prob_rows = np.stack([walk.probability_row(n, i, t) for i in range(2 * n)])
+    assert np.array_equal(walk.probability_matrix(n, t), prob_rows)
+    vertices = np.arange(2 * n)[::-1]
+    times = np.linspace(0.3, 40.0, 2 * n)
+    batched = walk.probability_rows(n, vertices, times)
+    single = [walk.probability_row(n, int(i), float(s)) for i, s in zip(vertices, times)]
+    assert np.array_equal(batched, np.stack(single))
+    with pytest.raises(ValueError):
+        dihedral.pair_values_rows(n, values, [0, 2 * n])
 
 
 def test_order_validation():

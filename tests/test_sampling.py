@@ -25,6 +25,18 @@ def test_config_validation():
         sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=3, trials=0, seed=1)
     with pytest.raises(ValueError):
         sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=3, trials=4, seed=1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=3, trials=4, seed=-1)
+
+
+def test_nan_row_trips_row_sum_guard(monkeypatch):
+    monkeypatch.setattr(sampling, "probability_row", lambda n, i, t: np.full(2 * n, np.nan))
+    monkeypatch.setattr(sampling, "probability_rows", lambda n, vs, ts: np.full((len(vs), 2 * n), np.nan))
+    with pytest.raises(RuntimeError, match="sums to"):
+        sampling.single_measured_step(5, 0, 10.0, sampling.trial_rng(0, 0))
+    config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=2, trials=3, seed=0)
+    with pytest.raises(RuntimeError, match="drifted"):
+        sampling.empirical_check(config)
 
 
 def test_trial_streams_are_independent_and_stable():
@@ -62,6 +74,15 @@ def test_batched_check_reproduces_scalar_walk():
         scalar_counts[sampling.measured_walk(config, trial)] += 1
     assert np.array_equal(hist.counts, scalar_counts)
     assert hist.trials == 12
+
+
+@pytest.mark.parametrize("buffer", [24, 72])
+def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
+    # 12 trials: blocks of 1 step, or of 3 steps and then 1
+    config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
+    expected = sampling.empirical_check(config).counts
+    monkeypatch.setattr(sampling, "DRAW_BUFFER", buffer)
+    assert np.array_equal(sampling.empirical_check(config).counts, expected)
 
 
 def test_histogram_statistics():

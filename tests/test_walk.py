@@ -213,3 +213,16 @@ def test_horizon_validation():
         walk.averaged_entry(5, 5, 1, 10.0)
     with pytest.raises(ValueError):
         walk.averaged_entry(5, 0, 2, 10.0)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            walk.averaged_matrix(5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            walk.averaged_entry(5, 0, 1, bad)
+
+
+def test_nan_residue_trips_imaginary_guard(monkeypatch):
+    monkeypatch.setattr(walk, "phase_average", lambda x, T: np.full(np.shape(x), np.nan + 1j * np.nan))
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        walk.averaged_matrix(5, 10.0)
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        walk.averaged_entry(5, 0, 1, 10.0)
