@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import MixingReport
 from .dihedral import check_odd_order
-from .spectra import DEFAULT_EPSILON, MINUS, PLUS, eigenvalues
+from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues
 from .walk import averaged_matrix, check_horizon
 
 BRUTE_FORCE_CAP = 2001
@@ -27,6 +27,9 @@ BRUTE_FORCE_CAP = 2001
 CROSS_GAP_GUARD = 1e-12
 
 BUDGET_COEFF = 4800.0
+
+# relative width at which quantum_mixing_threshold stops bisecting
+THRESHOLD_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -431,18 +434,18 @@ def budget_check(n) -> bool:
     return budget_report(n).passed
 
 
-def quantum_mixing_threshold(n, epsilon=None, rel_tol=1e-3) -> MixingReport:
+def quantum_mixing_threshold(n, epsilon=None) -> MixingReport:
     """Smallest averaging horizon with ||averaged - limit||_1 <= epsilon.
 
-    Doubles the horizon until below threshold, then bisects to the given
-    relative width.  For n >= 100 the measured threshold must respect the
-    certified budget; a violation is a hard error, not a report entry.
+    Doubles the horizon until below threshold, then bisects to relative
+    width THRESHOLD_REL_TOL.  For n >= 100 the measured threshold must
+    respect the certified budget; a violation is a hard error, not a
+    report entry.
     """
     check_odd_order(n)
     if epsilon is None:
         epsilon = DEFAULT_EPSILON
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_mixing_epsilon(epsilon)
     series = []
 
     def probe(T):
@@ -457,7 +460,7 @@ def quantum_mixing_threshold(n, epsilon=None, rel_tol=1e-3) -> MixingReport:
         hi *= 2.0
         if hi > 2.0**60:
             raise RuntimeError(f"no averaged mixing below horizon {2.0**60} at n={n}")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > THRESHOLD_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if probe(mid) <= epsilon:
             hi = mid
@@ -508,9 +511,9 @@ class BoundsReport:
         }
 
 
-def bounds_report(n, brute_cap=BRUTE_FORCE_CAP) -> BoundsReport:
+def bounds_report(n) -> BoundsReport:
     check_odd_order(n)
-    total = eigengap_inverse_sum_bruteforce(n, cap=brute_cap)
+    total = eigengap_inverse_sum_bruteforce(n)
     dec = decomposed_sum(n)
     su = su_sums(n)
     within = case5_sums(n)

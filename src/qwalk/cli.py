@@ -309,11 +309,12 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    from . import classical
+    from . import classical, spectra
 
     n = args.n
     if args.t_max < 0:
         raise ValueError(f"--t-max must be nonnegative, got {args.t_max}")
+    spectra.check_mixing_epsilon(args.epsilon)
     ts = list(range(args.t_max + 1))
     halves = []
     pair_dists = []

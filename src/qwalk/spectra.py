@@ -98,6 +98,12 @@ def check_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
 
 
+def check_mixing_epsilon(epsilon) -> None:
+    """A mixing threshold's epsilon must lie in (0, 1); NaN is rejected too."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+
+
 def classical_lower_bound(n, epsilon) -> float:
     """Spectral lower bound on the classical mixing time, in walk steps:
     max(0, (1 / (1 - lambda_2) - 1) ln(1 / (2 epsilon)))."""

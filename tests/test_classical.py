@@ -6,6 +6,7 @@ matrices for the norm sandwich.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,36 @@ def test_mixing_time_respects_epsilon_argument():
         classical.classical_mixing_time(9, epsilon=0.0)
 
 
+@pytest.mark.parametrize(
+    "n,norm_kind",
+    [(n, kind) for kind in ("half_induced", "column_pairs") for n in (3, 5, 9, 21)] + [(41, "half_induced")],
+)
+def test_distance_is_monotone_over_four_thresholds(n, norm_kind):
+    # classical_mixing_time relies on this: with d non-increasing, the first
+    # crossing also certifies every later step count
+    tau = int(classical.classical_mixing_time(n, norm_kind=norm_kind).threshold_time)
+    profiles = classical.classical_profiles(n, np.arange(4 * tau + 1))
+    if norm_kind == "half_induced":
+        dists = 0.5 * np.abs(profiles - 1.0 / (2 * n)).sum(axis=(1, 2))
+    else:
+        dists = np.array([classical.profile_column_distance(n, p) for p in profiles])
+    assert np.all(np.diff(dists) <= 1e-12)
+
+
+def test_mixing_time_large_n_is_first_crossing_in_small_memory():
+    n = 1001
+    tracemalloc.start()
+    try:
+        report = classical.classical_mixing_time(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tau = int(report.threshold_time)
+    assert tau == 378229
+    assert classical.half_uniform_distance(n, tau) <= report.epsilon < classical.half_uniform_distance(n, tau - 1)
+    assert peak < 16 * 2**20
+
+
 def test_contraction_check():
     report = classical.classical_mixing_time(5, norm_kind="column_pairs")
     mat = classical.classical_power(5, int(report.threshold_time))
@@ -167,6 +198,8 @@ def test_contraction_check():
     # a matrix that has not reached the threshold is rejected outright
     with pytest.raises(ValueError):
         classical.contraction_check(np.eye(10), 0.01)
+    with pytest.raises(ValueError):
+        classical.contraction_check(mat, 0.5)
 
 
 def test_mixing_distance_eventually_small():

@@ -175,6 +175,9 @@ def test_classical_mix_json(capsys):
     assert payload["norm_kind"] == "half_induced"
     oracle = classical.classical_mixing_time(21)
     assert payload["threshold_time"] == oracle.threshold_time
+    code, out, _ = run_cli(capsys, ["classical-mix", "--n", "1001"])
+    assert code == 0
+    assert json.loads(out)["threshold_time"] == 378229.0
 
 
 def test_mix_json(capsys):
@@ -356,6 +359,10 @@ def test_error_exit_codes(capsys):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "finite" in err, argv
+    for epsilon in ("nan", "inf", "-1", "0"):
+        code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "2", "--epsilon", epsilon])
+        assert (code, out) == (2, ""), epsilon
+        assert err.startswith("error:") and "epsilon must lie in (0, 1)" in err, epsilon
     code, out, err = run_cli(capsys, ["sample", "--n", "5", "--T", "10", "--T-prime", "1", "--seed", "-1"])
     assert (code, out) == (2, "")
     assert "seed must be a nonnegative integer" in err

@@ -107,6 +107,10 @@ def test_epsilon_domain():
             spectra.check_epsilon(bad)
     with pytest.raises(ValueError):
         spectra.classical_lower_bound(5, 0.5)
+    for bad in (0.0, 1.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            spectra.check_mixing_epsilon(bad)
+    spectra.check_mixing_epsilon(0.5)
 
 
 def test_branch_and_mode_validation():
