@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import MixingReport
 from .dihedral import check_odd_order
-from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues
+from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues, folded_modes
 from .walk import averaged_matrix, check_horizon
 
 BRUTE_FORCE_CAP = 2001
@@ -56,16 +56,6 @@ def index_sets(n) -> IndexSets:
         c1_prime=np.arange(half + 1, n),
         c2_prime=np.arange(n + half + 1, 2 * n),
     )
-
-
-def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:
-    """Representative modes 0..(n-1)/2 and their fold multiplicities
-    (1 at the fixed point m = 0, else 2)."""
-    check_odd_order(n)
-    half = (n - 1) // 2
-    mult = np.full(half + 1, 2.0)
-    mult[0] = 1.0
-    return np.arange(half + 1), mult
 
 
 def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,9 +11,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dihedral import check_odd_order, normalized_adjacency, pair_values_dense
 from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_epsilon, check_mixing_epsilon, eigenvalues
+
+# entries `profile_column_distance` compares at once (2 MiB per float array)
+COLUMN_BLOCK = 2**18
 
 
 def check_step_count(t) -> None:
@@ -85,27 +89,34 @@ def max_pairwise_column_distance(matrix) -> float:
 def profile_column_distance(n, values) -> float:
     """d(P) for a matrix whose columns all carry the same (2, n) value
     profile; O(n^2) by comparing one reference column against every
-    (offset, block) relabeling."""
+    (offset, block) relabeling, COLUMN_BLOCK entries at a time.
+
+    The reference column read over rows is the reversed profile, and the
+    column at offset y is that vector rotated by y, so the relabelings are
+    the windows of its doubled copy; a block swap exchanges the two halves.
+    """
     vals = np.asarray(values, dtype=float)
-    rows = np.arange(n)
-    base_same = vals[0][(-rows) % n]
-    base_other = vals[1][(-rows) % n]
+    base = vals[:, (-np.arange(n)) % n]
+    windows = sliding_window_view(np.concatenate([base, base[:, :-1]], axis=1), n, axis=1)
+    step = max(1, COLUMN_BLOCK // n)
     best = 0.0
-    for b in (0, 1):
-        top, bottom = (vals[0], vals[1]) if b == 0 else (vals[1], vals[0])
-        for y in range(n):
-            if y == 0 and b == 0:
-                continue
-            idx = (y - rows) % n
-            gap = np.abs(base_same - top[idx]).sum() + np.abs(base_other - bottom[idx]).sum()
-            best = max(best, 0.5 * float(gap))
+    for top, bottom in ((0, 1), (1, 0)):
+        for first in range(0, n, step):
+            rotated = windows[:, first : first + step]
+            gaps = np.abs(base[0] - rotated[top]).sum(axis=1) + np.abs(base[1] - rotated[bottom]).sum(axis=1)
+            best = max(best, 0.5 * float(gaps.max()))
     return best
+
+
+def half_uniform_distances(n, profiles) -> np.ndarray:
+    """0.5 ||P - uniform||_1 for each (2, n) profile of a (..., 2, n) stack."""
+    dev = np.abs(np.asarray(profiles, dtype=float) - 1.0 / (2 * n))
+    return 0.5 * dev.reshape(dev.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def half_uniform_distance(n, t) -> float:
     """0.5 ||(A/3)^t - uniform||_1 from the distinct-value profile."""
-    vals = classical_profile(n, t)
-    return 0.5 * float(np.abs(vals - 1.0 / (2 * n)).sum())
+    return float(half_uniform_distances(n, classical_profile(n, t)))
 
 
 @dataclass

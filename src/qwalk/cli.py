@@ -318,10 +318,12 @@ def _cmd_classical(args) -> int:
     ts = list(range(args.t_max + 1))
     halves = []
     pair_dists = []
-    for t in ts:
-        profile = classical.classical_profile(n, t)
-        halves.append(0.5 * float(abs(profile - 1.0 / (2 * n)).sum()))
-        pair_dists.append(classical.profile_column_distance(n, profile))
+    # one batch of profiles per COLUMN_BLOCK entries keeps memory O(n * chunk)
+    step = max(1, classical.COLUMN_BLOCK // (2 * n))
+    for first in range(0, len(ts), step):
+        profiles = classical.classical_profiles(n, ts[first : first + step])
+        halves += classical.half_uniform_distances(n, profiles).tolist()
+        pair_dists += [classical.profile_column_distance(n, profile) for profile in profiles]
     crossing = next((t for t, d in zip(ts, halves) if d <= args.epsilon), None)
     if crossing is None:
         print(f"half-induced distance stays above {args.epsilon} up to t={args.t_max}", file=sys.stderr)
@@ -368,6 +370,7 @@ def _mixing_comparison(n, epsilon) -> tuple:
     tau / T*, whether tau respects the lower bound) at one n."""
     from . import bounds, classical, spectra
 
+    spectra.check_epsilon(epsilon)
     quantum = bounds.quantum_mixing_threshold(n, epsilon).threshold_time
     tau = classical.classical_mixing_time(n, epsilon).threshold_time
     lower = spectra.classical_lower_bound(n, epsilon)

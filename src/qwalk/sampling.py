@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dihedral import check_odd_order, check_vertex
-from .walk import check_horizon, probability_row, probability_rows
-
-# acceptable drift of a probability row's total away from 1
-ROW_SUM_TOL = 1e-9
+from .walk import ROW_SUM_TOL, check_horizon, probability_row, probability_rows
 
 # doubles `empirical_check` draws at once over all trials (2 MiB)
 DRAW_BUFFER = 2**18

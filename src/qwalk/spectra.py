@@ -48,6 +48,16 @@ def eigenvalues(n, branch) -> np.ndarray:
     return (c + 1.0) / 3.0 if branch == PLUS else (c - 1.0) / 3.0
 
 
+def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:
+    """Representative modes 0..(n-1)/2 and their fold multiplicities
+    (1 at the fixed point m = 0, else 2)."""
+    check_odd_order(n)
+    half = (n - 1) // 2
+    mult = np.full(half + 1, 2.0)
+    mult[0] = 1.0
+    return np.arange(half + 1), mult
+
+
 def full_spectrum(n) -> np.ndarray:
     """All 2n eigenvalues, block-symmetric branch first."""
     return np.concatenate([eigenvalues(n, PLUS), eigenvalues(n, MINUS)])

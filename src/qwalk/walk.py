@@ -23,12 +23,18 @@ from .dihedral import (
     pair_values_row,
     pair_values_rows,
 )
-from .spectra import MINUS, PLUS, eigenbasis, eigenvalues, full_spectrum
+from .spectra import MINUS, PLUS, eigenbasis, eigenvalues, folded_modes, full_spectrum
 
 ORACLE_SIZE_CAP = 512
 
 # tolerance on the imaginary residue of assembled real quantities
 IMAG_TOL = 1e-9
+
+# acceptable drift of a probability row's total away from 1
+ROW_SUM_TOL = 1e-9
+
+# kernel values `averaged_matrix` evaluates at once (2 MiB per float array)
+KERNEL_BLOCK = 2**18
 
 
 def check_horizon(T) -> None:
@@ -108,6 +114,11 @@ def phase_average(x, T):
     return np.exp(0.5j * x * T) * np.sinc(x * T / (2.0 * np.pi))
 
 
+def real_phase_average(x, T):
+    """Real part of `phase_average`: sin(x T) / (x T), exactly 1 at x = 0."""
+    return np.sinc(np.asarray(x, dtype=float) * (T / np.pi))
+
+
 def averaged_entry(n, delta, eps, T) -> float:
     """Time-averaged transition probability for a vertex pair at residue
     offset delta with block sign eps.
@@ -166,32 +177,51 @@ class AveragedWalkMatrix:
 
 
 def averaged_matrix(n, T) -> AveragedWalkMatrix:
-    """All distinct time-averaged entries in O(n^2).
+    """All distinct time-averaged entries from about n^2 / 2 real kernel
+    values, in O(n + KERNEL_BLOCK) memory.
 
-    The mode-pair double sums depend on (m - m') mod n only through the
-    residue phase, so they are binned by that difference and finished with
-    a single inverse DFT per branch pairing.
+    The average is real: a mode pair and its mirror (m, m') -> (-m, -m')
+    carry conjugate phases, so only the real kernel sin(xT) / (xT) enters.
+    Modes are folded to mu = 0..(n-1)/2 with weights w = (1, 2, 2, ...);
+    the four preimages of (mu, mu') carry w w' / 2 times
+    cos 2 pi delta (mu - mu') / n + cos 2 pi delta (mu + mu') / n, so each
+    kernel value is binned at |mu - mu'| and at mu + mu' folded into
+    0..(n-1)/2, and one cosine transform finishes the job.  Both
+    same-branch pairings give the same gaps, and so do both cross-branch
+    ones up to sign.  Mirror modes fold onto one mu, so their gap is 0
+    exactly; same-branch gaps are taken in product form
+    -(4/3) sin((a+b)/2) sin((a-b)/2) and keep full relative precision.
     """
     check_odd_order(n)
     check_horizon(T)
-    lp = eigenvalues(n, PLUS)
-    lm = eigenvalues(n, MINUS)
-    m = np.arange(n)
-    didx = ((m[:, None] - m[None, :]) % n).ravel()
-
-    def binned(la, lb):
-        k = phase_average(la[:, None] - lb[None, :], T).ravel()
-        d = np.bincount(didx, weights=k.real, minlength=n) + 1j * np.bincount(
-            didx, weights=k.imag, minlength=n
-        )
-        return n * np.fft.ifft(d)
-
-    same = binned(lp, lp) + binned(lm, lm)
-    cross = binned(lp, lm) + binned(lm, lp)
-    vals = np.vstack([same + cross, same - cross]) / (2 * n) ** 2
-    if not (np.abs(vals.imag).max() <= IMAG_TOL):
-        raise RuntimeError(f"imaginary residue {np.abs(vals.imag).max()} above tolerance")
-    return AveragedWalkMatrix(n, float(T), np.ascontiguousarray(vals.real))
+    mu, w = folded_modes(n)
+    size = len(mu)
+    angle = np.pi * mu / n
+    cos = np.cos(2.0 * angle)
+    # binned[0] collects same-branch kernel values, binned[1] cross-branch
+    binned = np.zeros((2, size))
+    block_rows = max(1, KERNEL_BLOCK // size)
+    for first in range(0, size, block_rows):
+        r = slice(first, first + block_rows)
+        weight = (0.5 * w[r, None]) * w
+        diff = np.abs(mu[r, None] - mu).ravel()
+        total = mu[r, None] + mu
+        fold = np.minimum(total, n - total).ravel()
+        same = (-4.0 / 3.0) * np.sin(angle[r, None] + angle) * np.sin(angle[r, None] - angle)
+        cross = (2.0 / 3.0) * (1.0 + cos[r, None] - cos)
+        for out, gap in zip(binned, (same, cross)):
+            k = (real_phase_average(gap, T) * weight).ravel()
+            out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
+    # sum_j binned[j] cos(2 pi j delta / n) for delta = 0..(n-1)/2; the
+    # profile is even in delta, so the rest is its mirror image
+    same, cross = np.fft.rfft(binned, n, axis=1).real
+    half_vals = np.vstack([same + cross, same - cross]) / (2 * n * n)
+    vals = np.concatenate([half_vals, half_vals[:, :0:-1]], axis=1)
+    # every row of the dense matrix holds each distinct value once
+    drift = abs(vals.sum() - 1.0)
+    if not (drift <= ROW_SUM_TOL):
+        raise RuntimeError(f"averaged profile sum drifted {drift} away from 1")
+    return AveragedWalkMatrix(n, float(T), vals)
 
 
 @dataclass(frozen=True)

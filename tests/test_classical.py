@@ -40,9 +40,12 @@ def test_profiles_batch_matches_loop():
     n = 7
     ts = [0, 1, 5, 30, 131]
     batch = classical.classical_profiles(n, ts)
+    distances = classical.half_uniform_distances(n, batch)
+    assert distances.shape == (len(ts),)
     for k, t in enumerate(ts):
         single = classical.classical_profile(n, t)
         assert np.max(np.abs(batch[k] - single)) < 1e-13
+        assert distances[k] == pytest.approx(classical.half_uniform_distance(n, t), abs=1e-15)
 
 
 def test_powers_are_symmetric_doubly_stochastic():
@@ -87,6 +90,48 @@ def test_column_distance_matches_generic_scan():
         assert structured == pytest.approx(generic, abs=1e-12)
     assert classical.max_pairwise_column_distance(np.eye(6)) == pytest.approx(1.0)
     assert classical.max_pairwise_column_distance(classical.uniform_matrix(3)) == 0.0
+
+
+def column_distance_loop(n, values):
+    """profile_column_distance as one Python pass per (offset, block)
+    relabeling: the reference for the blocked version."""
+    vals = np.asarray(values, dtype=float)
+    rows = np.arange(n)
+    base_same = vals[0][(-rows) % n]
+    base_other = vals[1][(-rows) % n]
+    best = 0.0
+    for b in (0, 1):
+        top, bottom = (vals[0], vals[1]) if b == 0 else (vals[1], vals[0])
+        for y in range(n):
+            if y == 0 and b == 0:
+                continue
+            idx = (y - rows) % n
+            gap = np.abs(base_same - top[idx]).sum() + np.abs(base_other - bottom[idx]).sum()
+            best = max(best, 0.5 * float(gap))
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 41])
+@pytest.mark.parametrize("block", [classical.COLUMN_BLOCK, 50])
+def test_column_distance_equals_loop(n, block, monkeypatch):
+    monkeypatch.setattr(classical, "COLUMN_BLOCK", block)
+    report = classical.classical_mixing_time(n, norm_kind="column_pairs")
+    tau = int(report.threshold_time)
+    # every probe of the column_pairs search, plus a stride over [0, 2 tau]
+    ts = sorted({t for t, _ in report.distance_series} | set(range(0, 2 * tau + 1, max(1, tau // 8))))
+    profiles = list(classical.classical_profiles(n, ts))
+    profiles += list(np.random.default_rng(n).random((4, 2, n)))
+    for profile in profiles:
+        assert classical.profile_column_distance(n, profile) == column_distance_loop(n, profile)
+
+
+def test_column_pairs_probe_trail_unchanged(monkeypatch):
+    fast = {n: classical.classical_mixing_time(n, norm_kind="column_pairs") for n in range(3, 32, 2)}
+    monkeypatch.setattr(classical, "profile_column_distance", column_distance_loop)
+    for n, report in fast.items():
+        reference = classical.classical_mixing_time(n, norm_kind="column_pairs")
+        assert report.threshold_time == reference.threshold_time, n
+        assert report.distance_series == reference.distance_series, n
 
 
 def test_sandwich_inequality_on_random_doubly_stochastic():

@@ -152,7 +152,7 @@ def test_limit_exact_strings(capsys):
     assert payload["offdiagonal"] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
 
-def test_classical_series_csv(capsys):
+def test_classical_series_csv(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "40"])
     assert code == 0
     header, rows = parse_csv(out)
@@ -165,6 +165,9 @@ def test_classical_series_csv(capsys):
         # the pairwise column distance dominates the half induced norm
         assert pair >= half - 1e-12
     assert float(rows[0][1]) == pytest.approx(1.0 - 0.1, rel=1e-12)
+    # profiles batched across several blocks print the same series
+    monkeypatch.setattr(classical, "COLUMN_BLOCK", 40)
+    assert run_cli(capsys, ["classical", "--n", "5", "--t-max", "40"]) == (code, out, err)
 
 
 def test_classical_mix_json(capsys):
@@ -333,7 +336,7 @@ def test_provenance_line_everywhere(capsys):
         assert first.startswith(f"# qwalk {argv[0]}"), argv
 
 
-def test_error_exit_codes(capsys):
+def test_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["spectrum", "--n", "4"])
     assert code == 2
     assert err.startswith("error:")
@@ -363,6 +366,17 @@ def test_error_exit_codes(capsys):
         code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "2", "--epsilon", epsilon])
         assert (code, out) == (2, ""), epsilon
         assert err.startswith("error:") and "epsilon must lie in (0, 1)" in err, epsilon
+    # mix and speedup reject an epsilon outside (0, 1/2) before either search
+    def no_search(*args, **kwargs):
+        raise AssertionError("threshold search ran for a rejected epsilon")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "quantum_mixing_threshold", no_search)
+        patch.setattr(classical, "classical_mixing_time", no_search)
+        for argv in (["mix", "--n", "101"], ["speedup", "--n-list", "101,201"]):
+            code, out, err = run_cli(capsys, argv + ["--epsilon", "0.7"])
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:") and "epsilon must lie in (0, 1/2)" in err, argv
     code, out, err = run_cli(capsys, ["sample", "--n", "5", "--T", "10", "--T-prime", "1", "--seed", "-1"])
     assert (code, out) == (2, "")
     assert "seed must be a nonnegative integer" in err

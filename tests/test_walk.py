@@ -1,17 +1,22 @@
 """Unitary evolution, time-averaged kernel, and the limiting profile.
 
 Oracles: scipy.linalg.expm for the propagator, scipy.integrate.quad for
-the time average, exact Fraction arithmetic for the limit.
+the time average, the direct double sum and a 50-digit mpmath sum for the
+averaged kernel, exact Fraction arithmetic for the limit.
 """
 
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from qwalk import dihedral, walk
+from qwalk import bounds, dihedral, walk
 
 
 def test_probability_at_time_zero_is_identity():
@@ -79,6 +84,12 @@ def test_phase_average_values():
     xs = np.array([0.25, -0.25])
     vals = walk.phase_average(xs, 7.0)
     assert vals[0] == np.conj(vals[1])
+    # the real part alone, as averaged_matrix uses it
+    xs = np.array([0.0, 1e-30, 0.731, -0.25, 3.0])
+    for horizon in (1e-3, 13.0, 1e12):
+        real = walk.real_phase_average(xs, horizon)
+        assert real[0] == 1.0
+        assert np.max(np.abs(real - walk.phase_average(xs, horizon).real)) < 1e-15
 
 
 @pytest.mark.parametrize("delta,eps", [(0, 1), (2, 1), (3, -1), (0, -1)])
@@ -97,16 +108,15 @@ def test_averaged_entry_matches_quadrature(delta, eps):
 
 
 def test_averaged_matrix_matches_entry_formula():
-    n = 7
-    horizon = 37.5
-    avg = walk.averaged_matrix(n, horizon)
-    for eps_idx, eps in ((0, 1), (1, -1)):
-        for delta in range(n):
-            direct = walk.averaged_entry(n, delta, eps, horizon)
-            assert avg.values[eps_idx, delta] == pytest.approx(direct, abs=1e-12)
-            # vertex-pair lookup agrees with the profile layout
-            j = delta if eps == 1 else n + delta
-            assert avg.entry(0, j) == avg.values[eps_idx, delta]
+    for n, horizon in ((7, 37.5), (21, 37.5), (21, 1e3), (101, 250.0)):
+        avg = walk.averaged_matrix(n, horizon)
+        for eps_idx, eps in ((0, 1), (1, -1)):
+            for delta in range(n):
+                direct = walk.averaged_entry(n, delta, eps, horizon)
+                assert avg.values[eps_idx, delta] == pytest.approx(direct, abs=1e-12)
+                # vertex-pair lookup agrees with the profile layout
+                j = delta if eps == 1 else n + delta
+                assert avg.entry(0, j) == avg.values[eps_idx, delta]
 
 
 def test_averaged_matrix_dense_properties():
@@ -221,8 +231,85 @@ def test_horizon_validation():
 
 
 def test_nan_residue_trips_imaginary_guard(monkeypatch):
+    # averaged_matrix assembles a real profile, so its guard is the profile
+    # sum; a NaN kernel must trip it
+    monkeypatch.setattr(walk, "real_phase_average", lambda x, T: np.full(np.shape(x), np.nan))
+    with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
+        walk.averaged_matrix(5, 10.0)
     monkeypatch.setattr(walk, "phase_average", lambda x, T: np.full(np.shape(x), np.nan + 1j * np.nan))
     with pytest.raises(RuntimeError, match="imaginary residue"):
-        walk.averaged_matrix(5, 10.0)
-    with pytest.raises(RuntimeError, match="imaginary residue"):
         walk.averaged_entry(5, 0, 1, 10.0)
+
+
+@pytest.mark.parametrize("horizon", [1e8, 1e10, 1e12, 1e15])
+@pytest.mark.parametrize("n", [5, 21, 101])
+def test_distance_bounded_by_gap_sum_at_large_horizon(n, horizon):
+    # criterion 6 far past the horizons where float cosines of mirror modes
+    # used to break the exact degeneracy
+    gap_sum = bounds.eigengap_inverse_sum_bruteforce(n)
+    assert walk.distance_to_limit(n, horizon) <= gap_sum / (n * horizon)
+
+
+def _mp_averaged_profile(n, horizon):
+    """(2, n) averaged profile as the literal double sum over the 2n modes of
+    (1/T) int_0^T e^{i x t} dt, at 50 digits."""
+    with mpmath.workdps(50):
+        T = mpmath.mpf(horizon)
+        cos = [mpmath.cos(2 * mpmath.pi * m / n) for m in range(n)]
+        branches = [[(2 * c + 1) / 3 for c in cos], [(2 * c - 1) / 3 for c in cos]]
+        kernel = {}
+        for a in (0, 1):
+            for b in (0, 1):
+                for m in range(n):
+                    for k in range(n):
+                        # (e^{ixT} - 1) / (ixT), written without cancellation
+                        half_phase = (branches[a][m] - branches[b][k]) * T / 2
+                        kernel[a, b, m, k] = mpmath.expj(half_phase) * mpmath.sinc(half_phase)
+        out = np.empty((2, n))
+        for eps_idx, eps in ((0, 1), (1, -1)):
+            for delta in range(n):
+                total = mpmath.mpc(0)
+                for (a, b, m, k), avg in kernel.items():
+                    sign = eps if a != b else 1
+                    total += sign * mpmath.expj(2 * mpmath.pi * delta * (m - k) / n) * avg
+                total /= (2 * n) ** 2
+                assert abs(total.imag) < mpmath.mpf(10) ** -40
+                out[eps_idx, delta] = float(total.real)
+    return out
+
+
+def test_averaged_profile_matches_mpmath_at_large_horizon():
+    n, horizon = 5, 1e12
+    oracle = _mp_averaged_profile(n, horizon)
+    avg = walk.averaged_matrix(n, horizon)
+    assert np.max(np.abs(avg.values - oracle)) < 1e-15
+    limit = walk.limiting_distribution(n).values()
+    # the O(1/T) deviation from the limit is resolved, not only the limit
+    assert np.abs(avg.values - limit).sum() == pytest.approx(np.abs(oracle - limit).sum(), rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [1001, 4001])
+def test_averaged_matrix_budget_horizon_in_small_memory(n):
+    horizon = bounds.budget_time(n)
+    tracemalloc.start()
+    try:
+        avg = walk.averaged_matrix(n, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert avg.distance_to_limit() <= bounds.decomposed_sum(n).total / (n * horizon)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    half=st.integers(min_value=1, max_value=50),
+    horizon=st.floats(min_value=1.0, max_value=1e15, allow_nan=False, allow_infinity=False),
+)
+def test_averaged_profile_properties(half, horizon):
+    n = 2 * half + 1
+    avg = walk.averaged_matrix(n, horizon)
+    assert avg.values.min() >= -1e-15
+    assert abs(avg.values.sum() - 1.0) < 1e-12
+    gap_sum = bounds.eigengap_inverse_sum_bruteforce(n)
+    assert avg.distance_to_limit() <= gap_sum / (n * horizon)
