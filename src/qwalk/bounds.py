@@ -17,8 +17,8 @@ import numpy as np
 
 from .classical import MixingReport
 from .dihedral import check_odd_order
-from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues, folded_modes
-from .walk import averaged_matrix, check_horizon
+from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum
+from .walk import KERNEL_BLOCK, averaged_matrix, check_horizon
 
 BRUTE_FORCE_CAP = 2001
 
@@ -64,25 +64,39 @@ def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (1.0 + 2.0 * cos) / 3.0, (2.0 * cos - 1.0) / 3.0, mult
 
 
-def _inv_gap_sum(a, b, weight=1.0, shift=0.0, skip_diagonal=False) -> float:
-    """sum over i, k of weight / |a_i - b_k + shift| on the outer grid.
+def _inv_gap_sum(a, b, weight=None, shift=0.0, labels=None) -> float:
+    """sum over i, k of weight_i weight_k / |a_i - b_k + shift| on the outer
+    grid, KERNEL_BLOCK grid entries at a time.
 
-    weight is a scalar or an (len(a), len(b)) array; skip_diagonal drops
-    the i = k terms of a square grid.
+    weight (default all ones) is one per-mode vector for both axes of a
+    grid whose axes index the same modes.  labels marks the indices of a
+    square grid; every pair with equal labels is left out.
     """
-    gaps = a[:, None] - b[None, :]
-    if shift:
-        gaps += shift
-    np.abs(gaps, out=gaps)
-    if skip_diagonal:
-        np.fill_diagonal(gaps, np.inf)
-    return float(np.divide(weight, gaps, out=gaps).sum())
+    rows = max(1, KERNEL_BLOCK // len(b))
+    partial = []
+    for first in range(0, len(a), rows):
+        r = slice(first, first + rows)
+        gaps = a[r, None] - b
+        if shift:
+            gaps += shift
+        np.abs(gaps, out=gaps)
+        if labels is not None:
+            gaps[labels[r, None] == labels] = np.inf
+        inv = np.divide(1.0, gaps, out=gaps)
+        partial.append(float(inv.sum() if weight is None else weight[r] @ inv @ weight))
+    return math.fsum(partial)
 
 
 def cross_branch_gap_check(n) -> float:
-    """Smallest gap between the two branches; hard error inside the guard band."""
+    """Smallest gap between the two branches; hard error inside the guard band.
+
+    Each symmetric-branch value is compared with its two neighbours in the
+    sorted antisymmetric branch, so no n x n grid is built.
+    """
     lp, lm, _ = _branch_values(n)
-    gap = float(np.abs(lp[:, None] - lm[None, :]).min())
+    lm = np.sort(lm)
+    pos = np.clip(np.searchsorted(lm, lp), 1, len(lm) - 1)
+    gap = float(np.minimum(np.abs(lp - lm[pos - 1]), np.abs(lp - lm[pos])).min())
     if gap <= CROSS_GAP_GUARD:
         raise RuntimeError(f"cross-branch gap {gap} inside guard band at n={n}")
     return gap
@@ -103,18 +117,8 @@ def eigengap_inverse_sum_bruteforce(n, cap=BRUTE_FORCE_CAP) -> float:
     cross_branch_gap_check(n)
     m = np.arange(n)
     fold = np.minimum(m, n - m)
-    key = np.concatenate([fold, n + fold])
-    lam = np.concatenate([eigenvalues(n, PLUS), eigenvalues(n, MINUS)])
-    size = 2 * n
-    block_sums = []
-    step = max(1, (1 << 22) // size)
-    for start in range(0, size, step):
-        rows = slice(start, min(start + step, size))
-        gaps = np.abs(lam[rows, None] - lam[None, :])
-        distinct = key[rows, None] != key[None, :]
-        inv = np.where(distinct, 1.0, 0.0) / np.where(distinct, gaps, 1.0)
-        block_sums.append(float(inv.sum()))
-    return math.fsum(block_sums)
+    lam = full_spectrum(n)
+    return _inv_gap_sum(lam, lam, labels=np.concatenate([fold, n + fold]))
 
 
 @dataclass(frozen=True)
@@ -140,11 +144,12 @@ def decomposed_sum(n) -> DecomposedSum:
     check_odd_order(n)
     cross_branch_gap_check(n)
     lp, lm, mult = _branch_values(n)
-    weight = np.outer(mult, mult) / 4.0
+    weight = mult / 2.0
+    modes = np.arange(len(mult))
     return DecomposedSum(
         _inv_gap_sum(lp, lm, weight),
-        _inv_gap_sum(lp, lp, weight, skip_diagonal=True),
-        _inv_gap_sum(lm, lm, weight, skip_diagonal=True),
+        _inv_gap_sum(lp, lp, weight, labels=modes),
+        _inv_gap_sum(lm, lm, weight, labels=modes),
     )
 
 
@@ -232,9 +237,8 @@ class WithinBranchSums:
 def case5_sums(n) -> WithinBranchSums:
     check_odd_order(n)
     lp, lm, _ = _branch_values(n)
-    return WithinBranchSums(
-        _inv_gap_sum(lp, lp, skip_diagonal=True), _inv_gap_sum(lm, lm, skip_diagonal=True)
-    )
+    modes = np.arange(len(lp))
+    return WithinBranchSums(_inv_gap_sum(lp, lp, labels=modes), _inv_gap_sum(lm, lm, labels=modes))
 
 
 def within_branch_cap(n) -> float:

@@ -105,12 +105,15 @@ def _write_text(args, text) -> None:
 
 
 def _emit_csv(args, header, rows, trailing=None) -> None:
-    lines = [_provenance(args), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    _emit_csv_lines(args, header, (",".join(_fmt(v) for v in row) for row in rows), trailing)
+
+
+def _emit_csv_lines(args, header, lines, trailing=None) -> None:
+    """Write the provenance line, the header and already-joined data lines."""
+    out = [_provenance(args), ",".join(header), *lines]
     if trailing is not None:
-        lines.append(trailing)
-    _write_text(args, "\n".join(lines) + "\n")
+        out.append(trailing)
+    _write_text(args, "\n".join(out) + "\n")
 
 
 def _emit_json(args, payload) -> None:
@@ -226,7 +229,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    from . import walk
+    from . import dihedral, walk
 
     n = args.n
     src = vertex_to_internal(args.src, n)
@@ -236,7 +239,9 @@ def _cmd_walk(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     ts = [args.t_max * k / args.steps for k in range(args.steps + 1)]
-    probs = [_clamp_tiny_negative(walk.probability(n, src, dst, t)) for t in ts]
+    delta, eps = dihedral.pair_geometry(n, src, dst)
+    profiles = walk._probability_profiles(n, ts)[:, 0 if eps == 1 else 1, delta]
+    probs = [_clamp_tiny_negative(p) for p in profiles.tolist()]
     if args.format == "svg":
         _write_text(
             args,
@@ -255,15 +260,19 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_average(args) -> int:
-    from . import walk
+    import numpy as np
+
+    from . import dihedral, walk
 
     n = args.n
     avg = walk.averaged_matrix(n, args.T)
     if args.full_matrix:
-        dense = avg.to_dense()
+        # every dense entry is one of the 2n profile values: format each
+        # once and expand the strings
+        cells = np.array([_fmt(_clamp_tiny_negative(v)) for v in avg.values.ravel().tolist()], dtype=object)
+        rows = dihedral.pair_values_dense(n, cells.reshape(2, n)).tolist()
         header = [str(vertex_to_label(k)) for k in range(2 * n)]
-        rows = [[_clamp_tiny_negative(v) for v in row] for row in dense.tolist()]
-        _emit_csv(args, header, rows)
+        _emit_csv_lines(args, header, (",".join(row) for row in rows))
         return 0
     if args.format == "json":
         _emit_json(

@@ -5,6 +5,11 @@ probabilities, the finite-horizon time average, and the exact limiting
 distribution.  Everything is O(n) or O(n^2) through the two cosine
 eigenvalue families; a dense eigendecomposition oracle is kept only for
 cross-checking.
+
+The graph is the prism C_n x K_2 (an n-cycle in each block, joined
+residue to residue), so the two families differ by exactly 2/3 mode by
+mode and P_t is an n-cycle walk times a two-state coin: one inverse DFT
+per time, O(n log n) per row.
 """
 
 from __future__ import annotations
@@ -61,13 +66,17 @@ def probability(n, i, j, t) -> float:
 def _probability_profiles(n, times) -> np.ndarray:
     """P_t profiles for many times at once; shape (len(times), 2, n).
 
-    The amplitudes over residue offsets are inverse DFTs of the branch
-    phases: their sum for same-block pairs, their difference otherwise.
+    The graph is the prism C_n x K_2, so the branch eigenvalues are
+    (2 cos(2 pi m / n) +- 1) / 3 and the walk factorises into an n-cycle
+    walk times a two-state coin.  With a = ifft(e^{2 i t cos(2 pi m / n) / 3})
+    the same-block amplitude is cos(t / 3) a and the other-block one
+    i sin(t / 3) a: one inverse DFT per time.
     """
-    zp = np.exp(1j * np.outer(times, eigenvalues(n, PLUS)))
-    zm = np.exp(1j * np.outer(times, eigenvalues(n, MINUS)))
-    blocks = [np.abs(0.5 * np.fft.ifft(op(zp, zm), axis=1)) ** 2 for op in (np.add, np.subtract)]
-    return np.stack(blocks, axis=1)
+    times = np.asarray(times, dtype=float)
+    ring = (2.0 / 3.0) * np.cos(2.0 * np.pi * np.arange(n) / n)
+    cycle = np.abs(np.fft.ifft(np.exp(1j * np.outer(times, ring)), axis=1)) ** 2
+    coin = np.stack([np.cos(times / 3.0) ** 2, np.sin(times / 3.0) ** 2], axis=1)
+    return coin[:, :, None] * cycle[:, None, :]
 
 
 def probability_rows(n, vertices, times) -> np.ndarray:

@@ -7,13 +7,14 @@ re-evaluation of f(n).
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from qwalk import bounds, dihedral, walk
+from qwalk import bounds, dihedral, spectra, walk
 
 
 def gap_sum_from_eigh(n):
@@ -145,6 +146,57 @@ def test_cross_branch_gap_guard():
         gap = bounds.cross_branch_gap_check(n)
         assert gap > 1e-10
     assert bounds.cross_branch_gap_check(3) > bounds.cross_branch_gap_check(2001)
+
+
+def full_grid_gap_sum(a, b, weight=None, shift=0.0, labels=None):
+    """Reference for `bounds._inv_gap_sum`: the whole outer grid at once."""
+    gaps = np.abs(a[:, None] - b[None, :] + shift)
+    if labels is not None:
+        gaps[labels[:, None] == labels[None, :]] = np.inf
+    if weight is not None:
+        gaps /= np.outer(weight, weight)
+    return math.fsum((1.0 / gaps).ravel())
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 101])
+def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
+    # a 50-entry block splits every grid here into several blocks
+    monkeypatch.setattr(bounds, "KERNEL_BLOCK", 50)
+    lp, lm, mult = bounds._branch_values(n)
+    weight = mult / 2.0
+    modes = np.arange(len(mult))
+    dec = bounds.decomposed_sum(n)
+    assert dec.cross == pytest.approx(full_grid_gap_sum(lp, lm, weight), rel=1e-12)
+    assert dec.within_c1 == pytest.approx(full_grid_gap_sum(lp, lp, weight, labels=modes), rel=1e-12)
+    assert dec.within_c2 == pytest.approx(full_grid_gap_sum(lm, lm, weight, labels=modes), rel=1e-12)
+    m = np.arange(n)
+    fold = np.minimum(m, n - m)
+    lam = spectra.full_spectrum(n)
+    brute = full_grid_gap_sum(lam, lam, labels=np.concatenate([fold, n + fold]))
+    assert bounds.eigengap_inverse_sum_bruteforce(n) == pytest.approx(brute, rel=1e-12)
+    cos_low, cos_high = bounds._quadrant_cosines(n)
+    if len(cos_high):
+        expected = full_grid_gap_sum(cos_high, cos_low, shift=1.0)
+        assert bounds.su3_raw(n) == pytest.approx(expected, rel=1e-12)
+    # the sorted-neighbour search finds the grid minimum bit for bit
+    assert bounds.cross_branch_gap_check(n) == np.abs(lp[:, None] - lm[None, :]).min()
+
+
+@pytest.mark.parametrize(
+    "call,limit_mib",
+    [(lambda: bounds.bounds_report(2001), 16), (lambda: bounds.decomposed_sum(4001), 8)],
+    ids=["bounds_report-2001", "decomposed_sum-4001"],
+)
+def test_gap_sums_in_small_memory(call, limit_mib):
+    """Gap sums stream their grids in blocks: O(n + KERNEL_BLOCK) memory,
+    not the O(n^2) of a whole grid (132 and 61 MiB here)."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_conjecture_params_residues():

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk import bounds, classical, cli, spectra
+from qwalk import bounds, classical, cli, spectra, walk
 
 
 def run_cli(capsys, argv):
@@ -128,6 +128,28 @@ def test_average_full_matrix(capsys):
     assert mat.shape == (6, 6)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
     assert np.min(mat) >= 0.0
+
+
+@pytest.mark.parametrize("dust", [False, True])
+def test_average_full_matrix_matches_per_entry_format(capsys, monkeypatch, dust):
+    """The dense CSV gathers the 2n formatted profile values; it must equal
+    formatting every dense entry on its own, clamp included."""
+    n = 31
+    avg = walk.averaged_matrix(n, 1e4)
+    if dust:
+        # negative rounding dust that the clamp turns into 0.0, and a
+        # negative value outside the clamp's reach that is printed as is
+        avg.values[0, 3] = -3e-17
+        avg.values[1, 7] = -5e-10
+        avg.values[1, 11] = -2e-9
+        monkeypatch.setattr(walk, "averaged_matrix", lambda n, T: avg)
+    code, out, _ = run_cli(capsys, ["average", "--n", str(n), "--T", "1e4", "--full-matrix"])
+    assert code == 0
+    header = ",".join(str(k) for k in range(1, 2 * n + 1))
+    rows = [",".join(cli._fmt(cli._clamp_tiny_negative(v)) for v in row) for row in avg.to_dense()]
+    assert out.split("\n", 1)[1] == "\n".join([header, *rows]) + "\n"
+    assert ("-2e-09" in out) == dust
+    assert "-3e-17" not in out and "-5e-10" not in out
 
 
 def test_average_json(capsys):

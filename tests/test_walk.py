@@ -65,6 +65,40 @@ def test_probability_row_matches_entries():
         assert np.max(np.abs(row - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5, 11, 101])
+def test_profiles_factorise_against_oracle(n):
+    """Cycle walk times two-state coin reproduces the dense propagator."""
+    times = np.random.default_rng(n).uniform(0.0, 60.0, size=4)
+    profiles = walk._probability_profiles(n, times)
+    assert profiles.shape == (4, 2, n)
+    for t, profile in zip(times, profiles):
+        # column 0 of |U(t)|^2: same block at rows 0..n-1, other block below
+        from_origin = np.abs(walk.propagator_oracle(n, t)[:, 0]) ** 2
+        assert np.max(np.abs(profile - from_origin.reshape(2, n))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 11, 101])
+def test_profiles_coin_zeros(n):
+    """cos(t/3) vanishes at t = 3 pi / 2 and sin(t/3) at t = 3 pi: one
+    block carries no probability and the other carries all of it."""
+    same_zero, other_zero = walk._probability_profiles(n, [1.5 * np.pi, 3.0 * np.pi])
+    assert same_zero[0].max() < 1e-30
+    assert other_zero[1].max() < 1e-30
+    assert same_zero[1].sum() == pytest.approx(1.0, abs=1e-12)
+    assert other_zero[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_probability_rows_sum_to_one_at_large_n():
+    n = 4001
+    rng = np.random.default_rng(4001)
+    vertices = rng.integers(0, 2 * n, size=16)
+    times = np.concatenate([rng.uniform(0.0, 100.0, size=12), [1e3, 1e5, 1e7, 1e9]])
+    rows = walk.probability_rows(n, vertices, times)
+    assert rows.shape == (16, 2 * n)
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= walk.ROW_SUM_TOL
+    assert rows.min() >= 0.0
+
+
 @pytest.mark.parametrize("n,t", [(3, 1.3), (9, 7.7)])
 def test_probability_matrix_symmetric_doubly_stochastic(n, t):
     mat = walk.probability_matrix(n, t)
