@@ -11,11 +11,9 @@ from .bounds import (
     BudgetReport,
     ConjectureRow,
     DecomposedSum,
-    IndexSets,
     QuadrantSums,
     WithinBranchSums,
     bounds_report,
-    budget_check,
     budget_report,
     budget_time,
     case5_sums,
@@ -23,7 +21,6 @@ from .bounds import (
     conjecture_f,
     decomposed_sum,
     eigengap_inverse_sum_bruteforce,
-    index_sets,
     quantum_bound_rhs,
     quantum_mixing_threshold,
     su3_raw,
@@ -32,27 +29,11 @@ from .bounds import (
 from .classical import (
     MixingReport,
     classical_mixing_time,
-    classical_power,
     classical_profile,
-    contraction_check,
     half_uniform_distance,
-    induced_one_norm_distance,
-    max_pairwise_column_distance,
-    one_norm_distance,
-    submultiplicativity_check,
-    uniform_matrix,
 )
 from .dihedral import (
-    CayleyGraph,
-    DihedralElement,
-    cayley_graph,
-    elements,
-    generators,
-    identity,
-    mul,
     normalized_adjacency,
-    phi,
-    phi_inverse,
     semi_cayley_adjacency,
 )
 from .sampling import (
@@ -64,27 +45,19 @@ from .sampling import (
 )
 from .spectra import (
     classical_lower_bound,
-    classical_lower_bound_relaxed,
     eigenvalue,
     eigenvalues,
-    eigenvector,
-    eigenvector_component,
     full_spectrum,
     second_largest_eigenvalue,
 )
 from .walk import (
     AveragedWalkMatrix,
     LimitingDistribution,
-    amplitude,
-    averaged_entry,
     averaged_matrix,
-    convergence_to_limit,
     distance_to_limit,
     limiting_distribution,
-    probability,
     probability_matrix,
     probability_row,
-    propagator_oracle,
 )
 
 __version__ = "0.1.0"

@@ -32,32 +32,6 @@ BUDGET_COEFF = 4800.0
 THRESHOLD_REL_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """Quarter split of the 2n eigenvalue indices.
-
-    c1 and c2 are the first halves (modes 0..(n-1)/2) of the symmetric and
-    antisymmetric branches; they carry every distinct eigenvalue.  The
-    primed sets hold the mirrored modes (m and n - m share a value).
-    """
-
-    c1: np.ndarray
-    c2: np.ndarray
-    c1_prime: np.ndarray
-    c2_prime: np.ndarray
-
-
-def index_sets(n) -> IndexSets:
-    check_odd_order(n)
-    half = (n - 1) // 2
-    return IndexSets(
-        c1=np.arange(0, half + 1),
-        c2=np.arange(n, n + half + 1),
-        c1_prime=np.arange(half + 1, n),
-        c2_prime=np.arange(n + half + 1, 2 * n),
-    )
-
-
 def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu, mult = folded_modes(n)
     cos = np.cos(2.0 * np.pi * mu / n)
@@ -344,9 +318,10 @@ def conjecture_check(n, su3_cap=BRUTE_FORCE_CAP) -> ConjectureRow:
 
 
 def quantum_bound_rhs(n, T) -> float:
-    """Gap-sum upper bound on the averaged walk's distance to its limit."""
+    """Gap-sum upper bound on the averaged walk's distance to its limit,
+    from the folded decomposition, so no enumeration cap applies."""
     check_horizon(T)
-    return eigengap_inverse_sum_bruteforce(n) / (n * T)
+    return decomposed_sum(n).total / (n * T)
 
 
 def budget_time(n) -> float:
@@ -423,18 +398,16 @@ def budget_report(n, horizon=None) -> BudgetReport:
     )
 
 
-def budget_check(n) -> bool:
-    """True when the measured gap sums certify mixing at the 4800 n ln(n)^5 horizon."""
-    return budget_report(n).passed
-
-
 def quantum_mixing_threshold(n, epsilon=None) -> MixingReport:
-    """Smallest averaging horizon with ||averaged - limit||_1 <= epsilon.
+    """Upper end of a doubling-and-bisection bracket on the first horizon
+    with ||averaged - limit||_1 <= epsilon that the search finds.
 
-    Doubles the horizon until below threshold, then bisects to relative
-    width THRESHOLD_REL_TOL.  For n >= 100 the measured threshold must
-    respect the certified budget; a violation is a hard error, not a
-    report entry.
+    Doubles the horizon until a probe is at or below epsilon, then bisects
+    the last doubling to relative width THRESHOLD_REL_TOL.  The distance is
+    not monotone in T, so this is neither the smallest such horizon nor one
+    the distance stays below afterwards.  For n >= 100 the measured
+    threshold must respect the certified budget; a violation is a hard
+    error, not a report entry.
     """
     check_odd_order(n)
     if epsilon is None:
@@ -513,11 +486,12 @@ def bounds_report(n) -> BoundsReport:
     within = case5_sums(n)
     caps = su_caps(n)
     cap_within = within_branch_cap(n)
+    plain = cross_sum_plain(n)
+    cosine = cross_sum_cosine_form(n)
     flags = {
         "decomposition_identity": abs(dec.total - total) <= 1e-6 * total,
-        "quadrants_tile_cross": abs(su.total - cross_sum_cosine_form(n)) <= 1e-9 * su.total,
-        "cosine_form_matches_gaps": abs(cross_sum_plain(n) - cross_sum_cosine_form(n))
-        <= 1e-9 * cross_sum_plain(n),
+        "quadrants_tile_cross": abs(su.total - cosine) <= 1e-9 * su.total,
+        "cosine_form_matches_gaps": abs(plain - cosine) <= 1e-9 * plain,
         "su1_cap": su.su1 <= caps["su1"],
         "su2_cap": su.su2 <= caps["su2"],
         "su4_cap": su.su4 <= caps["su4"],

@@ -1,20 +1,19 @@
 """Discrete-time random walk diagnostics on the same graph.
 
 The transition matrix is the normalized adjacency, so one step moves to a
-uniformly random neighbor.  Provides dense powers, fast distinct-value
-profiles, the distances used to define mixing, and a measured mixing time.
+uniformly random neighbor.  Provides fast distinct-value profiles, the
+distances used to define mixing, and a measured mixing time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dihedral import check_odd_order, normalized_adjacency, pair_values_dense
-from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_epsilon, check_mixing_epsilon, eigenvalues
+from .dihedral import check_odd_order
+from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues
 
 # entries `profile_column_distance` compares at once (2 MiB per float array)
 COLUMN_BLOCK = 2**18
@@ -23,13 +22,6 @@ COLUMN_BLOCK = 2**18
 def check_step_count(t) -> None:
     if not isinstance(t, (int, np.integer)) or t < 0:
         raise ValueError(f"step count must be a nonnegative integer, got {t!r}")
-
-
-def classical_power(n, t) -> np.ndarray:
-    """Dense t-step transition matrix (A/3)^t by repeated squaring."""
-    check_odd_order(n)
-    check_step_count(t)
-    return np.linalg.matrix_power(normalized_adjacency(n), int(t))
 
 
 def classical_profile(n, t) -> np.ndarray:
@@ -54,36 +46,6 @@ def classical_profiles(n, ts) -> np.ndarray:
     zm = np.power(eigenvalues(n, MINUS)[None, :], ts[:, None])
     blocks = [np.fft.ifft(op(zp, zm), axis=1).real / 2.0 for op in (np.add, np.subtract)]
     return np.stack(blocks, axis=1)
-
-
-def uniform_matrix(n) -> np.ndarray:
-    check_odd_order(n)
-    return np.full((2 * n, 2 * n), 1.0 / (2 * n))
-
-
-def one_norm_distance(first, second, kind="induced") -> float:
-    """Induced 1-norm (max absolute column sum) or entrywise sum of the
-    difference of two matrices."""
-    dev = np.abs(np.asarray(first, dtype=float) - np.asarray(second, dtype=float))
-    if kind == "induced":
-        return float(dev.sum(axis=0).max())
-    if kind == "entrywise":
-        return float(dev.sum())
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def induced_one_norm_distance(first, second) -> float:
-    return one_norm_distance(first, second, kind="induced")
-
-
-def max_pairwise_column_distance(matrix) -> float:
-    """d(P): max over column pairs of half the l1 distance between columns."""
-    cols = np.asarray(matrix, dtype=float)
-    best = 0.0
-    for j in range(cols.shape[1] - 1):
-        gap = np.abs(cols[:, j : j + 1] - cols[:, j + 1 :]).sum(axis=0).max()
-        best = max(best, 0.5 * float(gap))
-    return best
 
 
 def profile_column_distance(n, values) -> float:
@@ -181,30 +143,3 @@ def classical_mixing_time(n, epsilon=None, norm_kind="half_induced") -> MixingRe
         else:
             lo = mid
     return MixingReport(float(hi), series, norm_kind, epsilon)
-
-
-def submultiplicativity_check(n, t1, t2, slack=1e-10) -> bool:
-    """d(P^(t1+t2)) <= d(P^t1) d(P^t2) + slack."""
-    check_step_count(t1)
-    check_step_count(t2)
-    d1 = profile_column_distance(n, classical_profile(n, t1))
-    d2 = profile_column_distance(n, classical_profile(n, t2))
-    d12 = profile_column_distance(n, classical_profile(n, t1 + t2))
-    return d12 <= d1 * d2 + slack
-
-
-def contraction_check(matrix, epsilon) -> bool:
-    """Once d(M) <= 1/(2e), verify ||M^ceil(ln(1/epsilon)) - uniform||_1 <= epsilon."""
-    mat = np.asarray(matrix, dtype=float)
-    check_epsilon(epsilon)
-    if max_pairwise_column_distance(mat) > DEFAULT_EPSILON:
-        raise ValueError("matrix has not contracted to d <= 1/(2e) yet")
-    k = math.ceil(math.log(1.0 / epsilon))
-    powered = np.linalg.matrix_power(mat, k)
-    size = mat.shape[0]
-    return one_norm_distance(powered, np.full_like(mat, 1.0 / size)) <= epsilon
-
-
-def classical_dense_from_profile(n, t) -> np.ndarray:
-    """Dense (A/3)^t expanded from the fast profile; equals classical_power."""
-    return pair_values_dense(n, classical_profile(n, t))

@@ -240,8 +240,13 @@ def _cmd_walk(args) -> int:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     ts = [args.t_max * k / args.steps for k in range(args.steps + 1)]
     delta, eps = dihedral.pair_geometry(n, src, dst)
-    profiles = walk._probability_profiles(n, ts)[:, 0 if eps == 1 else 1, delta]
-    probs = [_clamp_tiny_negative(p) for p in profiles.tolist()]
+    block = 0 if eps == 1 else 1
+    probs = []
+    # batches of KERNEL_BLOCK profile entries keep memory O(n * chunk)
+    step = max(1, walk.KERNEL_BLOCK // n)
+    for first in range(0, len(ts), step):
+        profiles = walk._probability_profiles(n, ts[first : first + step])
+        probs += [_clamp_tiny_negative(p) for p in profiles[:, block, delta].tolist()]
     if args.format == "svg":
         _write_text(
             args,

@@ -1,14 +1,13 @@
-"""Dihedral group of order 2n for odd n, its Cayley graph on {a, a^-1, b},
-and the equivalent two-block circulant adjacency.
+"""The Cayley graph of D_2n (odd n) on {a, a^-1, b} in its two-block
+circulant relabeling: two n-cycles joined residue to residue.
 
 Vertices of the 2n x 2n matrices are indexed 0..2n-1: index i sits in block
 i // n with cycle residue i % n.  Block 0 holds the rotations, block 1 the
-reflections.
+reflections.  The group law is a test oracle that the relabeling is
+checked against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,18 +30,6 @@ def check_vertex(n, i) -> None:
         raise ValueError(f"vertex index {i} out of range [0, {2 * n})")
 
 
-def block(n, i) -> int:
-    """0 for the rotation block, 1 for the reflection block."""
-    check_vertex(n, i)
-    return int(i) // n
-
-
-def residue(n, i) -> int:
-    """Position of vertex i on its n-cycle."""
-    check_vertex(n, i)
-    return int(i) % n
-
-
 def pair_geometry(n, i, j) -> tuple[int, int]:
     """Residue offset (rho_j - rho_i) mod n and block sign for a vertex pair.
 
@@ -55,132 +42,6 @@ def pair_geometry(n, i, j) -> tuple[int, int]:
     delta = (int(j) % n - int(i) % n) % n
     eps = 1 if (int(i) // n) == (int(j) // n) else -1
     return delta, eps
-
-
-@dataclass(frozen=True)
-class DihedralElement:
-    """Group element b^s a^r in canonical form: 0 <= r < n, s in {0, 1}."""
-
-    n: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        check_odd_order(self.n)
-        if not isinstance(self.r, (int, np.integer)) or not 0 <= self.r < self.n:
-            raise ValueError(f"rotation exponent {self.r!r} out of range for n={self.n}")
-        if self.s not in (0, 1):
-            raise ValueError(f"reflection exponent must be 0 or 1, got {self.s!r}")
-
-    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
-        return mul(self, other)
-
-    def inverse(self) -> "DihedralElement":
-        if self.s == 1:
-            # every reflection is an involution
-            return self
-        return DihedralElement(self.n, (self.n - self.r) % self.n, 0)
-
-    def is_identity(self) -> bool:
-        return self.r == 0 and self.s == 0
-
-
-def identity(n) -> DihedralElement:
-    return DihedralElement(n, 0, 0)
-
-
-def mul(x: DihedralElement, y: DihedralElement) -> DihedralElement:
-    """Product xy, using a^r b = b a^{-r} to restore canonical form."""
-    if x.n != y.n:
-        raise ValueError(f"mixed group sizes {x.n} and {y.n}")
-    s = (x.s + y.s) % 2
-    r = ((-1) ** y.s * x.r + y.r) % x.n
-    return DihedralElement(x.n, r, s)
-
-
-def elements(n) -> list[DihedralElement]:
-    """All 2n elements, rotations a^r first, then reflections b a^r."""
-    check_odd_order(n)
-    return [DihedralElement(n, r, s) for s in (0, 1) for r in range(n)]
-
-
-def generators(n) -> list[DihedralElement]:
-    """The connection set {a, a^-1, b}; three distinct involution-closed elements."""
-    check_odd_order(n)
-    return [
-        DihedralElement(n, 1, 0),
-        DihedralElement(n, n - 1, 0),
-        DihedralElement(n, 0, 1),
-    ]
-
-
-def element_index(x: DihedralElement) -> int:
-    """Enumeration index of x: a^r -> r, b a^r -> n + r."""
-    return x.r if x.s == 0 else x.n + x.r
-
-
-@dataclass
-class CayleyGraph:
-    """Cayley graph of the dihedral group with connection set {a, a^-1, b}.
-
-    Elements g and h are adjacent iff g^-1 h lies in the connection set,
-    i.e. h in {g a, g a^-1, g b}.  With this orientation of the edge rule
-    the relabeling `phi` below is a graph isomorphism onto
-    `semi_cayley_adjacency`; the mirror-image rule (h g^-1 in the set)
-    yields an isomorphic graph but breaks that particular relabeling.
-
-    The adjacency matrix is indexed by `element_index` order.
-    """
-
-    n: int
-    elements: list[DihedralElement]
-    adjacency: np.ndarray
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 * self.n
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-    def has_edge(self, x: DihedralElement, y: DihedralElement) -> bool:
-        return bool(self.adjacency[element_index(x), element_index(y)])
-
-    def neighbors(self, x: DihedralElement) -> list[DihedralElement]:
-        row = self.adjacency[element_index(x)]
-        return [self.elements[j] for j in np.flatnonzero(row)]
-
-
-def cayley_graph(n) -> CayleyGraph:
-    els = elements(n)
-    gens = generators(n)
-    size = 2 * n
-    adj = np.zeros((size, size), dtype=np.int64)
-    for g in els:
-        gi = element_index(g)
-        for s in gens:
-            adj[gi, element_index(mul(g, s))] = 1
-    return CayleyGraph(n, els, adj)
-
-
-def phi(x: DihedralElement) -> int:
-    """Relabel a group element as a block-circulant vertex index.
-
-    Rotations keep their exponent; a reflection b a^r lands at
-    n + (n - r) mod n, which reverses the second cycle's orientation.
-    """
-    if x.s == 0:
-        return x.r
-    return x.n + (x.n - x.r) % x.n
-
-
-def phi_inverse(n, i) -> DihedralElement:
-    check_odd_order(n)
-    check_vertex(n, i)
-    if i < n:
-        return DihedralElement(n, int(i), 0)
-    return DihedralElement(n, (n - (int(i) - n)) % n, 1)
 
 
 def semi_cayley_adjacency(n) -> np.ndarray:

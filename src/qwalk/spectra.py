@@ -1,10 +1,10 @@
-"""Closed-form eigensystem of the degree-normalized adjacency.
+"""Closed-form spectrum of the degree-normalized adjacency.
 
-The 2n eigenpairs split into two cosine families indexed by m in [0, n):
+The 2n eigenvalues split into two cosine families indexed by m in [0, n):
 (1 + 2 cos(2 pi m / n)) / 3 on the block-symmetric branch and
 (2 cos(2 pi m / n) - 1) / 3 on the block-antisymmetric one.  For odd n the
 two families never collide, the walk is ergodic, and the spectral gap is
-set by (1 + 2 cos(2 pi / n)) / 3.
+set by (1 + 2 cos(2 pi / n)) / 3.  The eigenvectors are a test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dihedral import check_odd_order, check_vertex
+from .dihedral import check_odd_order
 
 PLUS = 1
 MINUS = -1
@@ -63,36 +63,6 @@ def full_spectrum(n) -> np.ndarray:
     return np.concatenate([eigenvalues(n, PLUS), eigenvalues(n, MINUS)])
 
 
-def eigenvector_component(n, m, branch, i) -> complex:
-    """Component i of the unit eigenvector for mode m on the given branch."""
-    check_odd_order(n)
-    check_mode(n, m)
-    check_branch(branch)
-    check_vertex(n, i)
-    sign = 1.0 if branch == PLUS or i < n else -1.0
-    return sign * np.exp(2j * np.pi * (i % n) * m / n) / math.sqrt(2 * n)
-
-
-def eigenvector(n, m, branch) -> np.ndarray:
-    """Unit-norm eigenvector; the reflection block is negated on the
-    antisymmetric branch."""
-    check_odd_order(n)
-    check_mode(n, m)
-    check_branch(branch)
-    rho = np.arange(2 * n) % n
-    vec = np.exp(2j * np.pi * rho * m / n) / math.sqrt(2 * n)
-    if branch == MINUS:
-        vec[n:] = -vec[n:]
-    return vec
-
-
-def eigenbasis(n) -> np.ndarray:
-    """Column matrix of all 2n unit eigenvectors, ordered like `full_spectrum`."""
-    check_odd_order(n)
-    cols = [eigenvector(n, m, b) for b in (PLUS, MINUS) for m in range(n)]
-    return np.stack(cols, axis=1)
-
-
 def second_largest_eigenvalue(n) -> float:
     """Largest eigenvalue below 1; strictly inside (0, 1) for odd n >= 3.
 
@@ -121,10 +91,3 @@ def classical_lower_bound(n, epsilon) -> float:
     check_epsilon(epsilon)
     gap = 1.0 - second_largest_eigenvalue(n)
     return max(0.0, (1.0 / gap - 1.0) * math.log(1.0 / (2.0 * epsilon)))
-
-
-def classical_lower_bound_relaxed(n, epsilon) -> float:
-    """Same bound with 1 / (1 - lambda_2) relaxed to 3 n^2 / (4 pi^2)."""
-    check_odd_order(n)
-    check_epsilon(epsilon)
-    return max(0.0, (3.0 * n * n / (4.0 * math.pi**2) - 1.0) * math.log(1.0 / (2.0 * epsilon)))

@@ -1,10 +1,9 @@
 """Continuous-time walk generated by the normalized adjacency.
 
-Covers the instantaneous propagator e^{i A t / 3}, its transition
-probabilities, the finite-horizon time average, and the exact limiting
-distribution.  Everything is O(n) or O(n^2) through the two cosine
-eigenvalue families; a dense eigendecomposition oracle is kept only for
-cross-checking.
+Covers the transition probabilities of the propagator e^{i A t / 3}, the
+finite-horizon time average, and the exact limiting distribution.
+Everything is O(n log n) or O(n^2) through the two cosine eigenvalue
+families; the dense propagator and the direct double sum are test oracles.
 
 The graph is the prism C_n x K_2 (an n-cycle in each block, joined
 residue to residue), so the two families differ by exactly 2/3 mode by
@@ -28,12 +27,7 @@ from .dihedral import (
     pair_values_row,
     pair_values_rows,
 )
-from .spectra import MINUS, PLUS, eigenbasis, eigenvalues, folded_modes, full_spectrum
-
-ORACLE_SIZE_CAP = 512
-
-# tolerance on the imaginary residue of assembled real quantities
-IMAG_TOL = 1e-9
+from .spectra import folded_modes
 
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
@@ -45,22 +39,6 @@ KERNEL_BLOCK = 2**18
 def check_horizon(T) -> None:
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"averaging horizon must be positive and finite, got {T!r}")
-
-
-def amplitude(n, i, j, t) -> complex:
-    """Transition amplitude <j| e^{i A t / 3} |i> in O(n) via the two branches."""
-    check_odd_order(n)
-    delta, eps = pair_geometry(n, i, j)
-    lp = eigenvalues(n, PLUS)
-    lm = eigenvalues(n, MINUS)
-    phase = np.exp(2j * np.pi * np.arange(n) * delta / n)
-    total = (phase * (np.exp(1j * lp * t) + eps * np.exp(1j * lm * t))).sum()
-    return complex(total / (2 * n))
-
-
-def probability(n, i, j, t) -> float:
-    """Probability of finding the walker at j at time t, started at i."""
-    return abs(amplitude(n, i, j, t)) ** 2
 
 
 def _probability_profiles(n, times) -> np.ndarray:
@@ -100,61 +78,9 @@ def probability_matrix(n, t) -> np.ndarray:
     return pair_values_dense(n, _probability_profiles(n, [t])[0])
 
 
-def propagator_oracle(n, t, size_cap=ORACLE_SIZE_CAP) -> np.ndarray:
-    """Dense U(t) assembled from the analytic orthonormal eigenbasis.
-
-    Reference path for validating the closed-form entries; refuses sizes
-    where the O(n^3) assembly stops being a sane cross-check.
-    """
-    check_odd_order(n)
-    if n > size_cap:
-        raise ValueError(f"oracle capped at n={size_cap}, got n={n}")
-    basis = eigenbasis(n)
-    lam = full_spectrum(n)
-    return (basis * np.exp(1j * lam * t)) @ basis.conj().T
-
-
-def phase_average(x, T):
-    """(1/T) integral_0^T e^{i x t} dt, evaluated as e^{i x T / 2} sinc(x T / (2 pi)).
-
-    Exact at x = 0 and free of subtractive cancellation for small |x T|.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.exp(0.5j * x * T) * np.sinc(x * T / (2.0 * np.pi))
-
-
 def real_phase_average(x, T):
-    """Real part of `phase_average`: sin(x T) / (x T), exactly 1 at x = 0."""
+    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0."""
     return np.sinc(np.asarray(x, dtype=float) * (T / np.pi))
-
-
-def averaged_entry(n, delta, eps, T) -> float:
-    """Time-averaged transition probability for a vertex pair at residue
-    offset delta with block sign eps.
-
-    Direct O(n^2) double sum over mode pairs of both branches; the
-    assembled value must be real up to a 1e-9 residue, which is checked
-    and then discarded.
-    """
-    check_odd_order(n)
-    check_horizon(T)
-    if not 0 <= delta < n:
-        raise ValueError(f"residue offset {delta!r} out of range [0, {n})")
-    if eps not in (1, -1):
-        raise ValueError(f"block sign must be +1 or -1, got {eps!r}")
-    lp = eigenvalues(n, PLUS)
-    lm = eigenvalues(n, MINUS)
-    m = np.arange(n)
-    w = np.exp(2j * np.pi * delta * (m[:, None] - m[None, :]) / n)
-    total = 0.0 + 0.0j
-    for sa, la in ((PLUS, lp), (MINUS, lm)):
-        for sb, lb in ((PLUS, lp), (MINUS, lm)):
-            sgn = eps if sa != sb else 1
-            total += sgn * (w * phase_average(la[:, None] - lb[None, :], T)).sum()
-    total /= (2 * n) ** 2
-    if not (abs(total.imag) <= IMAG_TOL):
-        raise RuntimeError(f"imaginary residue {total.imag} above tolerance")
-    return float(total.real)
 
 
 @dataclass
@@ -181,8 +107,14 @@ class AveragedWalkMatrix:
     def to_dense(self) -> np.ndarray:
         return pair_values_dense(self.n, self.values)
 
-    def distance_to_limit(self, kind="induced") -> float:
-        return averaged_distance_to_limit(self, kind=kind)
+    def distance_to_limit(self) -> float:
+        """Induced 1-norm (max absolute column sum) distance to the limit.
+
+        Columns of both matrices are value-permutations of the same (2, n)
+        profiles, so that norm is the profile deviation summed once.
+        """
+        pi = limiting_distribution(self.n)
+        return float(np.abs(self.values - pi.values()).sum())
 
 
 def averaged_matrix(n, T) -> AveragedWalkMatrix:
@@ -276,27 +208,6 @@ def limiting_distribution(n) -> LimitingDistribution:
     )
 
 
-def averaged_distance_to_limit(avg: AveragedWalkMatrix, kind="induced") -> float:
-    """Distance between a finite-horizon average and the limit.
-
-    Columns of both matrices are value-permutations of the same (2, n)
-    profiles, so the induced 1-norm (max absolute column sum) equals the
-    profile deviation summed once, and the entrywise 1-norm is 2n times it.
-    """
-    pi = limiting_distribution(avg.n)
-    dev = float(np.abs(avg.values - pi.values()).sum())
-    if kind == "induced":
-        return dev
-    if kind == "entrywise":
-        return 2 * avg.n * dev
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def distance_to_limit(n, T, kind="induced") -> float:
+def distance_to_limit(n, T) -> float:
     """||averaged matrix at horizon T - limit||_1 in O(n^2)."""
-    return averaged_distance_to_limit(averaged_matrix(n, T), kind=kind)
-
-
-def convergence_to_limit(n, horizons, kind="induced") -> list[tuple[float, float]]:
-    """(T, distance) pairs over a horizon schedule."""
-    return [(float(T), distance_to_limit(n, T, kind=kind)) for T in horizons]
+    return averaged_matrix(n, T).distance_to_limit()

@@ -1,0 +1,358 @@
+"""Reference implementations the tests compare the package against.
+
+None of this is on a fast path.  Each piece is the literal definition of
+something `qwalk` computes another way:
+
+- the group law of D_2n and its Cayley graph, against which the
+  block-circulant relabeling `qwalk.dihedral.semi_cayley_adjacency` is
+  checked;
+- the unit eigenvectors and the dense propagator assembled from them,
+  for the closed-form transition probabilities;
+- the direct O(n^2) double sum of the time-averaged kernel;
+- dense powers of the classical walk and the matrix distances built on
+  them, for the distinct-value profiles;
+- the quarter split of the eigenvalue indices behind the folded gap sums.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qwalk.classical import check_step_count, classical_profile, profile_column_distance
+from qwalk.dihedral import check_odd_order, check_vertex, normalized_adjacency, pair_geometry
+from qwalk.spectra import (
+    DEFAULT_EPSILON,
+    MINUS,
+    PLUS,
+    check_branch,
+    check_epsilon,
+    check_mode,
+    eigenvalues,
+    full_spectrum,
+)
+from qwalk.walk import check_horizon
+
+ORACLE_SIZE_CAP = 512
+
+# tolerance on the imaginary residue of assembled real quantities
+IMAG_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class DihedralElement:
+    """Group element b^s a^r in canonical form: 0 <= r < n, s in {0, 1}."""
+
+    n: int
+    r: int
+    s: int
+
+    def __post_init__(self):
+        check_odd_order(self.n)
+        if not isinstance(self.r, (int, np.integer)) or not 0 <= self.r < self.n:
+            raise ValueError(f"rotation exponent {self.r!r} out of range for n={self.n}")
+        if self.s not in (0, 1):
+            raise ValueError(f"reflection exponent must be 0 or 1, got {self.s!r}")
+
+    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
+        return mul(self, other)
+
+    def inverse(self) -> "DihedralElement":
+        if self.s == 1:
+            # every reflection is an involution
+            return self
+        return DihedralElement(self.n, (self.n - self.r) % self.n, 0)
+
+    def is_identity(self) -> bool:
+        return self.r == 0 and self.s == 0
+
+
+def identity(n) -> DihedralElement:
+    return DihedralElement(n, 0, 0)
+
+
+def mul(x: DihedralElement, y: DihedralElement) -> DihedralElement:
+    """Product xy, using a^r b = b a^{-r} to restore canonical form."""
+    if x.n != y.n:
+        raise ValueError(f"mixed group sizes {x.n} and {y.n}")
+    s = (x.s + y.s) % 2
+    r = ((-1) ** y.s * x.r + y.r) % x.n
+    return DihedralElement(x.n, r, s)
+
+
+def elements(n) -> list[DihedralElement]:
+    """All 2n elements, rotations a^r first, then reflections b a^r."""
+    check_odd_order(n)
+    return [DihedralElement(n, r, s) for s in (0, 1) for r in range(n)]
+
+
+def generators(n) -> list[DihedralElement]:
+    """The connection set {a, a^-1, b}; three distinct involution-closed elements."""
+    check_odd_order(n)
+    return [
+        DihedralElement(n, 1, 0),
+        DihedralElement(n, n - 1, 0),
+        DihedralElement(n, 0, 1),
+    ]
+
+
+def element_index(x: DihedralElement) -> int:
+    """Enumeration index of x: a^r -> r, b a^r -> n + r."""
+    return x.r if x.s == 0 else x.n + x.r
+
+
+@dataclass
+class CayleyGraph:
+    """Cayley graph of the dihedral group with connection set {a, a^-1, b}.
+
+    Elements g and h are adjacent iff g^-1 h lies in the connection set,
+    i.e. h in {g a, g a^-1, g b}.  With this orientation of the edge rule
+    the relabeling `phi` below is a graph isomorphism onto
+    `semi_cayley_adjacency`; the mirror-image rule (h g^-1 in the set)
+    yields an isomorphic graph but breaks that particular relabeling.
+
+    The adjacency matrix is indexed by `element_index` order.
+    """
+
+    n: int
+    elements: list[DihedralElement]
+    adjacency: np.ndarray
+
+    @property
+    def vertex_count(self) -> int:
+        return 2 * self.n
+
+    @property
+    def edge_count(self) -> int:
+        return int(self.adjacency.sum()) // 2
+
+    def has_edge(self, x: DihedralElement, y: DihedralElement) -> bool:
+        return bool(self.adjacency[element_index(x), element_index(y)])
+
+    def neighbors(self, x: DihedralElement) -> list[DihedralElement]:
+        row = self.adjacency[element_index(x)]
+        return [self.elements[j] for j in np.flatnonzero(row)]
+
+
+def cayley_graph(n) -> CayleyGraph:
+    els = elements(n)
+    gens = generators(n)
+    size = 2 * n
+    adj = np.zeros((size, size), dtype=np.int64)
+    for g in els:
+        gi = element_index(g)
+        for s in gens:
+            adj[gi, element_index(mul(g, s))] = 1
+    return CayleyGraph(n, els, adj)
+
+
+def phi(x: DihedralElement) -> int:
+    """Relabel a group element as a block-circulant vertex index.
+
+    Rotations keep their exponent; a reflection b a^r lands at
+    n + (n - r) mod n, which reverses the second cycle's orientation.
+    """
+    if x.s == 0:
+        return x.r
+    return x.n + (x.n - x.r) % x.n
+
+
+def phi_inverse(n, i) -> DihedralElement:
+    check_odd_order(n)
+    check_vertex(n, i)
+    if i < n:
+        return DihedralElement(n, int(i), 0)
+    return DihedralElement(n, (n - (int(i) - n)) % n, 1)
+
+
+def eigenvector_component(n, m, branch, i) -> complex:
+    """Component i of the unit eigenvector for mode m on the given branch."""
+    check_odd_order(n)
+    check_mode(n, m)
+    check_branch(branch)
+    check_vertex(n, i)
+    sign = 1.0 if branch == PLUS or i < n else -1.0
+    return sign * np.exp(2j * np.pi * (i % n) * m / n) / math.sqrt(2 * n)
+
+
+def eigenvector(n, m, branch) -> np.ndarray:
+    """Unit-norm eigenvector; the reflection block is negated on the
+    antisymmetric branch."""
+    check_odd_order(n)
+    check_mode(n, m)
+    check_branch(branch)
+    rho = np.arange(2 * n) % n
+    vec = np.exp(2j * np.pi * rho * m / n) / math.sqrt(2 * n)
+    if branch == MINUS:
+        vec[n:] = -vec[n:]
+    return vec
+
+
+def eigenbasis(n) -> np.ndarray:
+    """Column matrix of all 2n unit eigenvectors, ordered like `full_spectrum`."""
+    check_odd_order(n)
+    cols = [eigenvector(n, m, b) for b in (PLUS, MINUS) for m in range(n)]
+    return np.stack(cols, axis=1)
+
+
+def classical_lower_bound_relaxed(n, epsilon) -> float:
+    """`qwalk.spectra.classical_lower_bound` with 1 / (1 - lambda_2) relaxed
+    to 3 n^2 / (4 pi^2)."""
+    check_odd_order(n)
+    check_epsilon(epsilon)
+    return max(0.0, (3.0 * n * n / (4.0 * math.pi**2) - 1.0) * math.log(1.0 / (2.0 * epsilon)))
+
+
+def amplitude(n, i, j, t) -> complex:
+    """Transition amplitude <j| e^{i A t / 3} |i> in O(n) via the two branches."""
+    check_odd_order(n)
+    delta, eps = pair_geometry(n, i, j)
+    lp = eigenvalues(n, PLUS)
+    lm = eigenvalues(n, MINUS)
+    phase = np.exp(2j * np.pi * np.arange(n) * delta / n)
+    total = (phase * (np.exp(1j * lp * t) + eps * np.exp(1j * lm * t))).sum()
+    return complex(total / (2 * n))
+
+
+def probability(n, i, j, t) -> float:
+    """Probability of finding the walker at j at time t, started at i."""
+    return abs(amplitude(n, i, j, t)) ** 2
+
+
+def propagator_oracle(n, t) -> np.ndarray:
+    """Dense U(t) assembled from the analytic orthonormal eigenbasis.
+
+    Reference path for validating the closed-form entries; refuses sizes
+    where the O(n^3) assembly stops being a sane cross-check.
+    """
+    check_odd_order(n)
+    if n > ORACLE_SIZE_CAP:
+        raise ValueError(f"oracle capped at n={ORACLE_SIZE_CAP}, got n={n}")
+    basis = eigenbasis(n)
+    lam = full_spectrum(n)
+    return (basis * np.exp(1j * lam * t)) @ basis.conj().T
+
+
+def phase_average(x, T):
+    """(1/T) integral_0^T e^{i x t} dt, evaluated as e^{i x T / 2} sinc(x T / (2 pi)).
+
+    Exact at x = 0 and free of subtractive cancellation for small |x T|.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.exp(0.5j * x * T) * np.sinc(x * T / (2.0 * np.pi))
+
+
+def averaged_entry(n, delta, eps, T) -> float:
+    """Time-averaged transition probability for a vertex pair at residue
+    offset delta with block sign eps.
+
+    Direct O(n^2) double sum over mode pairs of both branches; the
+    assembled value must be real up to a 1e-9 residue, which is checked
+    and then discarded.
+    """
+    check_odd_order(n)
+    check_horizon(T)
+    if not 0 <= delta < n:
+        raise ValueError(f"residue offset {delta!r} out of range [0, {n})")
+    if eps not in (1, -1):
+        raise ValueError(f"block sign must be +1 or -1, got {eps!r}")
+    lp = eigenvalues(n, PLUS)
+    lm = eigenvalues(n, MINUS)
+    m = np.arange(n)
+    w = np.exp(2j * np.pi * delta * (m[:, None] - m[None, :]) / n)
+    total = 0.0 + 0.0j
+    for sa, la in ((PLUS, lp), (MINUS, lm)):
+        for sb, lb in ((PLUS, lp), (MINUS, lm)):
+            sgn = eps if sa != sb else 1
+            total += sgn * (w * phase_average(la[:, None] - lb[None, :], T)).sum()
+    total /= (2 * n) ** 2
+    if not (abs(total.imag) <= IMAG_TOL):
+        raise RuntimeError(f"imaginary residue {total.imag} above tolerance")
+    return float(total.real)
+
+
+def classical_power(n, t) -> np.ndarray:
+    """Dense t-step transition matrix (A/3)^t by repeated squaring."""
+    check_odd_order(n)
+    check_step_count(t)
+    return np.linalg.matrix_power(normalized_adjacency(n), int(t))
+
+
+def uniform_matrix(n) -> np.ndarray:
+    check_odd_order(n)
+    return np.full((2 * n, 2 * n), 1.0 / (2 * n))
+
+
+def one_norm_distance(first, second, kind="induced") -> float:
+    """Induced 1-norm (max absolute column sum) or entrywise sum of the
+    difference of two matrices."""
+    dev = np.abs(np.asarray(first, dtype=float) - np.asarray(second, dtype=float))
+    if kind == "induced":
+        return float(dev.sum(axis=0).max())
+    if kind == "entrywise":
+        return float(dev.sum())
+    raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def induced_one_norm_distance(first, second) -> float:
+    return one_norm_distance(first, second, kind="induced")
+
+
+def max_pairwise_column_distance(matrix) -> float:
+    """d(P): max over column pairs of half the l1 distance between columns."""
+    cols = np.asarray(matrix, dtype=float)
+    best = 0.0
+    for j in range(cols.shape[1] - 1):
+        gap = np.abs(cols[:, j : j + 1] - cols[:, j + 1 :]).sum(axis=0).max()
+        best = max(best, 0.5 * float(gap))
+    return best
+
+
+def submultiplicativity_check(n, t1, t2, slack=1e-10) -> bool:
+    """d(P^(t1+t2)) <= d(P^t1) d(P^t2) + slack."""
+    check_step_count(t1)
+    check_step_count(t2)
+    d1 = profile_column_distance(n, classical_profile(n, t1))
+    d2 = profile_column_distance(n, classical_profile(n, t2))
+    d12 = profile_column_distance(n, classical_profile(n, t1 + t2))
+    return d12 <= d1 * d2 + slack
+
+
+def contraction_check(matrix, epsilon) -> bool:
+    """Once d(M) <= 1/(2e), verify ||M^ceil(ln(1/epsilon)) - uniform||_1 <= epsilon."""
+    mat = np.asarray(matrix, dtype=float)
+    check_epsilon(epsilon)
+    if max_pairwise_column_distance(mat) > DEFAULT_EPSILON:
+        raise ValueError("matrix has not contracted to d <= 1/(2e) yet")
+    k = math.ceil(math.log(1.0 / epsilon))
+    powered = np.linalg.matrix_power(mat, k)
+    size = mat.shape[0]
+    return one_norm_distance(powered, np.full_like(mat, 1.0 / size)) <= epsilon
+
+
+@dataclass(frozen=True)
+class IndexSets:
+    """Quarter split of the 2n eigenvalue indices.
+
+    c1 and c2 are the first halves (modes 0..(n-1)/2) of the symmetric and
+    antisymmetric branches; they carry every distinct eigenvalue.  The
+    primed sets hold the mirrored modes (m and n - m share a value).
+    """
+
+    c1: np.ndarray
+    c2: np.ndarray
+    c1_prime: np.ndarray
+    c2_prime: np.ndarray
+
+
+def index_sets(n) -> IndexSets:
+    check_odd_order(n)
+    half = (n - 1) // 2
+    return IndexSets(
+        c1=np.arange(0, half + 1),
+        c2=np.arange(n, n + half + 1),
+        c1_prime=np.arange(half + 1, n),
+        c2_prime=np.arange(n + half + 1, 2 * n),
+    )

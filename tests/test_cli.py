@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,27 @@ def test_walk_csv(capsys):
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
     assert float(rows[-1][0]) == pytest.approx(10.0, rel=1e-12)
     assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
+
+
+def test_walk_long_grid_in_small_memory(capsys):
+    """The time grid is evaluated KERNEL_BLOCK entries at a time: 20001
+    times at n=401 stay far below the 246 MiB of one whole-grid batch."""
+    n = 401
+    tracemalloc.start()
+    try:
+        code = cli.main(["walk", "--n", str(n), "--t-max", "1e3", "--steps", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 32 * 2**20
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 20001
+    # both sides of the first block boundary, against single-time rows
+    step = walk.KERNEL_BLOCK // n
+    for k in (0, step - 1, step, 20000):
+        t, p = (float(v) for v in rows[k])
+        assert p == walk.probability_row(n, 0, t)[1]
 
 
 def test_walk_json_and_svg(capsys):

