@@ -32,10 +32,7 @@ from .classical import (
     classical_profile,
     half_uniform_distance,
 )
-from .dihedral import (
-    normalized_adjacency,
-    semi_cayley_adjacency,
-)
+from .dihedral import semi_cayley_adjacency
 from .sampling import (
     SampleHistogram,
     SamplerConfig,

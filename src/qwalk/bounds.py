@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import MixingReport
-from .dihedral import check_odd_order
+from .classical import MixingReport, bracket_search
+from .dihedral import blocks, check_odd_order
 from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum
-from .walk import KERNEL_BLOCK, averaged_matrix, check_horizon
+from .walk import averaged_matrix, check_horizon
 
 BRUTE_FORCE_CAP = 2001
 
@@ -40,16 +40,14 @@ def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _inv_gap_sum(a, b, weight=None, shift=0.0, labels=None) -> float:
     """sum over i, k of weight_i weight_k / |a_i - b_k + shift| on the outer
-    grid, KERNEL_BLOCK grid entries at a time.
+    grid, BLOCK grid entries at a time.
 
     weight (default all ones) is one per-mode vector for both axes of a
     grid whose axes index the same modes.  labels marks the indices of a
     square grid; every pair with equal labels is left out.
     """
-    rows = max(1, KERNEL_BLOCK // len(b))
     partial = []
-    for first in range(0, len(a), rows):
-        r = slice(first, first + rows)
+    for r in blocks(len(a), len(b)):
         gaps = a[r, None] - b
         if shift:
             gaps += shift
@@ -402,37 +400,21 @@ def quantum_mixing_threshold(n, epsilon=None) -> MixingReport:
     """Upper end of a doubling-and-bisection bracket on the first horizon
     with ||averaged - limit||_1 <= epsilon that the search finds.
 
-    Doubles the horizon until a probe is at or below epsilon, then bisects
-    the last doubling to relative width THRESHOLD_REL_TOL.  The distance is
-    not monotone in T, so this is neither the smallest such horizon nor one
-    the distance stays below afterwards.  For n >= 100 the measured
-    threshold must respect the certified budget; a violation is a hard
-    error, not a report entry.
+    `bracket_search` doubles the horizon until a probe is at or below
+    epsilon, then bisects the last doubling to relative width
+    THRESHOLD_REL_TOL.  The distance is not monotone in T, so this is
+    neither the smallest such horizon nor one the distance stays below
+    afterwards.  For n >= 100 the measured threshold must respect the
+    certified budget; a violation is a hard error, not a report entry.
     """
     check_odd_order(n)
     if epsilon is None:
         epsilon = DEFAULT_EPSILON
     check_mixing_epsilon(epsilon)
-    series = []
-
-    def probe(T):
-        d = averaged_matrix(n, T).distance_to_limit()
-        series.append((T, d))
-        return d
-
-    lo = 0.0
-    hi = 1.0
-    while probe(hi) > epsilon:
-        lo = hi
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise RuntimeError(f"no averaged mixing below horizon {2.0**60} at n={n}")
-    while hi - lo > THRESHOLD_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
+    hi, series = bracket_search(
+        lambda T: averaged_matrix(n, T).distance_to_limit(), epsilon, 2.0**60,
+        lambda lo, hi: hi - lo <= THRESHOLD_REL_TOL * hi, lambda lo, hi: 0.5 * (lo + hi),
+    )
     if n >= 100 and hi > budget_time(n):
         raise RuntimeError(
             f"measured threshold {hi} exceeds the certified budget {budget_time(n)} at n={n}"

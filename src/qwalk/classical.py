@@ -7,16 +7,13 @@ distances used to define mixing, and a measured mixing time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dihedral import check_odd_order
+from .dihedral import blocks, check_odd_order
 from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues
-
-# entries `profile_column_distance` compares at once (2 MiB per float array)
-COLUMN_BLOCK = 2**18
 
 
 def check_step_count(t) -> None:
@@ -44,14 +41,14 @@ def classical_profiles(n, ts) -> np.ndarray:
         raise ValueError("step counts must be nonnegative")
     zp = np.power(eigenvalues(n, PLUS)[None, :], ts[:, None])
     zm = np.power(eigenvalues(n, MINUS)[None, :], ts[:, None])
-    blocks = [np.fft.ifft(op(zp, zm), axis=1).real / 2.0 for op in (np.add, np.subtract)]
-    return np.stack(blocks, axis=1)
+    parts = [np.fft.ifft(op(zp, zm), axis=1).real / 2.0 for op in (np.add, np.subtract)]
+    return np.stack(parts, axis=1)
 
 
 def profile_column_distance(n, values) -> float:
     """d(P) for a matrix whose columns all carry the same (2, n) value
     profile; O(n^2) by comparing one reference column against every
-    (offset, block) relabeling, COLUMN_BLOCK entries at a time.
+    (offset, block) relabeling, BLOCK entries at a time.
 
     The reference column read over rows is the reversed profile, and the
     column at offset y is that vector rotated by y, so the relabelings are
@@ -60,11 +57,10 @@ def profile_column_distance(n, values) -> float:
     vals = np.asarray(values, dtype=float)
     base = vals[:, (-np.arange(n)) % n]
     windows = sliding_window_view(np.concatenate([base, base[:, :-1]], axis=1), n, axis=1)
-    step = max(1, COLUMN_BLOCK // n)
     best = 0.0
     for top, bottom in ((0, 1), (1, 0)):
-        for first in range(0, n, step):
-            rotated = windows[:, first : first + step]
+        for r in blocks(n, n):
+            rotated = windows[:, r]
             gaps = np.abs(base[0] - rotated[top]).sum(axis=1) + np.abs(base[1] - rotated[bottom]).sum(axis=1)
             best = max(best, 0.5 * float(gaps.max()))
     return best
@@ -86,9 +82,9 @@ class MixingReport:
     """Measured mixing threshold plus the probe trail that produced it."""
 
     threshold_time: float
-    distance_series: list = field(default_factory=list)
-    norm_kind: str = "half_induced"
-    epsilon: float = DEFAULT_EPSILON
+    distance_series: list
+    norm_kind: str
+    epsilon: float
 
     def to_dict(self) -> dict:
         return {
@@ -107,11 +103,40 @@ def _classical_distance(n, t, norm_kind) -> float:
     raise ValueError(f"unknown norm kind {norm_kind!r}")
 
 
+def bracket_search(distance, epsilon, cap, resolved, midpoint) -> tuple:
+    """(upper end, probe trail) of a bracket on a crossing of `distance`
+    to at most epsilon.
+
+    Probes t = 1, 2, 4, ... until one is at or below epsilon (a RuntimeError
+    past cap), then bisects the last doubling at `midpoint(lo, hi)` until
+    `resolved(lo, hi)`.  The trail lists each (t, distance(t)) probed.
+    """
+    series = []
+
+    def probe(t):
+        d = distance(t)
+        series.append((t, d))
+        return d
+
+    lo, hi = 0, 1
+    while probe(hi) > epsilon:
+        lo, hi = hi, 2 * hi
+        if hi > cap:
+            raise RuntimeError(f"distance stays above {epsilon} up to {cap}")
+    while not resolved(lo, hi):
+        mid = midpoint(lo, hi)
+        if probe(mid) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi, series
+
+
 def classical_mixing_time(n, epsilon=None, norm_kind="half_induced") -> MixingReport:
     """Smallest integer t whose distance to uniform is at most epsilon.
 
-    Doubles until below threshold, then bisects on integers.  Both norms
-    are non-increasing in t: a stochastic step cannot increase the total
+    Probes t = 0, then runs `bracket_search` on integers.  Both norms are
+    non-increasing in t: a stochastic step cannot increase the total
     variation distance from a fixed start to the stationary law, nor
     between two columns (Levin, Peres & Wilmer, Markov Chains and Mixing
     Times, ch. 4).  So the bisection returns the first crossing, and the
@@ -121,25 +146,11 @@ def classical_mixing_time(n, epsilon=None, norm_kind="half_induced") -> MixingRe
     if epsilon is None:
         epsilon = DEFAULT_EPSILON
     check_mixing_epsilon(epsilon)
-    series = []
-
-    def probe(t):
-        d = _classical_distance(n, t, norm_kind)
-        series.append((t, d))
-        return d
-
-    if probe(0) <= epsilon:
-        return MixingReport(0.0, series, norm_kind, epsilon)
-    t = 1
-    while probe(t) > epsilon:
-        t *= 2
-        if t > 2**40:
-            raise RuntimeError(f"no mixing below {2**40} steps at n={n}")
-    lo, hi = t // 2, t
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return MixingReport(float(hi), series, norm_kind, epsilon)
+    d0 = _classical_distance(n, 0, norm_kind)
+    if d0 <= epsilon:
+        return MixingReport(0.0, [(0, d0)], norm_kind, epsilon)
+    hi, series = bracket_search(
+        lambda t: _classical_distance(n, t, norm_kind), epsilon, 2**40,
+        lambda lo, hi: hi - lo <= 1, lambda lo, hi: (lo + hi) // 2,
+    )
+    return MixingReport(float(hi), [(0, d0), *series], norm_kind, epsilon)

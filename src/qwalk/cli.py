@@ -4,9 +4,6 @@ All vertex labels on this surface are 1-based; internal indices are
 0-based, and the conversion lives in exactly one pair of helpers below.
 Data goes to stdout (or --out), diagnostics to stderr, and the exit code
 is 0 only when every assertion the subcommand makes holds.
-
-Heavy imports happen inside the handlers so the QWALK_THREADS cap can be
-applied to the BLAS thread pools before numpy first loads.
 """
 
 from __future__ import annotations
@@ -14,27 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
-THREAD_ENV = "QWALK_THREADS"
+import numpy as np
 
-_BLAS_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get(THREAD_ENV)
-    if cap is None or cap == "":
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise SystemExit(f"error: {THREAD_ENV} must be a positive integer, got {cap!r}")
-    for var in _BLAS_VARS:
-        os.environ.setdefault(var, cap)
+from . import bounds, classical, dihedral, sampling, spectra, walk
 
 
 def vertex_to_internal(label, n) -> int:
@@ -48,10 +29,10 @@ def vertex_to_label(i) -> int:
     return int(i) + 1
 
 
-def _clamp_tiny_negative(x, tol=1e-9) -> float:
+def _clamp_tiny_negative(x) -> float:
     """Zero out negative floating-point dust in emitted probabilities."""
     x = float(x)
-    if -tol < x < 0.0:
+    if -1e-9 < x < 0.0:
         return 0.0
     return x
 
@@ -184,8 +165,6 @@ def _svg_plot(series, title, x_label, y_label, log_x=False, log_y=False) -> str:
 
 
 def _cmd_graph(args) -> int:
-    from . import dihedral
-
     adjacency = dihedral.semi_cayley_adjacency(args.n)
     size = 2 * args.n
     if args.format == "edges-csv":
@@ -203,15 +182,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from . import spectra
-
     n = args.n
-    rows = []
-    j = 0
-    for branch, tag in ((spectra.PLUS, "+"), (spectra.MINUS, "-")):
-        for m in range(n):
-            rows.append((j, m, tag, spectra.eigenvalue(n, m, branch)))
-            j += 1
+    # full_spectrum lists the "+" branch by mode, then the "-" branch
+    rows = [(j, j % n, "+" if j < n else "-", v) for j, v in enumerate(spectra.full_spectrum(n).tolist())]
     if args.format == "json":
         _emit_json(
             args,
@@ -229,8 +202,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    from . import dihedral, walk
-
     n = args.n
     src = vertex_to_internal(args.src, n)
     dst = vertex_to_internal(args.dst, n)
@@ -242,10 +213,9 @@ def _cmd_walk(args) -> int:
     delta, eps = dihedral.pair_geometry(n, src, dst)
     block = 0 if eps == 1 else 1
     probs = []
-    # batches of KERNEL_BLOCK profile entries keep memory O(n * chunk)
-    step = max(1, walk.KERNEL_BLOCK // n)
-    for first in range(0, len(ts), step):
-        profiles = walk._probability_profiles(n, ts[first : first + step])
+    # batches of BLOCK profile entries keep memory O(n * chunk)
+    for r in dihedral.blocks(len(ts), n):
+        profiles = walk._probability_profiles(n, ts[r])
         probs += [_clamp_tiny_negative(p) for p in profiles[:, block, delta].tolist()]
     if args.format == "svg":
         _write_text(
@@ -265,10 +235,6 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_average(args) -> int:
-    import numpy as np
-
-    from . import dihedral, walk
-
     n = args.n
     avg = walk.averaged_matrix(n, args.T)
     if args.full_matrix:
@@ -300,8 +266,6 @@ def _cmd_average(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    from . import walk
-
     pi = walk.limiting_distribution(args.n)
     _emit_json(
         args,
@@ -323,19 +287,17 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    from . import classical, spectra
-
     n = args.n
+    dihedral.check_odd_order(n)
     if args.t_max < 0:
         raise ValueError(f"--t-max must be nonnegative, got {args.t_max}")
     spectra.check_mixing_epsilon(args.epsilon)
     ts = list(range(args.t_max + 1))
     halves = []
     pair_dists = []
-    # one batch of profiles per COLUMN_BLOCK entries keeps memory O(n * chunk)
-    step = max(1, classical.COLUMN_BLOCK // (2 * n))
-    for first in range(0, len(ts), step):
-        profiles = classical.classical_profiles(n, ts[first : first + step])
+    # one batch of profiles per BLOCK entries keeps memory O(n * chunk)
+    for r in dihedral.blocks(len(ts), 2 * n):
+        profiles = classical.classical_profiles(n, ts[r])
         halves += classical.half_uniform_distances(n, profiles).tolist()
         pair_dists += [classical.profile_column_distance(n, profile) for profile in profiles]
     crossing = next((t for t, d in zip(ts, halves) if d <= args.epsilon), None)
@@ -366,24 +328,18 @@ def _cmd_classical(args) -> int:
 
 
 def _cmd_classical_mix(args) -> int:
-    from . import classical
-
     report = classical.classical_mixing_time(args.n, args.epsilon, args.norm)
     _emit_json(args, {"n": args.n, **report.to_dict()})
     return 0
 
 
 def _epsilon(args) -> float:
-    from . import spectra
-
     return args.epsilon if args.epsilon is not None else spectra.DEFAULT_EPSILON
 
 
 def _mixing_comparison(n, epsilon) -> tuple:
     """(classical tau, its spectral lower bound, quantum T*, budget horizon,
     tau / T*, whether tau respects the lower bound) at one n."""
-    from . import bounds, classical, spectra
-
     spectra.check_epsilon(epsilon)
     quantum = bounds.quantum_mixing_threshold(n, epsilon).threshold_time
     tau = classical.classical_mixing_time(n, epsilon).threshold_time
@@ -409,8 +365,6 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from . import bounds
-
     report = bounds.bounds_report(args.n)
     payload = report.to_dict()
     if args.n >= 100:
@@ -430,8 +384,6 @@ def _residue_matches(n, residue) -> bool:
 
 
 def _cmd_conjecture(args) -> int:
-    from . import bounds
-
     if args.n_max < 5:
         raise ValueError(f"--n-max must be at least 5, got {args.n_max}")
     ns = [n for n in range(5, args.n_max + 1, 2) if _residue_matches(n, args.residue)]
@@ -478,8 +430,6 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from . import sampling
-
     n = args.n
     config = sampling.SamplerConfig(
         n=n,
@@ -519,8 +469,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_figure_1b(args) -> int:
-    from . import classical, dihedral, walk
-
     n = args.n
     src = vertex_to_internal(args.src, n)
     dst = vertex_to_internal(args.dst, n)
@@ -689,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

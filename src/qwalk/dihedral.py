@@ -12,6 +12,16 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+# entries a chunked loop handles at once (2 MiB per float array)
+BLOCK = 2**18
+
+
+def blocks(count, width) -> list[slice]:
+    """Slices that cut range(count) into runs of max(1, BLOCK // width), so
+    each run of `width`-wide rows holds about BLOCK entries."""
+    step = max(1, BLOCK // width)
+    return [slice(first, min(first + step, count)) for first in range(0, count, step)]
+
 
 def check_odd_order(n) -> None:
     """Reject cycle lengths the closed-form machinery does not cover."""
@@ -57,11 +67,6 @@ def semi_cayley_adjacency(n) -> np.ndarray:
     ring = shift + shift.T
     eye = np.eye(n, dtype=np.int64)
     return np.block([[ring, eye], [eye, ring]])
-
-
-def normalized_adjacency(n) -> np.ndarray:
-    """Adjacency scaled by the regular degree 3; symmetric and doubly stochastic."""
-    return semi_cayley_adjacency(n) / 3.0
 
 
 def pair_values_rows(n, values, vertices) -> np.ndarray:

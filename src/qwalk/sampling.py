@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dihedral import check_odd_order, check_vertex
+from .classical import check_step_count
+from .dihedral import blocks, check_odd_order, check_vertex
 from .walk import ROW_SUM_TOL, check_horizon, probability_row, probability_rows
-
-# doubles `empirical_check` draws at once over all trials (2 MiB)
-DRAW_BUFFER = 2**18
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,7 @@ class SamplerConfig:
         check_odd_order(self.n)
         check_vertex(self.n, self.start_vertex)
         check_horizon(self.horizon)
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
-            raise ValueError(f"step count must be a nonnegative integer, got {self.steps!r}")
+        check_step_count(self.steps)
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError(f"trial count must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -115,9 +112,9 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
     rngs = [trial_rng(config.seed, k) for k in range(config.trials)]
     current = np.full(config.trials, config.start_vertex, dtype=np.int64)
     n = config.n
-    block = max(1, DRAW_BUFFER // (2 * config.trials))
-    for first in range(0, config.steps, block):
-        draws = np.empty((config.trials, min(block, config.steps - first), 2))
+    # BLOCK doubles at a time over all trials, two per measured step
+    for r in blocks(config.steps, 2 * config.trials):
+        draws = np.empty((config.trials, r.stop - r.start, 2))
         for rng, trial_draws in zip(rngs, draws):
             rng.random(out=trial_draws)
         for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):

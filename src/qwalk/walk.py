@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dihedral import (
+    blocks,
     check_odd_order,
     check_vertex,
     pair_geometry,
@@ -31,9 +32,6 @@ from .spectra import folded_modes
 
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
-
-# kernel values `averaged_matrix` evaluates at once (2 MiB per float array)
-KERNEL_BLOCK = 2**18
 
 
 def check_horizon(T) -> None:
@@ -119,7 +117,7 @@ class AveragedWalkMatrix:
 
 def averaged_matrix(n, T) -> AveragedWalkMatrix:
     """All distinct time-averaged entries from about n^2 / 2 real kernel
-    values, in O(n + KERNEL_BLOCK) memory.
+    values, in O(n + BLOCK) memory.
 
     The average is real: a mode pair and its mirror (m, m') -> (-m, -m')
     carry conjugate phases, so only the real kernel sin(xT) / (xT) enters.
@@ -141,9 +139,7 @@ def averaged_matrix(n, T) -> AveragedWalkMatrix:
     cos = np.cos(2.0 * angle)
     # binned[0] collects same-branch kernel values, binned[1] cross-branch
     binned = np.zeros((2, size))
-    block_rows = max(1, KERNEL_BLOCK // size)
-    for first in range(0, size, block_rows):
-        r = slice(first, first + block_rows)
+    for r in blocks(size, size):
         weight = (0.5 * w[r, None]) * w
         diff = np.abs(mu[r, None] - mu).ravel()
         total = mu[r, None] + mu

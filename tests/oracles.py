@@ -9,8 +9,8 @@ something `qwalk` computes another way:
 - the unit eigenvectors and the dense propagator assembled from them,
   for the closed-form transition probabilities;
 - the direct O(n^2) double sum of the time-averaged kernel;
-- dense powers of the classical walk and the matrix distances built on
-  them, for the distinct-value profiles;
+- the normalized adjacency, dense powers of the classical walk and the
+  matrix distances built on them, for the distinct-value profiles;
 - the quarter split of the eigenvalue indices behind the folded gap sums.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwalk.classical import check_step_count, classical_profile, profile_column_distance
-from qwalk.dihedral import check_odd_order, check_vertex, normalized_adjacency, pair_geometry
+from qwalk.dihedral import check_odd_order, check_vertex, pair_geometry, semi_cayley_adjacency
 from qwalk.spectra import (
     DEFAULT_EPSILON,
     MINUS,
@@ -271,6 +271,11 @@ def averaged_entry(n, delta, eps, T) -> float:
     if not (abs(total.imag) <= IMAG_TOL):
         raise RuntimeError(f"imaginary residue {total.imag} above tolerance")
     return float(total.real)
+
+
+def normalized_adjacency(n) -> np.ndarray:
+    """Adjacency scaled by the regular degree 3; symmetric and doubly stochastic."""
+    return semi_cayley_adjacency(n) / 3.0
 
 
 def classical_power(n, t) -> np.ndarray:

@@ -21,7 +21,7 @@ import oracles
 
 def gap_sum_from_eigh(n):
     # group numerically equal eigenvalues, then sum 1/|gap| with multiplicities
-    values = np.sort(np.linalg.eigvalsh(dihedral.normalized_adjacency(n)))
+    values = np.sort(np.linalg.eigvalsh(oracles.normalized_adjacency(n)))
     groups = []
     for v in values:
         if groups and abs(v - groups[-1][0] / groups[-1][1]) < 1e-8:
@@ -163,7 +163,7 @@ def full_grid_gap_sum(a, b, weight=None, shift=0.0, labels=None):
 @pytest.mark.parametrize("n", [3, 5, 21, 101])
 def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     # a 50-entry block splits every grid here into several blocks
-    monkeypatch.setattr(bounds, "KERNEL_BLOCK", 50)
+    monkeypatch.setattr(dihedral, "BLOCK", 50)
     lp, lm, mult = bounds._branch_values(n)
     weight = mult / 2.0
     modes = np.arange(len(mult))
@@ -190,7 +190,7 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     ids=["bounds_report-2001", "decomposed_sum-4001"],
 )
 def test_gap_sums_in_small_memory(call, limit_mib):
-    """Gap sums stream their grids in blocks: O(n + KERNEL_BLOCK) memory,
+    """Gap sums stream their grids in blocks: O(n + BLOCK) memory,
     not the O(n^2) of a whole grid (132 and 61 MiB here)."""
     tracemalloc.start()
     try:

@@ -28,7 +28,7 @@ def random_doubly_stochastic(rng, size, terms=6):
 def test_power_at_small_steps():
     n = 5
     assert np.array_equal(oracles.classical_power(n, 0), np.eye(2 * n))
-    assert np.max(np.abs(oracles.classical_power(n, 1) - dihedral.normalized_adjacency(n))) == 0.0
+    assert np.max(np.abs(oracles.classical_power(n, 1) - oracles.normalized_adjacency(n))) == 0.0
 
 
 @pytest.mark.parametrize("n,t", [(3, 4), (5, 7), (9, 12)])
@@ -114,9 +114,9 @@ def column_distance_loop(n, values):
 
 
 @pytest.mark.parametrize("n", [3, 5, 21, 41])
-@pytest.mark.parametrize("block", [classical.COLUMN_BLOCK, 50])
+@pytest.mark.parametrize("block", [dihedral.BLOCK, 50])
 def test_column_distance_equals_loop(n, block, monkeypatch):
-    monkeypatch.setattr(classical, "COLUMN_BLOCK", block)
+    monkeypatch.setattr(dihedral, "BLOCK", block)
     report = classical.classical_mixing_time(n, norm_kind="column_pairs")
     tau = int(report.threshold_time)
     # every probe of the column_pairs search, plus a stride over [0, 2 tau]
@@ -164,7 +164,7 @@ def test_mixing_time_matches_brute_scan(n):
     uniform = oracles.uniform_matrix(n)
     t = 0
     mat = np.eye(2 * n)
-    step = dihedral.normalized_adjacency(n)
+    step = oracles.normalized_adjacency(n)
     while 0.5 * np.abs(mat - uniform)[:, 0].sum() > eps:
         mat = mat @ step
         t += 1

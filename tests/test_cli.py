@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk import bounds, classical, cli, spectra, walk
+from qwalk import bounds, classical, cli, dihedral, spectra, walk
 
 
 def run_cli(capsys, argv):
@@ -97,7 +97,7 @@ def test_walk_csv(capsys):
 
 
 def test_walk_long_grid_in_small_memory(capsys):
-    """The time grid is evaluated KERNEL_BLOCK entries at a time: 20001
+    """The time grid is evaluated BLOCK entries at a time: 20001
     times at n=401 stay far below the 246 MiB of one whole-grid batch."""
     n = 401
     tracemalloc.start()
@@ -111,7 +111,7 @@ def test_walk_long_grid_in_small_memory(capsys):
     _, rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 20001
     # both sides of the first block boundary, against single-time rows
-    step = walk.KERNEL_BLOCK // n
+    step = dihedral.BLOCK // n
     for k in (0, step - 1, step, 20000):
         t, p = (float(v) for v in rows[k])
         assert p == walk.probability_row(n, 0, t)[1]
@@ -210,7 +210,7 @@ def test_classical_series_csv(capsys, monkeypatch):
         assert pair >= half - 1e-12
     assert float(rows[0][1]) == pytest.approx(1.0 - 0.1, rel=1e-12)
     # profiles batched across several blocks print the same series
-    monkeypatch.setattr(classical, "COLUMN_BLOCK", 40)
+    monkeypatch.setattr(dihedral, "BLOCK", 40)
     assert run_cli(capsys, ["classical", "--n", "5", "--t-max", "40"]) == (code, out, err)
 
 
@@ -406,6 +406,10 @@ def test_error_exit_codes(capsys, monkeypatch):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "finite" in err, argv
+    # n = 0 must be rejected before the block size is divided by it
+    code, out, err = run_cli(capsys, ["classical", "--n", "0"])
+    assert (code, out) == (2, "")
+    assert "n must be at least 3" in err
     for epsilon in ("nan", "inf", "-1", "0"):
         code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "2", "--epsilon", epsilon])
         assert (code, out) == (2, ""), epsilon
@@ -426,23 +430,6 @@ def test_error_exit_codes(capsys, monkeypatch):
     assert "seed must be a nonnegative integer" in err
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
-
-
-def test_thread_cap_env(monkeypatch):
-    for var in cli._BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv(cli.THREAD_ENV, "2")
-    cli._apply_thread_cap()
-    import os
-
-    for var in cli._BLAS_VARS:
-        assert os.environ[var] == "2"
-    monkeypatch.setenv(cli.THREAD_ENV, "zero")
-    with pytest.raises(SystemExit):
-        cli._apply_thread_cap()
-    monkeypatch.setenv(cli.THREAD_ENV, "0")
-    with pytest.raises(SystemExit):
-        cli._apply_thread_cap()
 
 
 def declared_script_target():

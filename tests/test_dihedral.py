@@ -176,7 +176,7 @@ def test_semi_cayley_structure():
 
 
 def test_normalized_adjacency_doubly_stochastic():
-    mat = dihedral.normalized_adjacency(7)
+    mat = oracles.normalized_adjacency(7)
     assert np.allclose(mat.sum(axis=0), 1.0)
     assert np.allclose(mat.sum(axis=1), 1.0)
 

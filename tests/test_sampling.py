@@ -7,7 +7,7 @@ both read the same per-trial random streams in the same order.
 import numpy as np
 import pytest
 
-from qwalk import sampling, walk
+from qwalk import dihedral, sampling, walk
 
 
 def test_config_validation():
@@ -81,7 +81,7 @@ def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
     # 12 trials: blocks of 1 step, or of 3 steps and then 1
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
     expected = sampling.empirical_check(config).counts
-    monkeypatch.setattr(sampling, "DRAW_BUFFER", buffer)
+    monkeypatch.setattr(dihedral, "BLOCK", buffer)
     assert np.array_equal(sampling.empirical_check(config).counts, expected)
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qwalk import dihedral, spectra
+from qwalk import spectra
 
 import oracles
 
@@ -26,7 +26,7 @@ def test_frozen_spectrum_n3():
 
 @pytest.mark.parametrize("n", [3, 5, 9, 15])
 def test_spectrum_matches_eigh(n):
-    mat = dihedral.normalized_adjacency(n)
+    mat = oracles.normalized_adjacency(n)
     oracle = np.sort(np.linalg.eigvalsh(mat))
     ours = np.sort(spectra.full_spectrum(n))
     assert np.max(np.abs(oracle - ours)) < 1e-10
@@ -34,7 +34,7 @@ def test_spectrum_matches_eigh(n):
 
 @pytest.mark.parametrize("n", [3, 5, 11])
 def test_eigenvectors_are_eigenvectors(n):
-    mat = dihedral.normalized_adjacency(n)
+    mat = oracles.normalized_adjacency(n)
     for branch in (spectra.PLUS, spectra.MINUS):
         for m in range(n):
             vec = oracles.eigenvector(n, m, branch)

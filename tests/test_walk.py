@@ -28,7 +28,7 @@ def test_probability_at_time_zero_is_identity():
 
 @pytest.mark.parametrize("n,t", [(3, 0.1), (5, 3.7), (7, 10.0)])
 def test_probability_matches_expm_oracle(n, t):
-    gen = dihedral.normalized_adjacency(n)
+    gen = oracles.normalized_adjacency(n)
     oracle = np.abs(expm(1j * t * gen)) ** 2
     ours = walk.probability_matrix(n, t)
     assert np.max(np.abs(oracle - ours)) < 1e-10
@@ -153,6 +153,16 @@ def test_averaged_matrix_matches_entry_formula():
                 # vertex-pair lookup agrees with the profile layout
                 j = delta if eps == 1 else n + delta
                 assert avg.entry(0, j) == avg.values[eps_idx, delta]
+
+
+@pytest.mark.parametrize("horizon", [7, 1e4, 1e12])
+@pytest.mark.parametrize("n", [5, 11, 101, 401])
+def test_averaged_matrix_block_boundaries(n, horizon, monkeypatch):
+    # 50-entry blocks keep n = 5 and 11 in one block and cut n = 101 and
+    # 401 into one-row runs
+    expected = walk.averaged_matrix(n, horizon).values
+    monkeypatch.setattr(dihedral, "BLOCK", 50)
+    assert np.max(np.abs(walk.averaged_matrix(n, horizon).values - expected)) <= 1e-15
 
 
 def test_averaged_matrix_dense_properties():
