@@ -1,4 +1,4 @@
-"""Frozen CLI outputs: one small-n command per subcommand.
+"""Frozen CLI outputs: small-n commands covering every output format.
 
 Each case's stdout is compared with `tests/golden/<name>.txt`.  Text
 between numbers must match exactly; numbers must agree to a relative
@@ -38,6 +38,26 @@ CASES = {
         "figure-1b", "--n", "9", "--to", "12", "--T-max", "1e4", "--t-max", "30", "--points", "9",
     ],
     "speedup": ["speedup", "--n-list", "5,9", "--format", "json"],
+    # the other formats of each subcommand, on the same arguments
+    "graph-matrix": ["graph", "--n", "5", "--format", "matrix-csv"],
+    "spectrum-csv": ["spectrum", "--n", "7"],
+    "walk-json": [
+        "walk", "--n", "7", "--from", "1", "--to", "9", "--t-max", "12", "--steps", "24", "--format", "json",
+    ],
+    "walk-svg": [
+        "walk", "--n", "7", "--from", "1", "--to", "9", "--t-max", "12", "--steps", "24", "--format", "svg",
+    ],
+    "average-profile": ["average", "--n", "7", "--T", "250"],
+    "average-json": ["average", "--n", "7", "--T", "250", "--format", "json"],
+    "classical-svg": ["classical", "--n", "9", "--t-max", "40", "--format", "svg"],
+    "conjecture-svg": ["conjecture", "--n-max", "41", "--format", "svg"],
+    "sample-json": [
+        "sample", "--n", "7", "--T", "300", "--T-prime", "5", "--trials", "400", "--seed", "11", "--format", "json",
+    ],
+    "figure-1b-svg": [
+        "figure-1b", "--n", "9", "--to", "12", "--T-max", "1e4", "--t-max", "30", "--points", "9", "--format", "svg",
+    ],
+    "speedup-csv": ["speedup", "--n-list", "5,9"],
 }
 
 NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
