@@ -11,7 +11,7 @@ evaluates the conjectured near-resonance bound f(n), and certifies the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -355,17 +355,7 @@ class BudgetReport:
         return self.analytic_bound <= self.analytic_target <= self.epsilon
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "measured_bound": self.measured_bound,
-            "conjectured_bound": self.conjectured_bound,
-            "analytic_bound": self.analytic_bound,
-            "analytic_target": self.analytic_target,
-            "passed": self.passed,
-            "analytic_passed": self.analytic_passed,
-        }
+        return {**asdict(self), "passed": self.passed, "analytic_passed": self.analytic_passed}
 
 
 def budget_report(n, horizon=None) -> BudgetReport:
@@ -439,25 +429,9 @@ class BoundsReport:
         return all(self.bound_flags.values())
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "total_sum": self.total_sum,
-            "decomposition": {
-                "cross": self.decomposition.cross,
-                "within_c1": self.decomposition.within_c1,
-                "within_c2": self.decomposition.within_c2,
-                "total": self.decomposition.total,
-            },
-            "su": {
-                "su1": self.su.su1,
-                "su2": self.su.su2,
-                "su3": self.su.su3,
-                "su4": self.su.su4,
-            },
-            "case5": {"sum_c1": self.case5.sum_c1, "sum_c2": self.case5.sum_c2},
-            "bound_flags": dict(self.bound_flags),
-            "all_passed": self.all_passed,
-        }
+        out = asdict(self)
+        out["decomposition"]["total"] = self.decomposition.total
+        return {**out, "all_passed": self.all_passed}
 
 
 def bounds_report(n) -> BoundsReport:

@@ -2,8 +2,10 @@
 
 All vertex labels on this surface are 1-based; internal indices are
 0-based, and the conversion lives in exactly one pair of helpers below.
-Data goes to stdout (or --out), diagnostics to stderr, and the exit code
-is 0 only when every assertion the subcommand makes holds.
+Each subcommand returns an `Output`, and `main` alone renders the format
+asked for and writes it to stdout (or --out).  Diagnostics go to stderr,
+and the exit code is 0 only when every assertion the subcommand makes
+holds.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,36 +74,24 @@ def _provenance(args) -> str:
 
 def _config_dict(args) -> dict:
     out = {"subcommand": args.command, **_settings(args)}
-    if getattr(args, "out", None):
+    if args.out:
         out["out"] = args.out
     return out
 
 
-def _write_text(args, text) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+@dataclass
+class Output:
+    """What a subcommand computed, in the shapes its formats need: the csv
+    header and rows (a row may be an already-joined line), the json
+    payload, the `_svg_plot` keyword arguments, a trailing csv line and the
+    exit code.  `main` renders the one format asked for."""
 
-
-def _emit_csv(args, header, rows, trailing=None) -> None:
-    _emit_csv_lines(args, header, (",".join(_fmt(v) for v in row) for row in rows), trailing)
-
-
-def _emit_csv_lines(args, header, lines, trailing=None) -> None:
-    """Write the provenance line, the header and already-joined data lines."""
-    out = [_provenance(args), ",".join(header), *lines]
-    if trailing is not None:
-        out.append(trailing)
-    _write_text(args, "\n".join(out) + "\n")
-
-
-def _emit_json(args, payload) -> None:
-    payload = dict(payload)
-    payload.setdefault("config", _config_dict(args))
-    _write_text(args, json.dumps(payload, indent=2) + "\n")
+    header: list = None
+    rows: object = ()
+    payload: dict = None
+    plot: dict = None
+    trailing: str = None
+    code: int = 0
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -164,44 +155,33 @@ def _svg_plot(series, title, x_label, y_label, log_x=False, log_y=False) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_graph(args) -> int:
-    adjacency = dihedral.semi_cayley_adjacency(args.n)
-    size = 2 * args.n
-    if args.format == "edges-csv":
-        rows = [
-            (vertex_to_label(i), vertex_to_label(j))
-            for i in range(size)
-            for j in range(i + 1, size)
-            if adjacency[i, j]
-        ]
-        _emit_csv(args, ["src", "dst"], rows)
-    else:
-        header = [str(vertex_to_label(k)) for k in range(size)]
-        _emit_csv(args, header, adjacency.tolist())
-    return 0
+def _cmd_graph(args) -> Output:
+    n = args.n
+    if args.format == "matrix-csv":
+        header = [str(vertex_to_label(k)) for k in range(2 * n)]
+        return Output(header, dihedral.semi_cayley_adjacency(n).tolist())
+    # vertex base + r meets residues r +- 1 in its own block and residue r
+    # in the other one
+    i = np.arange(2 * n)
+    base = i - i % n
+    dst = np.concatenate([base + (i + 1) % n, base + (i - 1) % n, (i + n) % (2 * n)])
+    edges = sorted((a + 1, b + 1) for a, b in zip(np.tile(i, 3).tolist(), dst.tolist()) if a < b)
+    return Output(["src", "dst"], edges)
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> Output:
     n = args.n
     # full_spectrum lists the "+" branch by mode, then the "-" branch
     rows = [(j, j % n, "+" if j < n else "-", v) for j, v in enumerate(spectra.full_spectrum(n).tolist())]
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "n": n,
-                "eigenvalues": [
-                    {"j": j, "m": m, "branch": tag, "eigenvalue": val} for j, m, tag, val in rows
-                ],
-                "second_largest": spectra.second_largest_eigenvalue(n),
-            },
-        )
-    else:
-        _emit_csv(args, ["j", "m", "branch", "eigenvalue"], rows)
-    return 0
+    payload = {
+        "n": n,
+        "eigenvalues": [{"j": j, "m": m, "branch": tag, "eigenvalue": val} for j, m, tag, val in rows],
+        "second_largest": spectra.second_largest_eigenvalue(n),
+    }
+    return Output(["j", "m", "branch", "eigenvalue"], rows, payload)
 
 
-def _cmd_walk(args) -> int:
+def _cmd_walk(args) -> Output:
     n = args.n
     src = vertex_to_internal(args.src, n)
     dst = vertex_to_internal(args.dst, n)
@@ -217,24 +197,17 @@ def _cmd_walk(args) -> int:
     for r in dihedral.blocks(len(ts), n):
         profiles = walk._probability_profiles(n, ts[r])
         probs += [_clamp_tiny_negative(p) for p in profiles[:, block, delta].tolist()]
-    if args.format == "svg":
-        _write_text(
-            args,
-            _svg_plot(
-                [(f"P_t({args.src},{args.dst})", list(zip(ts, probs)))],
-                f"walk transition probability, n={n}",
-                "t",
-                "probability",
-            ),
-        )
-    elif args.format == "json":
-        _emit_json(args, {"n": n, "t": ts, "P_t": probs})
-    else:
-        _emit_csv(args, ["t", "P_t"], list(zip(ts, probs)))
-    return 0
+    points = list(zip(ts, probs))
+    plot = {
+        "series": [(f"P_t({args.src},{args.dst})", points)],
+        "title": f"walk transition probability, n={n}",
+        "x_label": "t",
+        "y_label": "probability",
+    }
+    return Output(["t", "P_t"], points, {"n": n, "t": ts, "P_t": probs}, plot)
 
 
-def _cmd_average(args) -> int:
+def _cmd_average(args) -> Output:
     n = args.n
     avg = walk.averaged_matrix(n, args.T)
     if args.full_matrix:
@@ -242,34 +215,23 @@ def _cmd_average(args) -> int:
         # once and expand the strings
         cells = np.array([_fmt(_clamp_tiny_negative(v)) for v in avg.values.ravel().tolist()], dtype=object)
         rows = dihedral.pair_values_dense(n, cells.reshape(2, n)).tolist()
-        header = [str(vertex_to_label(k)) for k in range(2 * n)]
-        _emit_csv_lines(args, header, (",".join(row) for row in rows))
-        return 0
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "n": n,
-                "T": args.T,
-                "same_block": [_clamp_tiny_negative(v) for v in avg.values[0].tolist()],
-                "cross_block": [_clamp_tiny_negative(v) for v in avg.values[1].tolist()],
-                "distance_to_limit": avg.distance_to_limit(),
-            },
-        )
-        return 0
-    rows = []
-    for eps_idx, eps in ((0, 1), (1, -1)):
-        for delta in range(n):
-            rows.append((delta, eps, _clamp_tiny_negative(avg.values[eps_idx, delta])))
-    _emit_csv(args, ["delta", "eps", "g_value"], rows)
-    return 0
+        return Output([str(vertex_to_label(k)) for k in range(2 * n)], (",".join(row) for row in rows))
+    same, cross = ([_clamp_tiny_negative(v) for v in values] for values in avg.values.tolist())
+    payload = {
+        "n": n,
+        "T": args.T,
+        "same_block": same,
+        "cross_block": cross,
+        "distance_to_limit": avg.distance_to_limit(),
+    }
+    rows = [(delta, 1, v) for delta, v in enumerate(same)] + [(delta, -1, v) for delta, v in enumerate(cross)]
+    return Output(["delta", "eps", "g_value"], rows, payload)
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> Output:
     pi = walk.limiting_distribution(args.n)
-    _emit_json(
-        args,
-        {
+    return Output(
+        payload={
             "n": args.n,
             "diagonal": float(pi.diagonal),
             "offdiagonal": float(pi.off_diagonal),
@@ -281,14 +243,12 @@ def _cmd_limit(args) -> int:
                 "min_entry": str(pi.min_entry()),
                 "row_sum": str(pi.row_sum()),
             },
-        },
+        }
     )
-    return 0
 
 
-def _cmd_classical(args) -> int:
+def _cmd_classical(args) -> Output:
     n = args.n
-    dihedral.check_odd_order(n)
     if args.t_max < 0:
         raise ValueError(f"--t-max must be nonnegative, got {args.t_max}")
     spectra.check_mixing_epsilon(args.epsilon)
@@ -305,32 +265,18 @@ def _cmd_classical(args) -> int:
         print(f"half-induced distance stays above {args.epsilon} up to t={args.t_max}", file=sys.stderr)
     else:
         print(f"half-induced distance reaches {args.epsilon} at t={crossing}", file=sys.stderr)
-    if args.format == "svg":
-        _write_text(
-            args,
-            _svg_plot(
-                [
-                    ("half induced norm", list(zip(ts, halves))),
-                    ("d_P", list(zip(ts, pair_dists))),
-                ],
-                f"classical walk distance to uniform, n={n}",
-                "t (steps)",
-                "distance",
-            ),
-        )
-    else:
-        _emit_csv(
-            args,
-            ["t", "half_induced_norm_distance", "d_P"],
-            list(zip(ts, halves, pair_dists)),
-        )
-    return 0
+    plot = {
+        "series": [("half induced norm", list(zip(ts, halves))), ("d_P", list(zip(ts, pair_dists)))],
+        "title": f"classical walk distance to uniform, n={n}",
+        "x_label": "t (steps)",
+        "y_label": "distance",
+    }
+    return Output(["t", "half_induced_norm_distance", "d_P"], zip(ts, halves, pair_dists), plot=plot)
 
 
-def _cmd_classical_mix(args) -> int:
+def _cmd_classical_mix(args) -> Output:
     report = classical.classical_mixing_time(args.n, args.epsilon, args.norm)
-    _emit_json(args, {"n": args.n, **report.to_dict()})
-    return 0
+    return Output(payload={"n": args.n, **report.to_dict()})
 
 
 def _epsilon(args) -> float:
@@ -347,7 +293,7 @@ def _mixing_comparison(n, epsilon) -> tuple:
     return tau, lower, quantum, bounds.budget_time(n), tau / quantum, bool(tau >= math.floor(lower))
 
 
-def _cmd_mix(args) -> int:
+def _cmd_mix(args) -> Output:
     epsilon = _epsilon(args)
     tau, lower, quantum, budget, ratio, ok = _mixing_comparison(args.n, epsilon)
     payload = {
@@ -360,21 +306,18 @@ def _cmd_mix(args) -> int:
         "speedup_ratio": ratio,
         "lower_bound_respected": ok,
     }
-    _emit_json(args, payload)
-    return 0 if ok else 1
+    return Output(payload=payload, code=0 if ok else 1)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> Output:
     report = bounds.bounds_report(args.n)
     payload = report.to_dict()
+    ok = report.all_passed
     if args.n >= 100:
         budget = bounds.budget_report(args.n)
         payload["budget"] = budget.to_dict()
-        ok = report.all_passed and budget.passed and budget.analytic_passed
-    else:
-        ok = report.all_passed
-    _emit_json(args, payload)
-    return 0 if ok else 1
+        ok = ok and budget.passed and budget.analytic_passed
+    return Output(payload=payload, code=0 if ok else 1)
 
 
 def _residue_matches(n, residue) -> bool:
@@ -383,53 +326,35 @@ def _residue_matches(n, residue) -> bool:
     return n % 4 == int(residue)
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> Output:
     if args.n_max < 5:
         raise ValueError(f"--n-max must be at least 5, got {args.n_max}")
     ns = [n for n in range(5, args.n_max + 1, 2) if _residue_matches(n, args.residue)]
-    rows = []
-    all_ok = True
-    for n in ns:
-        row = bounds.conjecture_check(n, su3_cap=args.su3_cap)
-        all_ok = all_ok and row.passed
-        rows.append(row)
-    if args.format == "svg":
-        series = [
+    rows = [bounds.conjecture_check(n, su3_cap=args.su3_cap) for n in ns]
+    failed = [row.n for row in rows if not row.passed]
+    if failed:
+        print(f"conjecture check failed at n={failed[:10]}", file=sys.stderr)
+    table = [
+        (row.n, row.p, row.su3_raw, row.f_value, row.cap_log5, row.cap_log1, row.holds_scaled, row.passed)
+        for row in rows
+    ]
+    plot = {
+        "series": [
             ("f(n)", [(row.n, row.f_value) for row in rows]),
             ("100 n^2 ln(n)^5", [(row.n, row.cap_log5) for row in rows]),
             ("100 n^2 ln(n)", [(row.n, row.cap_log1) for row in rows]),
             ("su3 raw", [(row.n, row.su3_raw) for row in rows if row.su3_raw is not None]),
-        ]
-        _write_text(
-            args,
-            _svg_plot(series, "near-resonance bound sweep", "n", "value (log10)", log_y=True),
-        )
-    else:
-        table = [
-            (
-                row.n,
-                row.p,
-                row.su3_raw,
-                row.f_value,
-                row.cap_log5,
-                row.cap_log1,
-                row.holds_scaled,
-                row.passed,
-            )
-            for row in rows
-        ]
-        _emit_csv(
-            args,
-            ["n", "p", "su3", "f_n", "bound_100n2ln5", "bound_100n2ln1", "holds_scaled", "pass"],
-            table,
-        )
-    failed = [row.n for row in rows if not row.passed]
-    if failed:
-        print(f"conjecture check failed at n={failed[:10]}", file=sys.stderr)
-    return 0 if all_ok else 1
+        ],
+        "title": "near-resonance bound sweep",
+        "x_label": "n",
+        "y_label": "value (log10)",
+        "log_y": True,
+    }
+    header = ["n", "p", "su3", "f_n", "bound_100n2ln5", "bound_100n2ln1", "holds_scaled", "pass"]
+    return Output(header, table, plot=plot, code=1 if failed else 0)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> Output:
     n = args.n
     config = sampling.SamplerConfig(
         n=n,
@@ -444,31 +369,16 @@ def _cmd_sample(args) -> int:
         "tv_to_uniform": hist.tv_to_uniform,
         "stderr_envelope": hist.stderr_envelope,
     }
-    if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "n": n,
-                "counts": hist.counts.tolist(),
-                "trials": hist.trials,
-                **summary,
-            },
-        )
-        return 0
-    rows = [
-        (vertex_to_label(i), int(count), count / hist.trials)
-        for i, count in enumerate(hist.counts)
-    ]
-    _emit_csv(
-        args,
+    rows = [(vertex_to_label(i), int(count), count / hist.trials) for i, count in enumerate(hist.counts)]
+    return Output(
         ["vertex", "count", "empirical_prob"],
         rows,
+        {"n": n, "counts": hist.counts.tolist(), "trials": hist.trials, **summary},
         trailing="# summary " + json.dumps(summary),
     )
-    return 0
 
 
-def _cmd_figure_1b(args) -> int:
+def _cmd_figure_1b(args) -> Output:
     n = args.n
     src = vertex_to_internal(args.src, n)
     dst = vertex_to_internal(args.dst, n)
@@ -482,33 +392,26 @@ def _cmd_figure_1b(args) -> int:
     horizons = [10 ** (math.log10(args.T_max) * k / (args.points - 1)) for k in range(args.points)]
     quantum = [_clamp_tiny_negative(walk.averaged_matrix(n, T).entry(src, dst)) for T in horizons]
     steps = [round(args.t_max * k / (args.points - 1)) for k in range(args.points)]
-    classical_vals = [
-        _clamp_tiny_negative(classical.classical_profile(n, t)[block, delta]) for t in steps
-    ]
-    if args.format == "svg":
-        _write_text(
-            args,
-            _svg_plot(
-                [
-                    (f"averaged P({args.src},{args.dst}) vs T", list(zip(horizons, quantum))),
-                    ("reference 1/(2n)", [(horizons[0], reference), (horizons[-1], reference)]),
-                ],
-                f"averaged walk convergence, n={n}",
-                "T",
-                "probability",
-                log_x=True,
-            ),
-        )
-        return 0
+    profiles = classical.classical_profiles(n, steps)
+    classical_vals = [_clamp_tiny_negative(p) for p in profiles[:, block, delta]]
+    plot = {
+        "series": [
+            (f"averaged P({args.src},{args.dst}) vs T", list(zip(horizons, quantum))),
+            ("reference 1/(2n)", [(horizons[0], reference), (horizons[-1], reference)]),
+        ],
+        "title": f"averaged walk convergence, n={n}",
+        "x_label": "T",
+        "y_label": "probability",
+        "log_x": True,
+    }
     rows = [
         (horizons[k], quantum[k], steps[k], classical_vals[k], reference)
         for k in range(args.points)
     ]
-    _emit_csv(args, ["T", "quantum_avg", "t", "classical", "reference"], rows)
-    return 0
+    return Output(["T", "quantum_avg", "t", "classical", "reference"], rows, plot=plot)
 
 
-def _cmd_speedup(args) -> int:
+def _cmd_speedup(args) -> Output:
     try:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
@@ -524,11 +427,7 @@ def _cmd_speedup(args) -> int:
         all_ok = all_ok and ok
         rows.append((n, tau, lower, quantum, budget, ratio))
         print(f"n={n}: classical {tau}, quantum {quantum}", file=sys.stderr)
-    if args.format == "json":
-        _emit_json(args, {"rows": [dict(zip(header, row)) for row in rows]})
-    else:
-        _emit_csv(args, header, rows)
-    return 0 if all_ok else 1
+    return Output(header, rows, {"rows": [dict(zip(header, row)) for row in rows]}, code=0 if all_ok else 1)
 
 
 def _add_output_flags(parser, formats, default) -> None:
@@ -640,13 +539,33 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.handler(args))
+        if hasattr(args, "n"):
+            dihedral.check_odd_order(args.n)
+        output = args.handler(args)
+        if args.format == "svg":
+            text = _svg_plot(**output.plot)
+        elif args.format == "json" and output.payload is not None:
+            text = json.dumps({**output.payload, "config": _config_dict(args)}, indent=2) + "\n"
+        else:
+            # csv, and --full-matrix whatever the format: it has no json form
+            lines = [_provenance(args), ",".join(output.header)]
+            lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in output.rows)
+            if output.trailing is not None:
+                lines.append(output.trailing)
+            text = "\n".join(lines) + "\n"
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+            print(f"wrote {args.out}", file=sys.stderr)
+        else:
+            sys.stdout.write(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return output.code
 
 
 if __name__ == "__main__":

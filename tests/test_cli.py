@@ -49,6 +49,30 @@ def test_graph_edges_csv(capsys):
     assert all(1 <= a < b <= 6 for a, b in pairs)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 21, 101])
+def test_graph_edges_are_adjacency_nonzeros(capsys, n):
+    code, out, _ = run_cli(capsys, ["graph", "--n", str(n)])
+    assert code == 0
+    _, rows = parse_csv(out)
+    i, j = np.nonzero(np.triu(dihedral.semi_cayley_adjacency(n)))
+    assert [(int(a), int(b)) for a, b in rows] == list(zip((i + 1).tolist(), (j + 1).tolist()))
+
+
+def test_graph_edges_in_small_memory(capsys):
+    """The edge list comes from the neighbour rule, not the dense
+    adjacency, which alone would take 64 MiB at n = 2001."""
+    tracemalloc.start()
+    try:
+        code = cli.main(["graph", "--n", "2001"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 4 * 2**20
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 3 * 2001
+
+
 def test_graph_matrix_csv(capsys):
     code, out, _ = run_cli(capsys, ["graph", "--n", "5", "--format", "matrix-csv"])
     assert code == 0
@@ -410,6 +434,16 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["classical", "--n", "0"])
     assert (code, out) == (2, "")
     assert "n must be at least 3" in err
+    # every subcommand with --n checks it, including those whose
+    # internals never would
+    for argv in (
+        ["walk", "--n", "4"],
+        ["walk", "--n", "1"],
+        ["sample", "--n", "4", "--start", "9", "--T", "10", "--T-prime", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "n must be" in err, argv
     for epsilon in ("nan", "inf", "-1", "0"):
         code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "2", "--epsilon", epsilon])
         assert (code, out) == (2, ""), epsilon
