@@ -17,9 +17,10 @@ import numpy as np
 
 from .classical import MixingReport, bracket_search
 from .dihedral import blocks, check_odd_order
-from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum
+from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum, mode_cosines
 from .walk import averaged_matrix, check_horizon
 
+# default largest n at which conjecture_check enumerates the near-resonant quadrant
 BRUTE_FORCE_CAP = 2001
 
 # cross-branch gaps scale like 1/n^2; anything this small means the two
@@ -33,9 +34,10 @@ THRESHOLD_REL_TOL = 1e-3
 
 
 def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both branches at the folded modes (full_spectrum lists + then -), and their multiplicities."""
     mu, mult = folded_modes(n)
-    cos = np.cos(2.0 * np.pi * mu / n)
-    return (1.0 + 2.0 * cos) / 3.0, (2.0 * cos - 1.0) / 3.0, mult
+    lam = full_spectrum(n)
+    return lam[mu], lam[n + mu], mult
 
 
 def _inv_gap_sum(a, b, weight=None, shift=0.0, labels=None) -> float:
@@ -74,7 +76,7 @@ def cross_branch_gap_check(n) -> float:
     return gap
 
 
-def eigengap_inverse_sum_bruteforce(n, cap=BRUTE_FORCE_CAP) -> float:
+def eigengap_inverse_sum_bruteforce(n) -> float:
     """Sum of 1/|lambda_j - lambda_k| over all ordered index pairs with
     distinct eigenvalues, by literal enumeration of the (2n)^2 grid.
 
@@ -84,8 +86,6 @@ def eigengap_inverse_sum_bruteforce(n, cap=BRUTE_FORCE_CAP) -> float:
     minimum-gap check), so floating-point equality never enters.
     """
     check_odd_order(n)
-    if n > cap:
-        raise ValueError(f"brute-force enumeration capped at n={cap}, got n={n}")
     cross_branch_gap_check(n)
     m = np.arange(n)
     fold = np.minimum(m, n - m)
@@ -136,9 +136,7 @@ def cross_sum_plain(n) -> float:
 def cross_sum_cosine_form(n) -> float:
     """The same cross-branch sum written as
     (3/2) sum_{j,k} 1 / |cos(2 pi j / n) - cos(2 pi k / n) + 1|."""
-    check_odd_order(n)
-    mu, _ = folded_modes(n)
-    cos = np.cos(2.0 * np.pi * mu / n)
+    cos = mode_cosines(n)[: (n - 1) // 2 + 1]
     return 1.5 * _inv_gap_sum(cos, cos, shift=1.0)
 
 
@@ -163,9 +161,8 @@ class QuadrantSums:
 
 def _quadrant_cosines(n) -> tuple[np.ndarray, np.ndarray]:
     """cos(2 pi m / n) for the folded modes below and above n/4."""
-    low = np.arange(0, n // 4 + 1)
-    high = np.arange(n // 4 + 1, (n - 1) // 2 + 1)
-    return np.cos(2.0 * np.pi * low / n), np.cos(2.0 * np.pi * high / n)
+    cos = mode_cosines(n)
+    return cos[: n // 4 + 1], cos[n // 4 + 1 : (n - 1) // 2 + 1]
 
 
 def su_sums(n) -> QuadrantSums:

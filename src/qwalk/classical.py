@@ -36,7 +36,9 @@ def classical_profiles(n, ts) -> np.ndarray:
     one complex transform of the len(ts) x n batch is alive at a time.
     """
     check_odd_order(n)
-    ts = np.asarray(ts, dtype=np.int64)
+    ts = np.asarray(ts)
+    if ts.size and not np.issubdtype(ts.dtype, np.integer):
+        raise ValueError(f"step counts must be integers, got dtype {ts.dtype}")
     if ts.size and ts.min() < 0:
         raise ValueError("step counts must be nonnegative")
     zp = np.power(eigenvalues(n, PLUS)[None, :], ts[:, None])

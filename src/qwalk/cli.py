@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="classical distance-to-uniform series")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-max", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=1.0 / (2.0 * math.e))
+    p.add_argument("--epsilon", type=float, default=spectra.DEFAULT_EPSILON)
     _add_output_flags(p, ["csv", "svg"], "csv")
     p.set_defaults(handler=_cmd_classical)
 
@@ -501,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="near-resonance bound sweep")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--residue", choices=["1", "3", "both"], default="both", help="restrict to n = 4p+1 or 4p+3")
-    p.add_argument("--su3-cap", type=int, default=2001, help="largest n for which the quadrant sum is enumerated")
+    p.add_argument("--su3-cap", type=int, default=bounds.BRUTE_FORCE_CAP,
+                   help="largest n for which the quadrant sum is enumerated")
     _add_output_flags(p, ["csv", "svg"], "csv")
     p.set_defaults(handler=_cmd_conjecture)
 
@@ -544,10 +545,11 @@ def main(argv=None) -> int:
         output = args.handler(args)
         if args.format == "svg":
             text = _svg_plot(**output.plot)
-        elif args.format == "json" and output.payload is not None:
+        elif args.format == "json":
+            if output.payload is None:
+                raise ValueError(f"{args.command} has no json output with these options")
             text = json.dumps({**output.payload, "config": _config_dict(args)}, indent=2) + "\n"
         else:
-            # csv, and --full-matrix whatever the format: it has no json form
             lines = [_provenance(args), ",".join(output.header)]
             lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in output.rows)
             if output.trailing is not None:

@@ -103,20 +103,21 @@ class SampleHistogram:
 def empirical_check(config: SamplerConfig) -> SampleHistogram:
     """Histogram of the endpoints of `config.trials` independent walks.
 
-    Trials are batched.  A measured step takes two doubles from its trial's
-    stream, the time fraction and then the inverse-CDF uniform, so each
-    stream is drawn a block of steps at a time; `horizon * u` is the value
-    `rng.uniform(0, horizon)` returns for the same draw.  The batch thus
-    reproduces `measured_walk(config, trial)` exactly for every trial.
+    Trials go in chunks of about BLOCK / (2 max(n, steps)), so memory is
+    O(n + steps + BLOCK) for any trial count.  A measured step takes two
+    doubles from its trial's stream, the time fraction and then the
+    inverse-CDF uniform, so each trial draws all its steps at once;
+    `horizon * u` is the value `rng.uniform(0, horizon)` returns for the
+    same draw.  The batch thus reproduces `measured_walk(config, trial)`
+    exactly for every trial.
     """
-    rngs = [trial_rng(config.seed, k) for k in range(config.trials)]
-    current = np.full(config.trials, config.start_vertex, dtype=np.int64)
     n = config.n
-    # BLOCK doubles at a time over all trials, two per measured step
-    for r in blocks(config.steps, 2 * config.trials):
-        draws = np.empty((config.trials, r.stop - r.start, 2))
-        for rng, trial_draws in zip(rngs, draws):
-            rng.random(out=trial_draws)
+    counts = np.zeros(2 * n, dtype=np.int64)
+    for chunk in blocks(config.trials, 2 * max(n, config.steps)):
+        draws = np.empty((chunk.stop - chunk.start, config.steps, 2))
+        for trial, trial_draws in zip(range(chunk.start, chunk.stop), draws):
+            trial_rng(config.seed, trial).random(out=trial_draws)
+        current = np.full(len(draws), config.start_vertex, dtype=np.int64)
         for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):
             rows = probability_rows(n, current, times)
             totals = rows.sum(axis=1)
@@ -126,5 +127,5 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
             current = np.minimum(
                 (cumulative <= (uniforms * totals)[:, None]).sum(axis=1), 2 * n - 1
             ).astype(np.int64)
-    counts = np.bincount(current, minlength=2 * n)
+        counts += np.bincount(current, minlength=2 * n)
     return SampleHistogram(counts, config.trials)

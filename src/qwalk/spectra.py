@@ -32,20 +32,23 @@ def check_branch(branch) -> None:
         raise ValueError(f"branch must be +1 or -1, got {branch!r}")
 
 
+def mode_cosines(n) -> np.ndarray:
+    """cos(2 pi m / n) for m in [0, n), the grid the whole spectrum is built from."""
+    check_odd_order(n)
+    return np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
 def eigenvalue(n, m, branch) -> float:
     check_odd_order(n)
     check_mode(n, m)
-    check_branch(branch)
-    c = 2.0 * math.cos(2.0 * math.pi * m / n)
-    return (c + 1.0) / 3.0 if branch == PLUS else (c - 1.0) / 3.0
+    return float(eigenvalues(n, branch)[m])
 
 
 def eigenvalues(n, branch) -> np.ndarray:
-    """All n eigenvalues of one branch, indexed by mode."""
+    """The n eigenvalues (2 cos(2 pi m / n) + branch) / 3 of one branch."""
     check_odd_order(n)
     check_branch(branch)
-    c = 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    return (c + 1.0) / 3.0 if branch == PLUS else (c - 1.0) / 3.0
+    return (2.0 * mode_cosines(n) + branch) / 3.0
 
 
 def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:

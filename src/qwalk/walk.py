@@ -28,7 +28,7 @@ from .dihedral import (
     pair_values_row,
     pair_values_rows,
 )
-from .spectra import folded_modes
+from .spectra import folded_modes, mode_cosines
 
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
@@ -49,7 +49,9 @@ def _probability_profiles(n, times) -> np.ndarray:
     i sin(t / 3) a: one inverse DFT per time.
     """
     times = np.asarray(times, dtype=float)
-    ring = (2.0 / 3.0) * np.cos(2.0 * np.pi * np.arange(n) / n)
+    if not np.isfinite(times).all():
+        raise ValueError(f"walk times must be finite, got {times[~np.isfinite(times)][0]}")
+    ring = (2.0 / 3.0) * mode_cosines(n)
     cycle = np.abs(np.fft.ifft(np.exp(1j * np.outer(times, ring)), axis=1)) ** 2
     coin = np.stack([np.cos(times / 3.0) ** 2, np.sin(times / 3.0) ** 2], axis=1)
     return coin[:, :, None] * cycle[:, None, :]
@@ -136,7 +138,7 @@ def averaged_matrix(n, T) -> AveragedWalkMatrix:
     mu, w = folded_modes(n)
     size = len(mu)
     angle = np.pi * mu / n
-    cos = np.cos(2.0 * angle)
+    cos = mode_cosines(n)[:size]
     # binned[0] collects same-branch kernel values, binned[1] cross-branch
     binned = np.zeros((2, size))
     for r in blocks(size, size):

@@ -90,13 +90,6 @@ def test_bruteforce_matches_eigh_grouping(n):
     assert bounds.eigengap_inverse_sum_bruteforce(n) == pytest.approx(oracle, rel=1e-6)
 
 
-def test_bruteforce_cap():
-    with pytest.raises(ValueError):
-        bounds.eigengap_inverse_sum_bruteforce(2003)
-    # a custom cap widens the range
-    assert bounds.eigengap_inverse_sum_bruteforce(5, cap=5) > 0
-
-
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 21, 51])
 def test_decomposition_identity(n):
     brute = bounds.eigengap_inverse_sum_bruteforce(n)
@@ -184,14 +177,24 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     assert bounds.cross_branch_gap_check(n) == np.abs(lp[:, None] - lm[None, :]).min()
 
 
+def bruteforce_matches_decomposition_4001():
+    # enumeration has no cap on n: the (2n)^2 grid is streamed
+    brute = bounds.eigengap_inverse_sum_bruteforce(4001)
+    assert brute == pytest.approx(bounds.decomposed_sum(4001).total, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "call,limit_mib",
-    [(lambda: bounds.bounds_report(2001), 16), (lambda: bounds.decomposed_sum(4001), 8)],
-    ids=["bounds_report-2001", "decomposed_sum-4001"],
+    [
+        (lambda: bounds.bounds_report(2001), 16),
+        (lambda: bounds.decomposed_sum(4001), 8),
+        (bruteforce_matches_decomposition_4001, 8),
+    ],
+    ids=["bounds_report-2001", "decomposed_sum-4001", "bruteforce-4001"],
 )
 def test_gap_sums_in_small_memory(call, limit_mib):
     """Gap sums stream their grids in blocks: O(n + BLOCK) memory,
-    not the O(n^2) of a whole grid (132 and 61 MiB here)."""
+    not the O(n^2) of a whole grid (132, 61 and 488 MiB here)."""
     tracemalloc.start()
     try:
         call()

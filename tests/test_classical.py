@@ -262,5 +262,10 @@ def test_step_count_validation():
         oracles.classical_power(5, -1)
     with pytest.raises(ValueError):
         classical.classical_profile(5, 2.5)
+    # a batch of non-integer steps is rejected, not truncated to t = 2
+    for bad in ([2.7], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="integers"):
+            classical.classical_profiles(5, bad)
+    assert classical.classical_profiles(5, np.array([2], dtype=np.int32)).shape == (1, 2, 5)
     with pytest.raises(ValueError):
         classical.check_step_count(-3)

@@ -462,6 +462,10 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["sample", "--n", "5", "--T", "10", "--T-prime", "1", "--seed", "-1"])
     assert (code, out) == (2, "")
     assert "seed must be a nonnegative integer" in err
+    # the dense matrix has no json form; asking for one is an error, not csv
+    code, out, err = run_cli(capsys, ["average", "--n", "5", "--T", "10", "--full-matrix", "--format", "json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "json" in err
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
 

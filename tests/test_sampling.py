@@ -4,6 +4,8 @@ The batched runner must reproduce the scalar walk trial by trial, since
 both read the same per-trial random streams in the same order.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,11 +80,26 @@ def test_batched_check_reproduces_scalar_walk():
 
 @pytest.mark.parametrize("buffer", [24, 72])
 def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
-    # 12 trials: blocks of 1 step, or of 3 steps and then 1
+    # 12 trials of 4 steps at n = 5: BLOCK 24 walks them in chunks of 2
+    # trials, BLOCK 72 in chunks of 7 and then 5
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
     expected = sampling.empirical_check(config).counts
     monkeypatch.setattr(dihedral, "BLOCK", buffer)
     assert np.array_equal(sampling.empirical_check(config).counts, expected)
+
+
+def test_batched_check_in_small_memory():
+    """Trials are walked in chunks: O(n + steps + BLOCK) memory, not the
+    O(trials n) of rows for every trial at once (255 MiB here)."""
+    config = sampling.SamplerConfig(n=1001, start_vertex=0, horizon=100.0, steps=2, trials=3000, seed=0)
+    tracemalloc.start()
+    try:
+        hist = sampling.empirical_check(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.counts.sum() == 3000
+    assert peak <= 32 * 2**20
 
 
 def test_histogram_statistics():

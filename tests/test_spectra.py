@@ -61,6 +61,19 @@ def test_eigenvector_components():
     assert vec[n] == pytest.approx(-scale, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [3, 5, 21, 101, 2001])
+def test_eigenvalues_read_the_mode_cosine_grid(n):
+    # both branches and every single eigenvalue come from mode_cosines,
+    # bit for bit
+    cos = spectra.mode_cosines(n)
+    assert cos.shape == (n,) and cos[0] == 1.0
+    for branch in (spectra.PLUS, spectra.MINUS):
+        values = spectra.eigenvalues(n, branch)
+        assert np.array_equal(values, (2 * cos + branch) / 3)
+        for m in {0, 1, n // 2, n - 1}:
+            assert spectra.eigenvalue(n, m, branch) == values[m]
+
+
 def test_trace_identities():
     for n in (3, 5, 21, 101):
         spec = spectra.full_spectrum(n)

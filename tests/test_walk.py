@@ -262,6 +262,20 @@ def test_horizon_validation():
             oracles.averaged_entry(5, 0, 1, bad)
 
 
+def test_probability_times_must_be_finite():
+    # every P_t path goes through _probability_profiles, which rejects a
+    # non-finite time instead of returning a NaN row
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            walk.probability_row(5, 0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            walk.probability_matrix(5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            walk.probability_rows(5, [0, 3, 7], [1.0, bad, 2.0])
+    # P_-t = P_t, so negative times stay accepted
+    assert np.allclose(walk.probability_row(5, 3, -2.5), walk.probability_row(5, 3, 2.5), atol=1e-15)
+
+
 def test_nan_residue_trips_imaginary_guard(monkeypatch):
     # averaged_matrix assembles a real profile, so its guard is the profile
     # sum; a NaN kernel must trip it
