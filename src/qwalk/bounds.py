@@ -355,11 +355,8 @@ class BudgetReport:
         return {**asdict(self), "passed": self.passed, "analytic_passed": self.analytic_passed}
 
 
-def budget_report(n, horizon=None) -> BudgetReport:
-    check_odd_order(n)
-    if horizon is None:
-        horizon = budget_time(n)
-    check_horizon(horizon)
+def budget_report(n) -> BudgetReport:
+    horizon = budget_time(n)
     su = su_sums(n)
     within = case5_sums(n)
     f_value = conjecture_f(n)
@@ -383,7 +380,7 @@ def budget_report(n, horizon=None) -> BudgetReport:
     )
 
 
-def quantum_mixing_threshold(n, epsilon=None) -> MixingReport:
+def quantum_mixing_threshold(n, epsilon=DEFAULT_EPSILON) -> MixingReport:
     """Upper end of a doubling-and-bisection bracket on the first horizon
     with ||averaged - limit||_1 <= epsilon that the search finds.
 
@@ -395,8 +392,6 @@ def quantum_mixing_threshold(n, epsilon=None) -> MixingReport:
     certified budget; a violation is a hard error, not a report entry.
     """
     check_odd_order(n)
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON
     check_mixing_epsilon(epsilon)
     hi, series = bracket_search(
         lambda T: averaged_matrix(n, T).distance_to_limit(), epsilon, 2.0**60,

@@ -24,7 +24,6 @@ def check_step_count(t) -> None:
 def classical_profile(n, t) -> np.ndarray:
     """The 2n distinct entries of (A/3)^t as a (2, n) array over
     (block parity, residue offset); O(n log n) via branch eigenvalue powers."""
-    check_odd_order(n)
     check_step_count(t)
     return classical_profiles(n, [t])[0]
 
@@ -134,7 +133,7 @@ def bracket_search(distance, epsilon, cap, resolved, midpoint) -> tuple:
     return hi, series
 
 
-def classical_mixing_time(n, epsilon=None, norm_kind="half_induced") -> MixingReport:
+def classical_mixing_time(n, epsilon=DEFAULT_EPSILON, norm_kind="half_induced") -> MixingReport:
     """Smallest integer t whose distance to uniform is at most epsilon.
 
     Probes t = 0, then runs `bracket_search` on integers.  Both norms are
@@ -145,8 +144,6 @@ def classical_mixing_time(n, epsilon=None, norm_kind="half_induced") -> MixingRe
     reported threshold certifies every later t as well.
     """
     check_odd_order(n)
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON
     check_mixing_epsilon(epsilon)
     d0 = _classical_distance(n, 0, norm_kind)
     if d0 <= epsilon:

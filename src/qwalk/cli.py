@@ -181,22 +181,28 @@ def _cmd_spectrum(args) -> Output:
     return Output(["j", "m", "branch", "eigenvalue"], rows, payload)
 
 
+def _pair_cell(args, n) -> tuple[int, int]:
+    """(block parity, residue offset): where a (2, n) profile holds the --from/--to entry."""
+    delta, eps = dihedral.pair_geometry(n, vertex_to_internal(args.src, n), vertex_to_internal(args.dst, n))
+    return (0 if eps == 1 else 1), delta
+
+
+def _grid_profiles(profiles, n, grid):
+    """Each (2, n) profile of a time grid, from `profiles(n, chunk)` calls on
+    chunks of BLOCK profile entries, so memory stays O(n * chunk)."""
+    for r in dihedral.blocks(len(grid), 2 * n):
+        yield from profiles(n, grid[r])
+
+
 def _cmd_walk(args) -> Output:
     n = args.n
-    src = vertex_to_internal(args.src, n)
-    dst = vertex_to_internal(args.dst, n)
+    cell = _pair_cell(args, n)
     if not (args.t_max > 0 and math.isfinite(args.t_max)):
         raise ValueError(f"--t-max must be positive and finite, got {args.t_max}")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     ts = [args.t_max * k / args.steps for k in range(args.steps + 1)]
-    delta, eps = dihedral.pair_geometry(n, src, dst)
-    block = 0 if eps == 1 else 1
-    probs = []
-    # batches of BLOCK profile entries keep memory O(n * chunk)
-    for r in dihedral.blocks(len(ts), n):
-        profiles = walk._probability_profiles(n, ts[r])
-        probs += [_clamp_tiny_negative(p) for p in profiles[:, block, delta].tolist()]
+    probs = [_clamp_tiny_negative(p[cell]) for p in _grid_profiles(walk.probability_profiles, n, ts)]
     points = list(zip(ts, probs))
     plot = {
         "series": [(f"P_t({args.src},{args.dst})", points)],
@@ -255,11 +261,9 @@ def _cmd_classical(args) -> Output:
     ts = list(range(args.t_max + 1))
     halves = []
     pair_dists = []
-    # one batch of profiles per BLOCK entries keeps memory O(n * chunk)
-    for r in dihedral.blocks(len(ts), 2 * n):
-        profiles = classical.classical_profiles(n, ts[r])
-        halves += classical.half_uniform_distances(n, profiles).tolist()
-        pair_dists += [classical.profile_column_distance(n, profile) for profile in profiles]
+    for profile in _grid_profiles(classical.classical_profiles, n, ts):
+        halves.append(float(classical.half_uniform_distances(n, profile)))
+        pair_dists.append(classical.profile_column_distance(n, profile))
     crossing = next((t for t, d in zip(ts, halves) if d <= args.epsilon), None)
     if crossing is None:
         print(f"half-induced distance stays above {args.epsilon} up to t={args.t_max}", file=sys.stderr)
@@ -275,7 +279,7 @@ def _cmd_classical(args) -> Output:
 
 
 def _cmd_classical_mix(args) -> Output:
-    report = classical.classical_mixing_time(args.n, args.epsilon, args.norm)
+    report = classical.classical_mixing_time(args.n, _epsilon(args), args.norm)
     return Output(payload={"n": args.n, **report.to_dict()})
 
 
@@ -380,20 +384,16 @@ def _cmd_sample(args) -> Output:
 
 def _cmd_figure_1b(args) -> Output:
     n = args.n
-    src = vertex_to_internal(args.src, n)
-    dst = vertex_to_internal(args.dst, n)
+    cell = _pair_cell(args, n)
     if not (args.T_max > 1 and math.isfinite(args.T_max)):
         raise ValueError(f"--T-max must be finite and exceed 1, got {args.T_max}")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
-    delta, eps = dihedral.pair_geometry(n, src, dst)
-    block = 0 if eps == 1 else 1
     reference = 1.0 / (2 * n)
     horizons = [10 ** (math.log10(args.T_max) * k / (args.points - 1)) for k in range(args.points)]
-    quantum = [_clamp_tiny_negative(walk.averaged_matrix(n, T).entry(src, dst)) for T in horizons]
     steps = [round(args.t_max * k / (args.points - 1)) for k in range(args.points)]
-    profiles = classical.classical_profiles(n, steps)
-    classical_vals = [_clamp_tiny_negative(p) for p in profiles[:, block, delta]]
+    quantum = [_clamp_tiny_negative(p[cell]) for p in _grid_profiles(walk.averaged_profiles, n, horizons)]
+    classical_vals = [_clamp_tiny_negative(p[cell]) for p in _grid_profiles(classical.classical_profiles, n, steps)]
     plot = {
         "series": [
             (f"averaged P({args.src},{args.dst}) vs T", list(zip(horizons, quantum))),

@@ -1,7 +1,9 @@
 """Continuous-time walk generated by the normalized adjacency.
 
-Covers the transition probabilities of the propagator e^{i A t / 3}, the
-finite-horizon time average, and the exact limiting distribution.
+Covers the transition probabilities of the propagator e^{i A t / 3} and
+the finite-horizon time average, each computed by one batch form over
+times (`probability_profiles`, `averaged_profiles`) that the single-time
+calls view, and the exact limiting distribution.
 Everything is O(n log n) or O(n^2) through the two cosine eigenvalue
 families; the dense propagator and the direct double sum are test oracles.
 
@@ -22,7 +24,6 @@ import numpy as np
 from .dihedral import (
     blocks,
     check_odd_order,
-    check_vertex,
     pair_geometry,
     pair_values_dense,
     pair_values_row,
@@ -39,7 +40,7 @@ def check_horizon(T) -> None:
         raise ValueError(f"averaging horizon must be positive and finite, got {T!r}")
 
 
-def _probability_profiles(n, times) -> np.ndarray:
+def probability_profiles(n, times) -> np.ndarray:
     """P_t profiles for many times at once; shape (len(times), 2, n).
 
     The graph is the prism C_n x K_2, so the branch eigenvalues are
@@ -60,22 +61,18 @@ def _probability_profiles(n, times) -> np.ndarray:
 def probability_rows(n, vertices, times) -> np.ndarray:
     """Transition-probability rows for many (vertex, time) pairs; shape
     (len(vertices), 2n), one O(n log n) row per pair."""
-    check_odd_order(n)
-    return pair_values_rows(n, _probability_profiles(n, times), vertices)
+    return pair_values_rows(n, probability_profiles(n, times), vertices)
 
 
 def probability_row(n, i, t) -> np.ndarray:
     """All 2n transition probabilities from vertex i at time t."""
-    check_odd_order(n)
-    check_vertex(n, i)
-    return pair_values_row(n, _probability_profiles(n, [t])[0], i)
+    return pair_values_row(n, probability_profiles(n, [t])[0], i)
 
 
 def probability_matrix(n, t) -> np.ndarray:
     """Dense 2n x 2n probability matrix at time t; symmetric and doubly
     stochastic."""
-    check_odd_order(n)
-    return pair_values_dense(n, _probability_profiles(n, [t])[0])
+    return pair_values_dense(n, probability_profiles(n, [t])[0])
 
 
 def real_phase_average(x, T):
@@ -117,9 +114,10 @@ class AveragedWalkMatrix:
         return float(np.abs(self.values - pi.values()).sum())
 
 
-def averaged_matrix(n, T) -> AveragedWalkMatrix:
-    """All distinct time-averaged entries from about n^2 / 2 real kernel
-    values, in O(n + BLOCK) memory.
+def averaged_profiles(n, Ts) -> np.ndarray:
+    """All distinct time-averaged entries at many horizons; shape
+    (len(Ts), 2, n), from about n^2 / 2 real kernel values per horizon, in
+    O(len(Ts) n + BLOCK) memory.
 
     The average is real: a mode pair and its mirror (m, m') -> (-m, -m')
     carry conjugate phases, so only the real kernel sin(xT) / (xT) enters.
@@ -132,15 +130,18 @@ def averaged_matrix(n, T) -> AveragedWalkMatrix:
     ones up to sign.  Mirror modes fold onto one mu, so their gap is 0
     exactly; same-branch gaps are taken in product form
     -(4/3) sin((a+b)/2) sin((a-b)/2) and keep full relative precision.
+    The gaps, weights and bins do not depend on T, so each block of them
+    is built once and only the kernel and the binning run per horizon.
     """
     check_odd_order(n)
-    check_horizon(T)
+    for T in Ts:
+        check_horizon(T)
     mu, w = folded_modes(n)
     size = len(mu)
     angle = np.pi * mu / n
     cos = mode_cosines(n)[:size]
-    # binned[0] collects same-branch kernel values, binned[1] cross-branch
-    binned = np.zeros((2, size))
+    # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
+    binned = np.zeros((len(Ts), 2, size))
     for r in blocks(size, size):
         weight = (0.5 * w[r, None]) * w
         diff = np.abs(mu[r, None] - mu).ravel()
@@ -148,19 +149,25 @@ def averaged_matrix(n, T) -> AveragedWalkMatrix:
         fold = np.minimum(total, n - total).ravel()
         same = (-4.0 / 3.0) * np.sin(angle[r, None] + angle) * np.sin(angle[r, None] - angle)
         cross = (2.0 / 3.0) * (1.0 + cos[r, None] - cos)
-        for out, gap in zip(binned, (same, cross)):
-            k = (real_phase_average(gap, T) * weight).ravel()
-            out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
+        for T, pair in zip(Ts, binned):
+            for out, gap in zip(pair, (same, cross)):
+                k = (real_phase_average(gap, T) * weight).ravel()
+                out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
     # sum_j binned[j] cos(2 pi j delta / n) for delta = 0..(n-1)/2; the
     # profile is even in delta, so the rest is its mirror image
-    same, cross = np.fft.rfft(binned, n, axis=1).real
-    half_vals = np.vstack([same + cross, same - cross]) / (2 * n * n)
-    vals = np.concatenate([half_vals, half_vals[:, :0:-1]], axis=1)
+    same, cross = np.moveaxis(np.fft.rfft(binned, n, axis=2).real, 1, 0)
+    half_vals = np.stack([same + cross, same - cross], axis=1) / (2 * n * n)
+    vals = np.concatenate([half_vals, half_vals[:, :, :0:-1]], axis=2)
     # every row of the dense matrix holds each distinct value once
-    drift = abs(vals.sum() - 1.0)
-    if not (drift <= ROW_SUM_TOL):
-        raise RuntimeError(f"averaged profile sum drifted {drift} away from 1")
-    return AveragedWalkMatrix(n, float(T), vals)
+    drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)
+    if not (drift <= ROW_SUM_TOL).all():
+        raise RuntimeError(f"averaged profile sum drifted {drift.max()} away from 1")
+    return vals
+
+
+def averaged_matrix(n, T) -> AveragedWalkMatrix:
+    """The time-averaged matrix at one horizon: a view of `averaged_profiles`."""
+    return AveragedWalkMatrix(n, float(T), averaged_profiles(n, [T])[0])
 
 
 @dataclass(frozen=True)

@@ -274,13 +274,6 @@ def test_budget_report_n101():
     assert payload["analytic_passed"] is True
 
 
-def test_budget_report_scales_with_horizon():
-    base = bounds.budget_report(101)
-    halved = bounds.budget_report(101, horizon=base.horizon / 2.0)
-    assert halved.measured_bound == pytest.approx(2.0 * base.measured_bound, rel=1e-12)
-    assert halved.horizon == pytest.approx(base.horizon / 2.0, rel=1e-12)
-
-
 def test_quantum_threshold_n5():
     report = bounds.quantum_mixing_threshold(5)
     assert report.norm_kind == "induced"

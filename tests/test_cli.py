@@ -135,7 +135,7 @@ def test_walk_long_grid_in_small_memory(capsys):
     _, rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 20001
     # both sides of the first block boundary, against single-time rows
-    step = dihedral.BLOCK // n
+    step = dihedral.BLOCK // (2 * n)
     for k in (0, step - 1, step, 20000):
         t, p = (float(v) for v in rows[k])
         assert p == walk.probability_row(n, 0, t)[1]
@@ -360,6 +360,45 @@ def test_figure_dataset(capsys):
     )
     assert code == 0
     assert out.startswith("<svg")
+
+
+def test_figure_long_grid_in_small_memory(capsys):
+    """Both columns walk the grid BLOCK profile entries at a time: 10000
+    points at n=101 stay far below the 63 MiB of one whole-grid batch."""
+    n = 101
+    tracemalloc.start()
+    try:
+        code = cli.main(["figure-1b", "--n", str(n), "--points", "10000", "--t-max", "10000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 24 * 2**20
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 10000
+    # both sides of the first chunk boundary, against single-point calls;
+    # the default pair (1, 15) is same-block at residue offset 14
+    step = dihedral.BLOCK // (2 * n)
+    for k in (0, step - 1, step, 9999):
+        T, quantum, t, value = (float(v) for v in rows[k][:4])
+        assert quantum == cli._clamp_tiny_negative(walk.averaged_matrix(n, T).entry(0, 14))
+        assert value == cli._clamp_tiny_negative(classical.classical_profile(n, int(t))[0, 14])
+
+
+def test_figure_kernel_called_once_per_chunk(capsys, monkeypatch):
+    argv = ["figure-1b", "--n", "5", "--to", "4", "--T-max", "1000", "--t-max", "20", "--points", "12"]
+    _, whole, _ = run_cli(capsys, argv)
+    calls = []
+    batch = walk.averaged_profiles
+    monkeypatch.setattr(walk, "averaged_profiles", lambda n, Ts: calls.append(len(Ts)) or batch(n, Ts))
+    monkeypatch.setattr(walk, "averaged_matrix", None)
+    assert run_cli(capsys, argv)[1] == whole
+    assert calls == [12]
+    # 50-entry blocks cut the 12 points into chunks of 5 at n = 5
+    calls.clear()
+    monkeypatch.setattr(dihedral, "BLOCK", 50)
+    assert run_cli(capsys, argv)[1] == whole
+    assert calls == [5, 5, 2]
 
 
 def test_speedup_table(capsys):

@@ -3,7 +3,9 @@
 `src/qwalk` imports only the standard library and numpy (the README's
 "Runtime dependency: numpy"), and no top-level name of tests/oracles.py
 is defined again in the package, so a reference implementation cannot
-creep back in as a second copy of itself.
+creep back in as a second copy of itself.  A package module reads only
+the public names of the others: a name another module depends on is part
+of its interface and carries no underscore.
 """
 
 import ast
@@ -52,3 +54,39 @@ def test_no_name_defined_in_both_package_and_oracles():
     assert "DihedralElement" in oracle_names
     shared = {path.name: sorted(oracle_names & top_level_names(parse(path))) for path in PACKAGE}
     assert not any(shared.values()), shared
+
+
+def private_reads(tree):
+    """(line, name) of each underscore name this module takes from another
+    qwalk module, by `from .m import _x` or as `m._x` on an imported m."""
+    modules = {p.stem for p in PACKAGE}
+    imported = set()
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.level > 0 or (node.module or "").split(".")[0] == "qwalk"
+        if not package:
+            continue
+        for alias in node.names:
+            if node.module in (None, "qwalk") and alias.name in modules:
+                imported.add(alias.asname or alias.name)
+            elif alias.name.startswith("_"):
+                reads.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return reads
+
+
+def test_no_private_name_read_across_modules():
+    probe = ast.parse("from . import walk\nfrom .spectra import _x\nwalk._y(walk.z)\n")
+    assert private_reads(probe) == [(2, "spectra._x"), (3, "walk._y")]
+    reads = {path.name: private_reads(parse(path)) for path in PACKAGE}
+    assert not any(reads.values()), reads

@@ -71,7 +71,7 @@ def test_probability_row_matches_entries():
 def test_profiles_factorise_against_oracle(n):
     """Cycle walk times two-state coin reproduces the dense propagator."""
     times = np.random.default_rng(n).uniform(0.0, 60.0, size=4)
-    profiles = walk._probability_profiles(n, times)
+    profiles = walk.probability_profiles(n, times)
     assert profiles.shape == (4, 2, n)
     for t, profile in zip(times, profiles):
         # column 0 of |U(t)|^2: same block at rows 0..n-1, other block below
@@ -83,7 +83,7 @@ def test_profiles_factorise_against_oracle(n):
 def test_profiles_coin_zeros(n):
     """cos(t/3) vanishes at t = 3 pi / 2 and sin(t/3) at t = 3 pi: one
     block carries no probability and the other carries all of it."""
-    same_zero, other_zero = walk._probability_profiles(n, [1.5 * np.pi, 3.0 * np.pi])
+    same_zero, other_zero = walk.probability_profiles(n, [1.5 * np.pi, 3.0 * np.pi])
     assert same_zero[0].max() < 1e-30
     assert other_zero[1].max() < 1e-30
     assert same_zero[1].sum() == pytest.approx(1.0, abs=1e-12)
@@ -163,6 +163,41 @@ def test_averaged_matrix_block_boundaries(n, horizon, monkeypatch):
     expected = walk.averaged_matrix(n, horizon).values
     monkeypatch.setattr(dihedral, "BLOCK", 50)
     assert np.max(np.abs(walk.averaged_matrix(n, horizon).values - expected)) <= 1e-15
+
+
+HORIZONS = [0.5, 7, 1e4, 1e12]
+
+
+@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("n", [5, 11, 101, 401])
+def test_averaged_profiles_stack_single_horizons(n, block, monkeypatch):
+    # the batch form is the single-horizon call row for row, bit for bit;
+    # 50-entry blocks cut n = 101 and 401 into one-row runs
+    if block is not None:
+        monkeypatch.setattr(dihedral, "BLOCK", block)
+    expected = np.stack([walk.averaged_matrix(n, T).values for T in HORIZONS])
+    assert np.array_equal(walk.averaged_profiles(n, HORIZONS), expected)
+
+
+def test_averaged_profiles_edge_grids():
+    assert walk.averaged_profiles(7, []).shape == (0, 2, 7)
+    for bad in (0.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="averaging horizon"):
+            walk.averaged_profiles(7, [1.0, bad, 2.0])
+
+
+def test_averaged_profiles_in_small_memory():
+    # 16 horizons share the T-independent blocks: only the (16, 2, n) bins
+    # grow with the grid, not a per-horizon copy of the gap arrays
+    n = 4001
+    tracemalloc.start()
+    try:
+        profiles = walk.averaged_profiles(n, [10.0 ** (k / 2) for k in range(16)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert np.allclose(profiles.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
 
 def test_averaged_matrix_dense_properties():
@@ -263,7 +298,7 @@ def test_horizon_validation():
 
 
 def test_probability_times_must_be_finite():
-    # every P_t path goes through _probability_profiles, which rejects a
+    # every P_t path goes through probability_profiles, which rejects a
     # non-finite time instead of returning a NaN row
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
