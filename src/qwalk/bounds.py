@@ -100,7 +100,8 @@ class DecomposedSum:
     m = 0 is the unique fixed point of the fold m <-> n - m, so in the
     restricted sums its row and column carry weight 1/2 (all other modes
     represent two indices).  With those weights,
-    8 cross + 4 within_c1 + 4 within_c2 equals the brute-force sum.
+    8 cross + 4 within_c1 + 4 within_c2 equals the brute-force sum.  The
+    branches differ by 2/3 mode by mode, so within_c1 = within_c2.
     """
 
     cross: float
@@ -117,12 +118,8 @@ def decomposed_sum(n) -> DecomposedSum:
     cross_branch_gap_check(n)
     lp, lm, mult = _branch_values(n)
     weight = mult / 2.0
-    modes = np.arange(len(mult))
-    return DecomposedSum(
-        _inv_gap_sum(lp, lm, weight),
-        _inv_gap_sum(lp, lp, weight, labels=modes),
-        _inv_gap_sum(lm, lm, weight, labels=modes),
-    )
+    within = _inv_gap_sum(lp, lp, weight, labels=np.arange(len(mult)))
+    return DecomposedSum(_inv_gap_sum(lp, lm, weight), within, within)
 
 
 def cross_sum_plain(n) -> float:
@@ -205,9 +202,9 @@ class WithinBranchSums:
 
 def case5_sums(n) -> WithinBranchSums:
     check_odd_order(n)
-    lp, lm, _ = _branch_values(n)
-    modes = np.arange(len(lp))
-    return WithinBranchSums(_inv_gap_sum(lp, lp, labels=modes), _inv_gap_sum(lm, lm, labels=modes))
+    lp, _, _ = _branch_values(n)
+    within = _inv_gap_sum(lp, lp, labels=np.arange(len(lp)))
+    return WithinBranchSums(within, within)
 
 
 def within_branch_cap(n) -> float:

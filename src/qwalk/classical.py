@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dihedral import blocks, check_odd_order
-from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues
+from .dihedral import blocks, check_odd_order, cosine_profiles
+from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues, folded_modes
 
 
 def check_step_count(t) -> None:
@@ -29,21 +29,18 @@ def classical_profile(n, t) -> np.ndarray:
 
 
 def classical_profiles(n, ts) -> np.ndarray:
-    """Profiles for many step counts at once; shape (len(ts), 2, n).
-
-    Each block is reduced to float before the next one is formed, so only
-    one complex transform of the len(ts) x n batch is alive at a time.
-    """
+    """Profiles for many step counts at once; shape (len(ts), 2, n): one
+    cosine transform of the folded branch powers lambda_+-^t, so each
+    profile is exactly even in the residue offset."""
     check_odd_order(n)
     ts = np.asarray(ts)
     if ts.size and not np.issubdtype(ts.dtype, np.integer):
         raise ValueError(f"step counts must be integers, got dtype {ts.dtype}")
     if ts.size and ts.min() < 0:
         raise ValueError("step counts must be nonnegative")
-    zp = np.power(eigenvalues(n, PLUS)[None, :], ts[:, None])
-    zm = np.power(eigenvalues(n, MINUS)[None, :], ts[:, None])
-    parts = [np.fft.ifft(op(zp, zm), axis=1).real / 2.0 for op in (np.add, np.subtract)]
-    return np.stack(parts, axis=1)
+    mu, w = folded_modes(n)
+    plus, minus = (w * eigenvalues(n, branch)[mu] ** ts[:, None] for branch in (PLUS, MINUS))
+    return cosine_profiles(plus, minus, n) / (2 * n)
 
 
 def profile_column_distance(n, values) -> float:

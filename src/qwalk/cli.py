@@ -160,12 +160,11 @@ def _cmd_graph(args) -> Output:
     if args.format == "matrix-csv":
         header = [str(vertex_to_label(k)) for k in range(2 * n)]
         return Output(header, dihedral.semi_cayley_adjacency(n).tolist())
-    # vertex base + r meets residues r +- 1 in its own block and residue r
-    # in the other one
-    i = np.arange(2 * n)
-    base = i - i % n
-    dst = np.concatenate([base + (i + 1) % n, base + (i - 1) % n, (i + n) % (2 * n)])
-    edges = sorted((a + 1, b + 1) for a, b in zip(np.tile(i, 3).tolist(), dst.tolist()) if a < b)
+    # cell (flip, offset) joins i to residue i + offset in block (i // n) ^ flip
+    flip, offset = np.nonzero(dihedral.adjacency_profile(n))
+    i = np.arange(2 * n)[:, None]
+    dst = ((i // n) ^ flip) * n + (i + offset) % n
+    edges = sorted((a + 1, b + 1) for a, b in zip(np.repeat(i, len(flip)).tolist(), dst.ravel().tolist()) if a < b)
     return Output(["src", "dst"], edges)
 
 
@@ -197,10 +196,10 @@ def _grid_profiles(profiles, n, grid):
 def _cmd_walk(args) -> Output:
     n = args.n
     cell = _pair_cell(args, n)
-    if not (args.t_max > 0 and math.isfinite(args.t_max)):
-        raise ValueError(f"--t-max must be positive and finite, got {args.t_max}")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if not (args.t_max > 0 and math.isfinite(args.t_max * args.steps)):
+        raise ValueError(f"--t-max must be positive with --t-max * --steps finite, got {args.t_max}")
     ts = [args.t_max * k / args.steps for k in range(args.steps + 1)]
     probs = [_clamp_tiny_negative(p[cell]) for p in _grid_profiles(walk.probability_profiles, n, ts)]
     points = list(zip(ts, probs))

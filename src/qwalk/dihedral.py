@@ -1,10 +1,13 @@
 """The Cayley graph of D_2n (odd n) on {a, a^-1, b} in its two-block
-circulant relabeling: two n-cycles joined residue to residue.
+circulant relabeling: the prism C_n x K_2 (two n-cycles joined residue
+to residue), a Cayley graph of the abelian group Z_n x Z_2.
 
 Vertices of the 2n x 2n matrices are indexed 0..2n-1: index i sits in block
 i // n with cycle residue i % n.  Block 0 holds the rotations, block 1 the
-reflections.  The group law is a test oracle that the relabeling is
-checked against.
+reflections.  Every matrix the package builds is a (2, n) profile over
+(block parity, residue offset): the graph is `adjacency_profile`, and
+`cosine_profiles` finishes every real kernel.  The group law is a test
+oracle that the relabeling is checked against.
 """
 
 from __future__ import annotations
@@ -54,19 +57,18 @@ def pair_geometry(n, i, j) -> tuple[int, int]:
     return delta, eps
 
 
-def semi_cayley_adjacency(n) -> np.ndarray:
-    """0/1 adjacency with circulant n-cycle diagonal blocks and identity
-    off-diagonal blocks.
-
-    Entry (i, j) is 1 iff the blocks agree and the residues differ by +-1
-    mod n, or the blocks differ and the residues agree.  The graph is
-    3-regular on 2n vertices.
-    """
+def adjacency_profile(n) -> np.ndarray:
+    """The graph as a (2, n) 0/1 profile, the one statement of the neighbour
+    rule: residues +-1 in a vertex's own block, its own residue in the other."""
     check_odd_order(n)
-    shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
-    ring = shift + shift.T
-    eye = np.eye(n, dtype=np.int64)
-    return np.block([[ring, eye], [eye, ring]])
+    profile = np.zeros((2, n), dtype=np.int64)
+    profile[[0, 0, 1], [1, -1, 0]] = 1
+    return profile
+
+
+def semi_cayley_adjacency(n) -> np.ndarray:
+    """Dense 0/1 adjacency: n-cycle diagonal blocks, identity off-diagonal ones."""
+    return pair_values_dense(n, adjacency_profile(n))
 
 
 def pair_values_rows(n, values, vertices) -> np.ndarray:
@@ -106,3 +108,13 @@ def pair_values_dense(n, values) -> np.ndarray:
         sliding_window_view(np.concatenate([v[1:], v]), n)[::-1] for v in np.asarray(values)
     )
     return np.block([[same, other], [other, same]])
+
+
+def cosine_profiles(plus, minus, n) -> np.ndarray:
+    """(..., 2, n) profiles of folded branch coefficients j = 0..(n-1)/2:
+    P + M on the same block and P - M on the other, with P and M the sums
+    sum_j c_j cos(2 pi j delta / n) of plus and minus.  They are even in
+    delta, so delta = 0..(n-1)/2 is transformed and the rest mirrored."""
+    same, cross = (np.fft.rfft(c, n).real for c in (plus, minus))
+    half = np.stack([same + cross, same - cross], axis=-2)
+    return np.concatenate([half, half[..., :0:-1]], axis=-1)

@@ -1,16 +1,13 @@
 """Continuous-time walk generated by the normalized adjacency.
 
-Covers the transition probabilities of the propagator e^{i A t / 3} and
-the finite-horizon time average, each computed by one batch form over
-times (`probability_profiles`, `averaged_profiles`) that the single-time
-calls view, and the exact limiting distribution.
-Everything is O(n log n) or O(n^2) through the two cosine eigenvalue
-families; the dense propagator and the direct double sum are test oracles.
-
-The graph is the prism C_n x K_2 (an n-cycle in each block, joined
-residue to residue), so the two families differ by exactly 2/3 mode by
-mode and P_t is an n-cycle walk times a two-state coin: one inverse DFT
-per time, O(n log n) per row.
+Transition probabilities of the propagator e^{i A t / 3}, the
+finite-horizon time average and its exact limit.  The first two each have
+one batch form over times (`probability_profiles`, `averaged_profiles`)
+that the single-time calls view.  The graph is the prism C_n x K_2, so
+the two eigenvalue families differ by exactly 2/3 mode by mode: P_t is an
+n-cycle walk times a two-state coin, one inverse DFT per time, and the
+averaged kernel is real and finished by `cosine_profiles`.  The dense
+propagator and the direct double sum are test oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ import numpy as np
 from .dihedral import (
     blocks,
     check_odd_order,
+    cosine_profiles,
     pair_geometry,
     pair_values_dense,
     pair_values_row,
@@ -36,8 +34,9 @@ ROW_SUM_TOL = 1e-9
 
 
 def check_horizon(T) -> None:
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError(f"averaging horizon must be positive and finite, got {T!r}")
+    """2T must be finite, not only T: the kernel's largest phase is about 2T."""
+    if not (T > 0 and math.isfinite(2.0 * float(T))):
+        raise ValueError(f"averaging horizon must be positive with 2T finite, got {T!r}")
 
 
 def probability_profiles(n, times) -> np.ndarray:
@@ -125,7 +124,7 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     the four preimages of (mu, mu') carry w w' / 2 times
     cos 2 pi delta (mu - mu') / n + cos 2 pi delta (mu + mu') / n, so each
     kernel value is binned at |mu - mu'| and at mu + mu' folded into
-    0..(n-1)/2, and one cosine transform finishes the job.  Both
+    0..(n-1)/2, and `cosine_profiles` finishes the job.  Both
     same-branch pairings give the same gaps, and so do both cross-branch
     ones up to sign.  Mirror modes fold onto one mu, so their gap is 0
     exactly; same-branch gaps are taken in product form
@@ -153,11 +152,7 @@ def averaged_profiles(n, Ts) -> np.ndarray:
             for out, gap in zip(pair, (same, cross)):
                 k = (real_phase_average(gap, T) * weight).ravel()
                 out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
-    # sum_j binned[j] cos(2 pi j delta / n) for delta = 0..(n-1)/2; the
-    # profile is even in delta, so the rest is its mirror image
-    same, cross = np.moveaxis(np.fft.rfft(binned, n, axis=2).real, 1, 0)
-    half_vals = np.stack([same + cross, same - cross], axis=1) / (2 * n * n)
-    vals = np.concatenate([half_vals, half_vals[:, :, :0:-1]], axis=2)
+    vals = cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
     # every row of the dense matrix holds each distinct value once
     drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)
     if not (drift <= ROW_SUM_TOL).all():

@@ -9,6 +9,8 @@ something `qwalk` computes another way:
 - the unit eigenvectors and the dense propagator assembled from them,
   for the closed-form transition probabilities;
 - the direct O(n^2) double sum of the time-averaged kernel;
+- the exact law of the measured walk, the k-th power of the averaged
+  kernel taken through its branch characters, for the sampler;
 - the normalized adjacency, dense powers of the classical walk and the
   matrix distances built on them, for the distinct-value profiles;
 - the quarter split of the eigenvalue indices behind the folded gap sums.
@@ -22,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwalk.classical import check_step_count, classical_profile, profile_column_distance
-from qwalk.dihedral import check_odd_order, check_vertex, pair_geometry, semi_cayley_adjacency
+from qwalk.dihedral import (
+    check_odd_order,
+    check_vertex,
+    cosine_profiles,
+    pair_geometry,
+    pair_values_row,
+    semi_cayley_adjacency,
+)
 from qwalk.spectra import (
     DEFAULT_EPSILON,
     MINUS,
@@ -31,9 +40,10 @@ from qwalk.spectra import (
     check_epsilon,
     check_mode,
     eigenvalues,
+    folded_modes,
     full_spectrum,
 )
-from qwalk.walk import check_horizon
+from qwalk.walk import averaged_matrix, check_horizon
 
 ORACLE_SIZE_CAP = 512
 
@@ -271,6 +281,22 @@ def averaged_entry(n, delta, eps, T) -> float:
     if not (abs(total.imag) <= IMAG_TOL):
         raise RuntimeError(f"imaginary residue {total.imag} above tolerance")
     return float(total.real)
+
+
+def measured_law(n, T, steps, start) -> np.ndarray:
+    """Exact law of the sampler's endpoint after `steps` measured steps
+    from vertex `start`: row `start` of K_T^steps, K_T the averaged kernel.
+
+    K_T = [[C_a, C_b], [C_b, C_a]] has circulant blocks, so the DFT
+    diagonalises it with characters fft(a) +- fft(b), real because a and
+    b are even.  Their powers at the folded modes go back to a profile
+    through the package's one cosine transform.
+    """
+    check_step_count(steps)
+    mu, w = folded_modes(n)
+    a, b = np.fft.fft(averaged_matrix(n, T).values, axis=1).real[:, mu]
+    profile = cosine_profiles(w * (a + b) ** steps, w * (a - b) ** steps, n) / (2 * n)
+    return pair_values_row(n, profile, start)
 
 
 def normalized_adjacency(n) -> np.ndarray:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import sysconfig
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -465,10 +466,18 @@ def test_error_exit_codes(capsys, monkeypatch):
         ["figure-1b", "--n", "5", "--to", "2", "--T-max", "inf"],
         ["figure-1b", "--n", "5", "--to", "2", "--T-max", "nan"],
         ["sample", "--n", "5", "--T", "inf", "--T-prime", "1"],
+        # finite horizons whose kernel phase 2T overflows
+        ["average", "--n", "7", "--T", "1.7e308"],
+        ["average", "--n", "7", "--T", "9.5e307"],
+        ["figure-1b", "--n", "5", "--to", "3", "--T-max", "1e308", "--points", "3"],
+        ["sample", "--n", "7", "--T", "1.7e308", "--T-prime", "1"],
+        # a finite --t-max whose grid t_max * k overflows
+        ["walk", "--n", "7", "--t-max", "1e308", "--steps", "2"],
     ):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "finite" in err, argv
+    assert "--t-max" in err
     # n = 0 must be rejected before the block size is divided by it
     code, out, err = run_cli(capsys, ["classical", "--n", "0"])
     assert (code, out) == (2, "")
@@ -523,6 +532,22 @@ def declared_script_target():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         return tomllib.load(fh)["project"]["scripts"]["qwalk"]
+
+
+def test_horizon_just_below_the_float_limit_runs_clean(capsys):
+    # 8.9e307 keeps 2T finite; any RuntimeWarning (such as an overflow
+    # inside the kernel) is raised as an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ["average", "--n", "7", "--T", "8.9e307"],
+            ["figure-1b", "--n", "5", "--to", "3", "--T-max", "8.9e307", "--points", "3"],
+            ["sample", "--n", "7", "--T", "8.9e307", "--T-prime", "2", "--trials", "50"],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, (argv, err)
+    _, rows = parse_csv(run_cli(capsys, ["average", "--n", "7", "--T", "8.9e307"])[1])
+    assert math.isclose(sum(float(row[2]) for row in rows), 1.0, abs_tol=1e-9)
 
 
 def test_installed_entry_point():

@@ -9,7 +9,7 @@ model of the group against which the canonical-form product is checked.
 import numpy as np
 import pytest
 
-from qwalk import dihedral, walk
+from qwalk import classical, dihedral, walk
 
 import oracles
 
@@ -173,6 +173,8 @@ def test_semi_cayley_structure():
     # n=3 frozen row: vertex 0 connects to 1, 2 and its cross-block partner 3
     adj3 = dihedral.semi_cayley_adjacency(3)
     assert list(np.flatnonzero(adj3[0])) == [1, 2, 3]
+    cells = np.nonzero(dihedral.adjacency_profile(n))
+    assert [(int(b), int(d)) for b, d in zip(*cells)] == [(0, 1), (0, n - 1), (1, 0)]
 
 
 def test_normalized_adjacency_doubly_stochastic():
@@ -206,6 +208,28 @@ def test_pair_geometry_and_profile_expansion(n):
     assert np.array_equal(batched, np.stack(single))
     with pytest.raises(ValueError):
         dihedral.pair_values_rows(n, values, [0, 2 * n])
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_cosine_profiles_match_direct_sums(n):
+    rng = np.random.default_rng(n)
+    plus, minus = rng.standard_normal((2, 4, (n + 1) // 2))
+    cos = np.cos(2 * np.pi * np.outer(np.arange((n + 1) // 2), np.arange(n)) / n)
+    expected = np.stack([(plus + minus) @ cos, (plus - minus) @ cos], axis=1)
+    assert np.abs(dihedral.cosine_profiles(plus, minus, n) - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 101, 1001])
+def test_real_profiles_are_exactly_even(n):
+    mirror = (-np.arange(n)) % n
+    steps = classical.classical_profiles(n, [0, 1, 2, 7, 100, 5000])
+    horizons = walk.averaged_profiles(n, [0.5, 7.0, 1e4, 1e12])
+    for profiles in (steps, horizons):
+        assert np.array_equal(profiles, profiles[..., mirror])
+    if n <= 101:
+        for profile in steps:
+            dense = dihedral.pair_values_dense(n, profile)
+            assert np.array_equal(dense, dense.T)
 
 
 def test_order_validation():

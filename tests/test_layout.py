@@ -5,7 +5,11 @@
 is defined again in the package, so a reference implementation cannot
 creep back in as a second copy of itself.  A package module reads only
 the public names of the others: a name another module depends on is part
-of its interface and carries no underscore.
+of its interface and carries no underscore.  The prism's two shared
+statements are written once each: `np.fft` is called only by the cosine
+transform that finishes every real profile and by the complex P_t kernel,
+and the neighbour rule lives only in the adjacency profile, so no
+`np.eye` or `np.roll` rebuilds it.
 """
 
 import ast
@@ -90,3 +94,55 @@ def test_no_private_name_read_across_modules():
     assert private_reads(probe) == [(2, "spectra._x"), (3, "walk._y")]
     reads = {path.name: private_reads(parse(path)) for path in PACKAGE}
     assert not any(reads.values()), reads
+
+
+# the functions that may call np.fft: the shared cosine transform of every
+# real profile, and P_t, whose amplitudes are complex
+FFT_HOMES = {("dihedral", "cosine_profiles"), ("walk", "probability_profiles")}
+
+
+def transform_and_shift_uses(tree):
+    """(line, enclosing top-level def or class, name) of each np.fft.*
+    reference, numpy.fft import, and np.eye or np.roll."""
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                if node.module.startswith("numpy.fft") or any(alias.name == "fft" for alias in node.names):
+                    uses.append((node.lineno, owner, f"import {node.module}"))
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                if isinstance(base, ast.Name) and base.id in ("np", "numpy") and node.attr in ("eye", "roll"):
+                    uses.append((node.lineno, owner, f"np.{node.attr}"))
+                elif (
+                    isinstance(base, ast.Attribute)
+                    and base.attr == "fft"
+                    and isinstance(base.value, ast.Name)
+                    and base.value.id in ("np", "numpy")
+                ):
+                    uses.append((node.lineno, owner, f"np.fft.{node.attr}"))
+    return sorted(uses)
+
+
+def test_transform_and_neighbour_rule_written_once():
+    probe = ast.parse(
+        "import numpy as np\nfrom numpy.fft import ifft\n"
+        "def f(x):\n    return np.fft.rfft(np.roll(x, 1))\ny = np.eye(3)\n"
+    )
+    assert transform_and_shift_uses(probe) == [
+        (2, None, "import numpy.fft"),
+        (4, "f", "np.fft.rfft"),
+        (4, "f", "np.roll"),
+        (5, None, "np.eye"),
+    ]
+    homes = set()
+    stray = []
+    for path in PACKAGE:
+        for line, owner, name in transform_and_shift_uses(parse(path)):
+            if name.startswith("np.fft.") and (path.stem, owner) in FFT_HOMES:
+                homes.add((path.stem, owner))
+            else:
+                stray.append(f"{path.name}:{line} {name} in {owner}")
+    assert not stray
+    assert homes == FFT_HOMES

@@ -1,15 +1,19 @@
 """Measured-walk sampler: determinism, batching, and statistics.
 
 The batched runner must reproduce the scalar walk trial by trial, since
-both read the same per-trial random streams in the same order.
+both read the same per-trial random streams in the same order.  Its
+histograms are tested against the exact law of the measured walk.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from qwalk import dihedral, sampling, walk
+
+import oracles
 
 
 def test_config_validation():
@@ -135,3 +139,23 @@ def test_endpoint_distribution_forgets_start():
     h_b = sampling.empirical_check(sampling.SamplerConfig(start_vertex=8, **common))
     tv = 0.5 * float(np.abs(h_a.frequencies - h_b.frequencies).sum())
     assert tv <= 0.1
+
+
+@pytest.mark.parametrize("n, horizon, steps", [(7, 500.0, 2), (21, 1e3, 7), (11, 37.0, 50)])
+def test_measured_law_matches_dense_kernel_power(n, horizon, steps):
+    dense = np.linalg.matrix_power(walk.averaged_matrix(n, horizon).to_dense(), steps)
+    for start in range(2 * n):
+        assert np.abs(oracles.measured_law(n, horizon, steps, start) - dense[start]).max() <= 1e-13
+    assert np.abs(oracles.measured_law(n, horizon, 0, 3) - np.eye(2 * n)[3]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_sampler_histogram_passes_chi_square_against_exact_law(steps):
+    n, horizon, trials = 7, 500.0, 20000
+    config = sampling.SamplerConfig(n=n, start_vertex=0, horizon=horizon, steps=steps, trials=trials, seed=7)
+    counts = sampling.empirical_check(config).counts
+    assert chisquare(counts, trials * oracles.measured_law(n, horizon, steps, 0)).pvalue > 1e-3
+    if steps == 1:
+        # one step is far from uniform (TV 0.12), so the test has the power
+        # to reject a wrong law
+        assert chisquare(counts, np.full(2 * n, trials / (2 * n))).pvalue < 1e-6

@@ -5,6 +5,7 @@ the time average, the direct double sum and a 50-digit mpmath sum for the
 averaged kernel, exact Fraction arithmetic for the limit.
 """
 
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -290,7 +291,7 @@ def test_horizon_validation():
         oracles.averaged_entry(5, 5, 1, 10.0)
     with pytest.raises(ValueError):
         oracles.averaged_entry(5, 0, 2, 10.0)
-    for bad in (float("inf"), float("-inf"), float("nan")):
+    for bad in (float("inf"), float("-inf"), float("nan"), np.nextafter(sys.float_info.max / 2, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             walk.averaged_matrix(5, bad)
         with pytest.raises(ValueError, match="finite"):
