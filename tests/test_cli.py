@@ -546,8 +546,9 @@ def test_horizon_just_below_the_float_limit_runs_clean(capsys):
         ):
             code, out, err = run_cli(capsys, argv)
             assert code == 0, (argv, err)
-    _, rows = parse_csv(run_cli(capsys, ["average", "--n", "7", "--T", "8.9e307"])[1])
-    assert math.isclose(sum(float(row[2]) for row in rows), 1.0, abs_tol=1e-9)
+            if argv[0] == "average":
+                _, rows = parse_csv(out)
+                assert math.isclose(sum(float(row[2]) for row in rows), 1.0, abs_tol=1e-9)
 
 
 def test_installed_entry_point():
