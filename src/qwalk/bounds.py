@@ -20,7 +20,7 @@ from .dihedral import blocks, check_odd_order
 from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum, mode_cosines
 from .walk import averaged_matrix, check_horizon
 
-# default largest n at which conjecture_check enumerates the near-resonant quadrant
+# largest n at which conjecture_check enumerates the near-resonant quadrant
 BRUTE_FORCE_CAP = 2001
 
 # cross-branch gaps scale like 1/n^2; anything this small means the two
@@ -284,11 +284,11 @@ class ConjectureRow:
         return ok and self.f_within_cap
 
 
-def conjecture_check(n, su3_cap=BRUTE_FORCE_CAP) -> ConjectureRow:
+def conjecture_check(n) -> ConjectureRow:
     p, _, _ = conjecture_params(n)
     f_value = conjecture_f(n)
     cap5, cap1 = conjecture_caps(n)
-    if n <= su3_cap:
+    if n <= BRUTE_FORCE_CAP:
         raw = su3_raw(n)
         holds_raw = bool(raw <= f_value)
         holds_scaled = bool(1.5 * raw <= f_value)

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .dihedral import blocks, check_odd_order, cosine_profiles
+from .dihedral import blocks, check_odd_order, circulant, cosine_profiles
 from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues, folded_modes
 
 
@@ -48,18 +47,17 @@ def profile_column_distance(n, values) -> float:
     profile; O(n^2) by comparing one reference column against every
     (offset, block) relabeling, BLOCK entries at a time.
 
-    The reference column read over rows is the reversed profile, and the
-    column at offset y is that vector rotated by y, so the relabelings are
-    the windows of its doubled copy; a block swap exchanges the two halves.
+    Column y of a circulant, read over rows, is row y of the circulant of
+    the reversed profile, so the relabelings are the rows of
+    circulant(reversed profile); a block swap exchanges the two halves.
     """
     vals = np.asarray(values, dtype=float)
-    base = vals[:, (-np.arange(n)) % n]
-    windows = sliding_window_view(np.concatenate([base, base[:, :-1]], axis=1), n, axis=1)
+    columns = circulant(vals[:, (-np.arange(n)) % n])
+    base = columns[:, 0]
     best = 0.0
     for top, bottom in ((0, 1), (1, 0)):
         for r in blocks(n, n):
-            rotated = windows[:, r]
-            gaps = np.abs(base[0] - rotated[top]).sum(axis=1) + np.abs(base[1] - rotated[bottom]).sum(axis=1)
+            gaps = np.abs(base[0] - columns[top, r]).sum(axis=1) + np.abs(base[1] - columns[bottom, r]).sum(axis=1)
             best = max(best, 0.5 * float(gaps.max()))
     return best
 

@@ -180,12 +180,6 @@ def _cmd_spectrum(args) -> Output:
     return Output(["j", "m", "branch", "eigenvalue"], rows, payload)
 
 
-def _pair_cell(args, n) -> tuple[int, int]:
-    """(block parity, residue offset): where a (2, n) profile holds the --from/--to entry."""
-    delta, eps = dihedral.pair_geometry(n, vertex_to_internal(args.src, n), vertex_to_internal(args.dst, n))
-    return (0 if eps == 1 else 1), delta
-
-
 def _grid_profiles(profiles, n, grid):
     """Each (2, n) profile of a time grid, from `profiles(n, chunk)` calls on
     chunks of BLOCK profile entries, so memory stays O(n * chunk)."""
@@ -195,7 +189,7 @@ def _grid_profiles(profiles, n, grid):
 
 def _cmd_walk(args) -> Output:
     n = args.n
-    cell = _pair_cell(args, n)
+    cell = dihedral.pair_cell(n, vertex_to_internal(args.src, n), vertex_to_internal(args.dst, n))
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if not (args.t_max > 0 and math.isfinite(args.t_max * args.steps)):
@@ -309,18 +303,22 @@ def _cmd_mix(args) -> Output:
         "speedup_ratio": ratio,
         "lower_bound_respected": ok,
     }
+    if not ok:
+        print(f"lower_bound_respected failed: classical mixing time {tau} < floor({lower})", file=sys.stderr)
     return Output(payload=payload, code=0 if ok else 1)
 
 
 def _cmd_bounds(args) -> Output:
     report = bounds.bounds_report(args.n)
     payload = report.to_dict()
-    ok = report.all_passed
+    failed = [name for name, ok in report.bound_flags.items() if not ok]
     if args.n >= 100:
         budget = bounds.budget_report(args.n)
         payload["budget"] = budget.to_dict()
-        ok = ok and budget.passed and budget.analytic_passed
-    return Output(payload=payload, code=0 if ok else 1)
+        failed += [f"budget.{name}" for name in ("passed", "analytic_passed") if not getattr(budget, name)]
+    if failed:
+        print(f"bounds check failed at n={args.n}: {', '.join(failed)}", file=sys.stderr)
+    return Output(payload=payload, code=1 if failed else 0)
 
 
 def _residue_matches(n, residue) -> bool:
@@ -333,7 +331,7 @@ def _cmd_conjecture(args) -> Output:
     if args.n_max < 5:
         raise ValueError(f"--n-max must be at least 5, got {args.n_max}")
     ns = [n for n in range(5, args.n_max + 1, 2) if _residue_matches(n, args.residue)]
-    rows = [bounds.conjecture_check(n, su3_cap=args.su3_cap) for n in ns]
+    rows = [bounds.conjecture_check(n) for n in ns]
     failed = [row.n for row in rows if not row.passed]
     if failed:
         print(f"conjecture check failed at n={failed[:10]}", file=sys.stderr)
@@ -383,7 +381,7 @@ def _cmd_sample(args) -> Output:
 
 def _cmd_figure_1b(args) -> Output:
     n = args.n
-    cell = _pair_cell(args, n)
+    cell = dihedral.pair_cell(n, vertex_to_internal(args.src, n), vertex_to_internal(args.dst, n))
     if not (args.T_max > 1 and math.isfinite(args.T_max)):
         raise ValueError(f"--T-max must be finite and exceed 1, got {args.T_max}")
     if args.points < 2:
@@ -500,8 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="near-resonance bound sweep")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--residue", choices=["1", "3", "both"], default="both", help="restrict to n = 4p+1 or 4p+3")
-    p.add_argument("--su3-cap", type=int, default=bounds.BRUTE_FORCE_CAP,
-                   help="largest n for which the quadrant sum is enumerated")
     _add_output_flags(p, ["csv", "svg"], "csv")
     p.set_defaults(handler=_cmd_conjecture)
 
@@ -560,7 +556,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}", file=sys.stderr)
         else:
             sys.stdout.write(text)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -5,9 +5,9 @@ to residue), a Cayley graph of the abelian group Z_n x Z_2.
 Vertices of the 2n x 2n matrices are indexed 0..2n-1: index i sits in block
 i // n with cycle residue i % n.  Block 0 holds the rotations, block 1 the
 reflections.  Every matrix the package builds is a (2, n) profile over
-(block parity, residue offset): the graph is `adjacency_profile`, and
-`cosine_profiles` finishes every real kernel.  The group law is a test
-oracle that the relabeling is checked against.
+(block flip, residue offset) that `pair_cell` addresses and `circulant`
+expands; the graph is `adjacency_profile`, and `cosine_profiles` finishes
+every real kernel.  The group law is a test oracle for the relabeling.
 """
 
 from __future__ import annotations
@@ -43,18 +43,26 @@ def check_vertex(n, i) -> None:
         raise ValueError(f"vertex index {i} out of range [0, {2 * n})")
 
 
-def pair_geometry(n, i, j) -> tuple[int, int]:
-    """Residue offset (rho_j - rho_i) mod n and block sign for a vertex pair.
+def pair_cell(n, i, j) -> tuple[int, int]:
+    """(flip, delta): the cell of a (2, n) profile that holds entry (i, j).
 
-    The sign is +1 when both vertices lie in the same block, -1 otherwise.
-    Every pairwise walk quantity in this package depends on (i, j) only
-    through this pair.
+    flip is 1 when the vertices lie in different blocks and 0 otherwise,
+    delta the residue offset (rho_j - rho_i) mod n, so values[pair_cell(n, i, j)]
+    is the entry.  Every pairwise walk quantity in this package depends on
+    (i, j) only through this cell.
     """
     check_vertex(n, i)
     check_vertex(n, j)
-    delta = (int(j) % n - int(i) % n) % n
-    eps = 1 if (int(i) // n) == (int(j) // n) else -1
-    return delta, eps
+    return (int(i) // n) ^ (int(j) // n), (int(j) - int(i)) % n
+
+
+def circulant(values) -> np.ndarray:
+    """Read-only view C[..., r, c] = values[..., (c - r) mod n] of a (..., n)
+    stack, the one place a profile is expanded: row r is the length-n
+    window at offset n - r of one doubled copy of values."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    return sliding_window_view(np.concatenate([values, values], axis=-1), n, axis=-1)[..., n:0:-1, :]
 
 
 def adjacency_profile(n) -> np.ndarray:
@@ -73,23 +81,20 @@ def semi_cayley_adjacency(n) -> np.ndarray:
 
 def pair_values_rows(n, values, vertices) -> np.ndarray:
     """Rows of the 2n x 2n matrix whose (i, j) entry is
-    values[0 if same block else 1, (rho_j - rho_i) mod n], one per vertex.
+    values[pair_cell(n, i, j)], one per vertex.
 
     values is one (2, n) profile shared by every row, or a (k, 2, n) stack
-    with one profile per vertex; the result has shape (k, 2n).
+    with one profile per vertex; the result has shape (k, 2n).  A vertex in
+    block b at residue rho reads row rho of circulant(values[b]) on block-0
+    columns and of circulant(values[1 - b]) on block-1 columns.
     """
     vertices = np.asarray(vertices)
     if vertices.size and (vertices.min() < 0 or vertices.max() >= 2 * n):
         raise ValueError(f"vertex indices must lie in [0, {2 * n})")
-    # flat index into the (2n,) profile: a vertex in block b reads
-    # values[b] on block-0 columns and values[1 - b] on block-1 columns
-    base = (vertices // n)[:, None] * n
-    idx = (np.arange(n) - vertices[:, None] % n) % n
-    cols = np.concatenate([idx + base, idx + (n - base)], axis=1)
-    values = np.asarray(values)
-    if values.ndim == 2:
-        return values.reshape(2 * n)[cols]
-    return np.take_along_axis(values.reshape(-1, 2 * n), cols, axis=1)
+    block, rho = np.divmod(vertices, n)
+    table = np.broadcast_to(circulant(values), (len(vertices), 2, n, n))
+    k = np.arange(len(vertices))[:, None]
+    return table[k, np.stack([block, 1 - block], axis=1), rho[:, None]].reshape(len(vertices), 2 * n)
 
 
 def pair_values_row(n, values, i) -> np.ndarray:
@@ -99,14 +104,9 @@ def pair_values_row(n, values, i) -> np.ndarray:
 
 
 def pair_values_dense(n, values) -> np.ndarray:
-    """Full matrix expansion of a (2, n) distinct-value profile.
-
-    Each n x n block is the circulant C[r, c] = v[(c - r) mod n]; its rows
-    are the length-n windows of v[1:] + v, read bottom to top.
-    """
-    same, other = (
-        sliding_window_view(np.concatenate([v[1:], v]), n)[::-1] for v in np.asarray(values)
-    )
+    """Full matrix expansion of a (2, n) distinct-value profile: each n x n
+    block is a circulant, the same-block one on the diagonal."""
+    same, other = circulant(values)
     return np.block([[same, other], [other, same]])
 
 

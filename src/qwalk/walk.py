@@ -12,7 +12,7 @@ propagator and the direct double sum are test oracles.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +22,7 @@ from .dihedral import (
     blocks,
     check_odd_order,
     cosine_profiles,
-    pair_geometry,
+    pair_cell,
     pair_values_dense,
     pair_values_row,
     pair_values_rows,
@@ -34,8 +34,9 @@ ROW_SUM_TOL = 1e-9
 
 
 def check_horizon(T) -> None:
-    """2T must be finite, not only T: the kernel's largest phase is about 2T."""
-    if not (T > 0 and math.isfinite(2.0 * float(T))):
+    """2T must be finite, not only T: the kernel's largest phase is about 2T.
+    T is compared, not converted, so a too-large integer is rejected too."""
+    if not 0 < T <= sys.float_info.max / 2:
         raise ValueError(f"averaging horizon must be positive with 2T finite, got {T!r}")
 
 
@@ -48,7 +49,10 @@ def probability_profiles(n, times) -> np.ndarray:
     the same-block amplitude is cos(t / 3) a and the other-block one
     i sin(t / 3) a: one inverse DFT per time.
     """
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except OverflowError:
+        raise ValueError("walk times must be finite, got an integer too large for a float") from None
     if not np.isfinite(times).all():
         raise ValueError(f"walk times must be finite, got {times[~np.isfinite(times)][0]}")
     ring = (2.0 / 3.0) * mode_cosines(n)
@@ -84,9 +88,9 @@ class AveragedWalkMatrix:
     """Time-averaged transition matrix stored as its 2n distinct values.
 
     values[0, delta] holds same-block entries and values[1, delta]
-    opposite-block ones; entry (i, j) depends on the pair only through
-    ((rho_j - rho_i) mod n, block parity).  Each row and each column of
-    the dense expansion contains every distinct value exactly once.
+    opposite-block ones; entry (i, j) is values[pair_cell(n, i, j)].  Each
+    row and each column of the dense expansion contains every distinct
+    value exactly once.
     """
 
     n: int
@@ -94,8 +98,7 @@ class AveragedWalkMatrix:
     values: np.ndarray
 
     def entry(self, i, j) -> float:
-        delta, eps = pair_geometry(self.n, i, j)
-        return float(self.values[0 if eps == 1 else 1, delta])
+        return float(self.values[pair_cell(self.n, i, j)])
 
     def row(self, i) -> np.ndarray:
         return pair_values_row(self.n, self.values, i)
@@ -161,8 +164,10 @@ def averaged_profiles(n, Ts) -> np.ndarray:
 
 
 def averaged_matrix(n, T) -> AveragedWalkMatrix:
-    """The time-averaged matrix at one horizon: a view of `averaged_profiles`."""
-    return AveragedWalkMatrix(n, float(T), averaged_profiles(n, [T])[0])
+    """The time-averaged matrix at one horizon: a view of `averaged_profiles`,
+    which checks T before it is converted to a float."""
+    values = averaged_profiles(n, [T])[0]
+    return AveragedWalkMatrix(n, float(T), values)
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ class LimitingDistribution:
     off_diagonal: Fraction
 
     def entry(self, i, j) -> Fraction:
-        delta, _ = pair_geometry(self.n, i, j)
+        _, delta = pair_cell(self.n, i, j)
         return self.diagonal if delta == 0 else self.off_diagonal
 
     def row_sum(self) -> Fraction:

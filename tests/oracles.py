@@ -28,7 +28,7 @@ from qwalk.dihedral import (
     check_odd_order,
     check_vertex,
     cosine_profiles,
-    pair_geometry,
+    pair_cell,
     pair_values_row,
     semi_cayley_adjacency,
 )
@@ -218,7 +218,8 @@ def classical_lower_bound_relaxed(n, epsilon) -> float:
 def amplitude(n, i, j, t) -> complex:
     """Transition amplitude <j| e^{i A t / 3} |i> in O(n) via the two branches."""
     check_odd_order(n)
-    delta, eps = pair_geometry(n, i, j)
+    flip, delta = pair_cell(n, i, j)
+    eps = 1 - 2 * flip
     lp = eigenvalues(n, PLUS)
     lm = eigenvalues(n, MINUS)
     phase = np.exp(2j * np.pi * np.arange(n) * delta / n)

@@ -278,6 +278,23 @@ def test_bounds_json_small_and_large(capsys):
     assert payload["budget"]["analytic_passed"] is True
 
 
+def test_failed_checks_are_named_on_stderr(capsys, monkeypatch):
+    # at n = 3 the su4 cap does not hold; stdout stays the json payload
+    code, out, err = run_cli(capsys, ["bounds", "--n", "3"])
+    payload = json.loads(out)
+    failed = [name for name, ok in payload["bound_flags"].items() if not ok]
+    assert code == 1 and failed == ["su4_cap"]
+    assert err == "bounds check failed at n=3: su4_cap\n"
+    monkeypatch.setattr(bounds.BudgetReport, "analytic_passed", property(lambda self: False))
+    code, out, err = run_cli(capsys, ["bounds", "--n", "101"])
+    assert code == 1 and json.loads(out)["budget"]["analytic_passed"] is False
+    assert err == "bounds check failed at n=101: budget.analytic_passed\n"
+    monkeypatch.setattr(spectra, "classical_lower_bound", lambda n, epsilon: 1e6)
+    code, out, err = run_cli(capsys, ["mix", "--n", "5"])
+    assert code == 1 and json.loads(out)["lower_bound_respected"] is False
+    assert err.startswith("lower_bound_respected failed:") and "1000000.0" in err
+
+
 def test_conjecture_csv_roundtrip(capsys):
     code, out, _ = run_cli(capsys, ["conjecture", "--n-max", "21"])
     assert code == 0
@@ -514,6 +531,10 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["average", "--n", "5", "--T", "10", "--full-matrix", "--format", "json"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "json" in err
+    # an --out path that cannot be opened is bad input, not a traceback
+    code, out, err = run_cli(capsys, ["limit", "--n", "3", "--out", "/nonexistent/dir/x"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "/nonexistent/dir/x" in err
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
 

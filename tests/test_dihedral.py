@@ -185,16 +185,19 @@ def test_normalized_adjacency_doubly_stochastic():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 21])
 def test_pair_geometry_and_profile_expansion(n):
-    assert dihedral.pair_geometry(5, 0, 3) == (3, 1)
-    assert dihedral.pair_geometry(5, 3, 0) == (2, 1)
-    assert dihedral.pair_geometry(5, 1, 5 + 4) == (3, -1)
-    assert dihedral.pair_geometry(5, 5 + 2, 2) == (0, -1)
+    assert dihedral.pair_cell(5, 0, 3) == (0, 3)
+    assert dihedral.pair_cell(5, 3, 0) == (0, 2)
+    assert dihedral.pair_cell(5, 1, 5 + 4) == (1, 3)
+    assert dihedral.pair_cell(5, 5 + 2, 2) == (1, 0)
     values = np.arange(2 * n, dtype=float).reshape(2, n)
     dense = dihedral.pair_values_dense(n, values)
     for i in range(2 * n):
         for j in range(2 * n):
-            delta, eps = dihedral.pair_geometry(n, i, j)
-            assert dense[i, j] == values[0 if eps == 1 else 1, delta]
+            assert dense[i, j] == values[dihedral.pair_cell(n, i, j)]
+    table = dihedral.circulant(values)
+    assert table.shape == (2, n, n) and not table.flags.writeable
+    for r in range(n):
+        assert np.array_equal(table[:, r], np.roll(values, r, axis=1))
     # the row, batched-row and dense expansions agree bit for bit
     rows = np.stack([dihedral.pair_values_row(n, values, i) for i in range(2 * n)])
     assert np.array_equal(dense, rows)

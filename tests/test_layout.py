@@ -9,7 +9,9 @@ of its interface and carries no underscore.  The prism's two shared
 statements are written once each: `np.fft` is called only by the cosine
 transform that finishes every real profile and by the complex P_t kernel,
 and the neighbour rule lives only in the adjacency profile, so no
-`np.eye` or `np.roll` rebuilds it.
+`np.eye` or `np.roll` rebuilds it.  A profile is expanded only by the
+circulant view: `sliding_window_view` and `take_along_axis` appear
+nowhere else.
 """
 
 import ast
@@ -146,3 +148,48 @@ def test_transform_and_neighbour_rule_written_once():
                 stray.append(f"{path.name}:{line} {name} in {owner}")
     assert not stray
     assert homes == FFT_HOMES
+
+
+# the one function that may build a strided window view or gather along
+# an axis: every (2, n) profile is expanded by the circulant view
+EXPANSION_HOME = ("dihedral", "circulant")
+EXPANSION_NAMES = ("sliding_window_view", "take_along_axis")
+
+
+def expansion_uses(tree):
+    """(line, enclosing top-level def or class, name) of each import or
+    reference of sliding_window_view or take_along_axis; an import is
+    tagged "import"."""
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                uses += [(node.lineno, owner, "import") for alias in node.names if alias.name in EXPANSION_NAMES]
+            elif isinstance(node, ast.Name) and node.id in EXPANSION_NAMES:
+                uses.append((node.lineno, owner, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in EXPANSION_NAMES:
+                uses.append((node.lineno, owner, node.attr))
+    return sorted(uses)
+
+
+def test_profile_expanded_only_by_the_circulant_view():
+    probe = ast.parse(
+        "import numpy as np\nfrom numpy.lib.stride_tricks import sliding_window_view\n"
+        "def f(v, i):\n    return np.take_along_axis(sliding_window_view(v, 2), i, 0)\n"
+    )
+    assert expansion_uses(probe) == [
+        (2, None, "import"),
+        (4, "f", "sliding_window_view"),
+        (4, "f", "take_along_axis"),
+    ]
+    homes = set()
+    stray = []
+    for path in PACKAGE:
+        for line, owner, name in expansion_uses(parse(path)):
+            if (path.stem, owner) == EXPANSION_HOME or (name == "import" and path.stem == EXPANSION_HOME[0]):
+                homes.add((path.stem, name))
+            else:
+                stray.append(f"{path.name}:{line} {name} in {owner}")
+    assert not stray
+    assert homes == {("dihedral", "import"), ("dihedral", "sliding_window_view")}

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from qwalk import bounds, dihedral, walk
+from qwalk import bounds, dihedral, sampling, walk
 
 import oracles
 
@@ -296,6 +296,20 @@ def test_horizon_validation():
             walk.averaged_matrix(5, bad)
         with pytest.raises(ValueError, match="finite"):
             oracles.averaged_entry(5, 0, 1, bad)
+
+
+def test_integer_too_large_for_a_float_is_a_value_error():
+    huge = 10**400
+    for call in (
+        lambda: walk.averaged_matrix(5, huge),
+        lambda: walk.distance_to_limit(5, huge),
+        lambda: bounds.quantum_bound_rhs(5, huge),
+        lambda: sampling.SamplerConfig(n=5, start_vertex=0, horizon=huge, steps=1, trials=1, seed=0),
+        lambda: walk.probability_row(5, 0, huge),
+        lambda: walk.probability_row(5, 0, -huge),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_probability_times_must_be_finite():
