@@ -424,6 +424,8 @@ def _cmd_speedup(args) -> Output:
         all_ok = all_ok and ok
         rows.append((n, tau, lower, quantum, budget, ratio))
         print(f"n={n}: classical {tau}, quantum {quantum}", file=sys.stderr)
+        if not ok:
+            print(f"lower_bound_respected failed at n={n}: classical mixing time {tau} < floor({lower})", file=sys.stderr)
     return Output(header, rows, {"rows": [dict(zip(header, row)) for row in rows]}, code=0 if all_ok else 1)
 
 

@@ -111,7 +111,7 @@ def pair_values_dense(n, values) -> np.ndarray:
 
 
 def cosine_profiles(plus, minus, n) -> np.ndarray:
-    """(..., 2, n) profiles of folded branch coefficients j = 0..(n-1)/2:
+    """(..., 2, n) profiles of branch coefficients c_j, j < n (folded: j <= n/2):
     P + M on the same block and P - M on the other, with P and M the sums
     sum_j c_j cos(2 pi j delta / n) of plus and minus.  They are even in
     delta, so delta = 0..(n-1)/2 is transformed and the rest mirrored."""

@@ -37,7 +37,8 @@ def check_horizon(T) -> None:
     """2T must be finite, not only T: the kernel's largest phase is about 2T.
     T is compared, not converted, so a too-large integer is rejected too."""
     if not 0 < T <= sys.float_info.max / 2:
-        raise ValueError(f"averaging horizon must be positive with 2T finite, got {T!r}")
+        shown = f"an integer of {len(str(abs(T)))} digits" if isinstance(T, int) and abs(T) > 10**30 else repr(T)[:40]
+        raise ValueError(f"averaging horizon must be positive with 2T finite, got {shown}")
 
 
 def probability_profiles(n, times) -> np.ndarray:
@@ -116,6 +117,17 @@ class AveragedWalkMatrix:
         return float(np.abs(self.values - pi.values()).sum())
 
 
+def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode factors (a, b) of horizon T: with phi = (2T/3) cos(2 pi mu / n)
+    and psi = phi + 2T/3, sin(xT) w w' / (2T) of a same- or cross-branch
+    pair (mu, mu') is column mu of a[0] or a[1] dotted with column mu' of b."""
+    check_horizon(T)
+    mu, w = folded_modes(n)
+    phi, psi = (2.0 * T / 3.0) * (mode_cosines(n)[mu] + np.array([[0.0], [1.0]]))
+    a = (0.5 * w / T) * np.array([[np.sin(phi), -np.cos(phi)], [np.sin(psi), -np.cos(psi)]])
+    return a, w * np.stack([np.cos(phi), np.sin(phi)])
+
+
 def averaged_profiles(n, Ts) -> np.ndarray:
     """All distinct time-averaged entries at many horizons; shape
     (len(Ts), 2, n), from about n^2 / 2 real kernel values per horizon, in
@@ -126,35 +138,41 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     Modes are folded to mu = 0..(n-1)/2 with weights w = (1, 2, 2, ...);
     the four preimages of (mu, mu') carry w w' / 2 times
     cos 2 pi delta (mu - mu') / n + cos 2 pi delta (mu + mu') / n, so each
-    kernel value is binned at |mu - mu'| and at mu + mu' folded into
-    0..(n-1)/2, and `cosine_profiles` finishes the job.  Both
-    same-branch pairings give the same gaps, and so do both cross-branch
-    ones up to sign.  Mirror modes fold onto one mu, so their gap is 0
-    exactly; same-branch gaps are taken in product form
-    -(4/3) sin((a+b)/2) sin((a-b)/2) and keep full relative precision.
-    The gaps, weights and bins do not depend on T, so each block of them
-    is built once and only the kernel and the binning run per horizon.
+    kernel value is binned at |mu - mu'| and at mu + mu', and
+    `cosine_profiles` finishes the job.  Each block builds its bins, |x|
+    and 1 / x once, same-branch x as -(4/3) sin(pi (mu + mu') / n)
+    sin(pi (mu - mu') / n) from a sine table (0 for mirror modes, full
+    relative precision).  Per horizon, sin(xT) w w' / (2T) is a rank-2
+    product of `mode_phases` factors times 1 / x; pairs with |x| T < 1
+    (all, if most) take sin(xT) / (xT) directly, as that product cancels.
     """
     check_odd_order(n)
-    for T in Ts:
-        check_horizon(T)
+    factors = [mode_phases(n, T) for T in Ts]
     mu, w = folded_modes(n)
     size = len(mu)
-    angle = np.pi * mu / n
-    cos = mode_cosines(n)[:size]
+    cos = (2.0 / 3.0) * mode_cosines(n)[:size]
+    # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
+    sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
     # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
-    binned = np.zeros((len(Ts), 2, size))
+    binned = np.zeros((len(Ts), 2, n))
     for r in blocks(size, size):
-        weight = (0.5 * w[r, None]) * w
-        diff = np.abs(mu[r, None] - mu).ravel()
-        total = mu[r, None] + mu
-        fold = np.minimum(total, n - total).ravel()
-        same = (-4.0 / 3.0) * np.sin(angle[r, None] + angle) * np.sin(angle[r, None] - angle)
-        cross = (2.0 / 3.0) * (1.0 + cos[r, None] - cos)
-        for T, pair in zip(Ts, binned):
-            for out, gap in zip(pair, (same, cross)):
-                k = (real_phase_average(gap, T) * weight).ravel()
-                out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
+        diff = mu[r, None] - mu
+        total = (mu[r, None] + mu).ravel()
+        gaps = [(-4.0 / 3.0 * np.abs(sine))[total] * sine[diff].ravel(), ((2.0 / 3.0 + cos[r, None]) - cos).ravel()]
+        reciprocals = [np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0) for gap in gaps]
+        gaps, diff = [np.abs(gap, out=gap) for gap in gaps], np.abs(diff, out=diff).ravel()
+        weight, kernel = np.outer(0.5 * w[r], w).ravel(), np.empty_like(gaps[0])
+        for T, (a, b), pair in zip(Ts, factors, binned):
+            for out, gap, reciprocal, a_rows in zip(pair, gaps, reciprocals, a[:, :, r]):
+                small = gap < 1.0 / T
+                if 2 * np.count_nonzero(small) > small.size:
+                    kernel = weight * real_phase_average(gap, T)
+                else:
+                    np.matmul(a_rows.T, b, out=kernel.reshape(-1, size))
+                    kernel *= reciprocal
+                    kernel[small] = weight[small] * real_phase_average(gap[small], T)
+                out += np.bincount(diff, kernel, n) + np.bincount(total, kernel, n)
+        del diff, total, gaps, reciprocals, weight, kernel  # before the next block's arrays exist
     vals = cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
     # every row of the dense matrix holds each distinct value once
     drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)

@@ -8,7 +8,8 @@ something `qwalk` computes another way:
   checked;
 - the unit eigenvectors and the dense propagator assembled from them,
   for the closed-form transition probabilities;
-- the direct O(n^2) double sum of the time-averaged kernel;
+- the direct O(n^2) double sum of the time-averaged kernel, and its
+  folded sum with sin(xT) / (xT) evaluated directly at every mode pair;
 - the exact law of the measured walk, the k-th power of the averaged
   kernel taken through its branch characters, for the sampler;
 - the normalized adjacency, dense powers of the classical walk and the
@@ -42,6 +43,7 @@ from qwalk.spectra import (
     eigenvalues,
     folded_modes,
     full_spectrum,
+    mode_cosines,
 )
 from qwalk.walk import averaged_matrix, check_horizon
 
@@ -282,6 +284,35 @@ def averaged_entry(n, delta, eps, T) -> float:
     if not (abs(total.imag) <= IMAG_TOL):
         raise RuntimeError(f"imaginary residue {total.imag} above tolerance")
     return float(total.real)
+
+
+def direct_averaged_profiles(n, Ts) -> np.ndarray:
+    """`qwalk.walk.averaged_profiles` with the folded kernel sin(xT) / (xT)
+    taken by np.sinc at every mode pair, in one grid: (len(Ts), 2, n).
+
+    Each folded pair (mu, mu') is binned at |mu - mu'| and at mu + mu'
+    folded into 0..(n-1)/2 with weight w w' / 2; same-branch gaps are
+    -(4/3) sin((a + b) / 2) sin((a - b) / 2) at a, b = 2 pi mu / n, 2 pi mu' / n,
+    cross-branch ones (2/3)(1 + cos a - cos b).
+    """
+    check_odd_order(n)
+    mu, w = folded_modes(n)
+    size = len(mu)
+    angle = np.pi * mu / n
+    cos = mode_cosines(n)[:size]
+    weight = (0.5 * w[:, None]) * w
+    diff = np.abs(mu[:, None] - mu).ravel()
+    total = mu[:, None] + mu
+    fold = np.minimum(total, n - total).ravel()
+    same = (-4.0 / 3.0) * np.sin(angle[:, None] + angle) * np.sin(angle[:, None] - angle)
+    cross = (2.0 / 3.0) * (1.0 + cos[:, None] - cos)
+    binned = np.zeros((len(Ts), 2, size))
+    for T, pair in zip(Ts, binned):
+        check_horizon(T)
+        for out, gap in zip(pair, (same, cross)):
+            k = (np.sinc(gap * (T / np.pi)) * weight).ravel()
+            out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
+    return cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
 
 
 def measured_law(n, T, steps, start) -> np.ndarray:

@@ -293,6 +293,15 @@ def test_failed_checks_are_named_on_stderr(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["mix", "--n", "5"])
     assert code == 1 and json.loads(out)["lower_bound_respected"] is False
     assert err.startswith("lower_bound_respected failed:") and "1000000.0" in err
+    # speedup names the check and each n it failed at; stdout keeps its table
+    code, out, err = run_cli(capsys, ["speedup", "--n-list", "5,9"])
+    assert code == 1 and [row[0] for row in parse_csv(out)[1]] == ["5", "9"]
+    failures = [line for line in err.splitlines() if "failed" in line]
+    assert [line.split(":")[0] for line in failures] == [
+        "lower_bound_respected failed at n=5",
+        "lower_bound_respected failed at n=9",
+    ]
+    assert all("< floor(1000000.0)" in line for line in failures)
 
 
 def test_conjecture_csv_roundtrip(capsys):

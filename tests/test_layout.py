@@ -11,7 +11,8 @@ transform that finishes every real profile and by the complex P_t kernel,
 and the neighbour rule lives only in the adjacency profile, so no
 `np.eye` or `np.roll` rebuilds it.  A profile is expanded only by the
 circulant view: `sliding_window_view` and `take_along_axis` appear
-nowhere else.
+nowhere else.  The averaged kernel's O(n^2) block loop calls no np.sin,
+np.cos, np.exp or np.sinc: its phases are per mode.
 """
 
 import ast
@@ -193,3 +194,48 @@ def test_profile_expanded_only_by_the_circulant_view():
                 stray.append(f"{path.name}:{line} {name} in {owner}")
     assert not stray
     assert homes == {("dihedral", "import"), ("dihedral", "sliding_window_view")}
+
+
+# transcendental calls the averaged kernel's O(n^2) block loop must not make:
+# its phases are per mode, and only `real_phase_average` on the small-phase
+# pairs evaluates a kernel directly
+LOOP_BANNED = ("sin", "cos", "exp", "sinc")
+
+
+def block_loop_transcendentals(tree, function):
+    """Number of `for ... in blocks(...)` loops in the named top-level
+    function, and (line, name) of each np.sin, np.cos, np.exp or np.sinc
+    call inside them."""
+    loops = 0
+    calls = []
+    for top in tree.body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == function):
+            continue
+        for loop in ast.walk(top):
+            if not (
+                isinstance(loop, ast.For)
+                and isinstance(loop.iter, ast.Call)
+                and isinstance(loop.iter.func, ast.Name)
+                and loop.iter.func.id == "blocks"
+            ):
+                continue
+            loops += 1
+            for node in (inner for statement in loop.body for inner in ast.walk(statement)):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("np", "numpy")
+                    and func.attr in LOOP_BANNED
+                ):
+                    calls.append((node.lineno, f"np.{func.attr}"))
+    return loops, sorted(calls)
+
+
+def test_averaged_kernel_block_loop_has_no_transcendentals():
+    probe = ast.parse(
+        "import numpy as np\ndef f(x):\n    y = np.sin(x)\n    for r in blocks(3, 3):\n"
+        "        z = np.sinc(x[r]) + real_phase_average(x[r], 2.0)\n        w = np.exp(np.cos(z))\n"
+    )
+    assert block_loop_transcendentals(probe, "f") == (1, [(5, "np.sinc"), (6, "np.cos"), (6, "np.exp")])
+    assert block_loop_transcendentals(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_profiles") == (1, [])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from qwalk import bounds, dihedral, sampling, walk
+from qwalk import bounds, dihedral, sampling, spectra, walk
 
 import oracles
 
@@ -180,6 +180,28 @@ def test_averaged_profiles_stack_single_horizons(n, block, monkeypatch):
     assert np.array_equal(walk.averaged_profiles(n, HORIZONS), expected)
 
 
+@pytest.mark.parametrize("horizon", [0.5, 1, 2.5, 7, 1e4, 1e12])
+@pytest.mark.parametrize("n", [5, 11, 101, 401])
+def test_averaged_profiles_match_direct_kernel(n, horizon):
+    # angle addition on per-mode phases against np.sinc at every mode pair
+    got = walk.averaged_profiles(n, [horizon])
+    assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon]))) <= 1e-15
+
+
+def test_small_phase_seam_matches_direct_kernel():
+    # the pair with the smallest nonzero same-branch gap sits just below and
+    # just above |x| T = 1, where the kernel switches from the direct path
+    # to angle addition, while the rest of its block stays above it
+    n = 101
+    lam = spectra.eigenvalues(n, spectra.PLUS)[: (n + 1) // 2]
+    gaps = np.abs(lam[:, None] - lam)
+    gap = gaps[gaps > 0].min()
+    for horizon in ((1 - 1e-9) / gap, (1 + 1e-9) / gap):
+        assert np.count_nonzero(gaps * horizon < 1) < gaps.size / 2
+        got = walk.averaged_profiles(n, [horizon])
+        assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon]))) <= 1e-15
+
+
 def test_averaged_profiles_edge_grids():
     assert walk.averaged_profiles(7, []).shape == (0, 2, 7)
     for bad in (0.0, -3.0, float("nan"), float("inf")):
@@ -312,6 +334,16 @@ def test_integer_too_large_for_a_float_is_a_value_error():
             call()
 
 
+def test_rejected_horizon_message_is_bounded():
+    # a huge integer is named by its length, not spelled out digit by digit
+    for bad in (10**400, -(10**400), 2**1024, 0, -3.0, float("nan"), Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="averaging horizon") as info:
+            walk.averaged_matrix(5, bad)
+        assert len(str(info.value)) < 120
+    with pytest.raises(ValueError, match="an integer of 401 digits"):
+        walk.averaged_matrix(5, 10**400)
+
+
 def test_probability_times_must_be_finite():
     # every P_t path goes through probability_profiles, which rejects a
     # non-finite time instead of returning a NaN row
@@ -328,7 +360,12 @@ def test_probability_times_must_be_finite():
 
 def test_nan_residue_trips_imaginary_guard(monkeypatch):
     # averaged_matrix assembles a real profile, so its guard is the profile
-    # sum; a NaN kernel must trip it
+    # sum; a NaN kernel must trip it, on the angle-addition path through the
+    # per-mode phases as well as on the direct small-phase path
+    with monkeypatch.context() as patch:
+        patch.setattr(walk, "mode_phases", lambda n, T: (np.full((2, 2, (n + 1) // 2), np.nan), np.full((2, (n + 1) // 2), np.nan)))
+        with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
+            walk.averaged_matrix(5, 10.0)
     monkeypatch.setattr(walk, "real_phase_average", lambda x, T: np.full(np.shape(x), np.nan))
     with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
         walk.averaged_matrix(5, 10.0)
@@ -375,13 +412,14 @@ def _mp_averaged_profile(n, horizon):
 
 
 def test_averaged_profile_matches_mpmath_at_large_horizon():
-    n, horizon = 5, 1e12
-    oracle = _mp_averaged_profile(n, horizon)
-    avg = walk.averaged_matrix(n, horizon)
-    assert np.max(np.abs(avg.values - oracle)) < 1e-15
-    limit = walk.limiting_distribution(n).values()
-    # the O(1/T) deviation from the limit is resolved, not only the limit
-    assert np.abs(avg.values - limit).sum() == pytest.approx(np.abs(oracle - limit).sum(), rel=1e-3)
+    horizon = 1e12
+    for n in (5, 11):
+        oracle = _mp_averaged_profile(n, horizon)
+        avg = walk.averaged_matrix(n, horizon)
+        assert np.max(np.abs(avg.values - oracle)) < 1e-15
+        limit = walk.limiting_distribution(n).values()
+        # the O(1/T) deviation from the limit is resolved, not only the limit
+        assert np.abs(avg.values - limit).sum() == pytest.approx(np.abs(oracle - limit).sum(), rel=1e-3)
 
 
 @pytest.mark.parametrize("n", [1001, 4001])
