@@ -160,10 +160,9 @@ def _cmd_graph(args) -> Output:
     if args.format == "matrix-csv":
         header = [str(vertex_to_label(k)) for k in range(2 * n)]
         return Output(header, dihedral.semi_cayley_adjacency(n).tolist())
-    # cell (flip, offset) joins i to residue i + offset in block (i // n) ^ flip
     flip, offset = np.nonzero(dihedral.adjacency_profile(n))
     i = np.arange(2 * n)[:, None]
-    dst = ((i // n) ^ flip) * n + (i + offset) % n
+    dst = dihedral.cell_vertex(n, i, flip, offset)
     edges = sorted((a + 1, b + 1) for a, b in zip(np.repeat(i, len(flip)).tolist(), dst.ravel().tolist()) if a < b)
     return Output(["src", "dst"], edges)
 

@@ -5,9 +5,10 @@ to residue), a Cayley graph of the abelian group Z_n x Z_2.
 Vertices of the 2n x 2n matrices are indexed 0..2n-1: index i sits in block
 i // n with cycle residue i % n.  Block 0 holds the rotations, block 1 the
 reflections.  Every matrix the package builds is a (2, n) profile over
-(block flip, residue offset) that `pair_cell` addresses and `circulant`
-expands; the graph is `adjacency_profile`, and `cosine_profiles` finishes
-every real kernel.  The group law is a test oracle for the relabeling.
+(block flip, residue offset) that `pair_cell` addresses, `cell_vertex`
+inverts and `circulant` expands; the graph is `adjacency_profile`, and
+`cosine_profiles` finishes every real kernel.  The group law is a test
+oracle for the relabeling.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def pair_cell(n, i, j) -> tuple[int, int]:
     return (int(i) // n) ^ (int(j) // n), (int(j) - int(i)) % n
 
 
+def cell_vertex(n, i, flip, delta):
+    """The vertex j with pair_cell(n, i, j) == (flip, delta), elementwise:
+    residue i + delta in block (i // n) ^ flip, the one place a cell is
+    turned back into a vertex."""
+    return ((i // n) ^ flip) * n + (i + delta) % n
+
+
 def circulant(values) -> np.ndarray:
     """Read-only view C[..., r, c] = values[..., (c - r) mod n] of a (..., n)
     stack, the one place a profile is expanded: row r is the length-n
@@ -79,28 +87,12 @@ def semi_cayley_adjacency(n) -> np.ndarray:
     return pair_values_dense(n, adjacency_profile(n))
 
 
-def pair_values_rows(n, values, vertices) -> np.ndarray:
-    """Rows of the 2n x 2n matrix whose (i, j) entry is
-    values[pair_cell(n, i, j)], one per vertex.
-
-    values is one (2, n) profile shared by every row, or a (k, 2, n) stack
-    with one profile per vertex; the result has shape (k, 2n).  A vertex in
-    block b at residue rho reads row rho of circulant(values[b]) on block-0
-    columns and of circulant(values[1 - b]) on block-1 columns.
-    """
-    vertices = np.asarray(vertices)
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= 2 * n):
-        raise ValueError(f"vertex indices must lie in [0, {2 * n})")
-    block, rho = np.divmod(vertices, n)
-    table = np.broadcast_to(circulant(values), (len(vertices), 2, n, n))
-    k = np.arange(len(vertices))[:, None]
-    return table[k, np.stack([block, 1 - block], axis=1), rho[:, None]].reshape(len(vertices), 2 * n)
-
-
 def pair_values_row(n, values, i) -> np.ndarray:
-    """Row i of the `pair_values_rows` expansion of a (2, n) profile."""
+    """Row i of the 2n x 2n matrix whose (i, j) entry is
+    values[pair_cell(n, i, j)]: two rows of the circulant, one per block."""
     check_vertex(n, i)
-    return pair_values_rows(n, values, [i])[0]
+    block, rho = divmod(int(i), n)
+    return circulant(values)[[block, 1 - block], rho].ravel()
 
 
 def pair_values_dense(n, values) -> np.ndarray:

@@ -3,7 +3,8 @@
 One measured step draws a time uniformly from [0, T], evolves the walker
 from its current vertex for that long, and measures position.  Iterating
 the step samples (approximately) from the averaged transition kernel, and
-after enough steps from the limiting distribution.
+after enough steps from the limiting distribution.  The measurement draws
+a (flip, offset) cell of the P_t profile and moves the walker by it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import check_step_count
-from .dihedral import blocks, check_odd_order, check_vertex
-from .walk import ROW_SUM_TOL, check_horizon, probability_row, probability_rows
+from .dihedral import blocks, cell_vertex, check_odd_order, check_vertex
+from .walk import ROW_SUM_TOL, check_horizon, probability_profiles
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,19 @@ def trial_rng(seed, trial) -> np.random.Generator:
 
 
 def single_measured_step(n, current, horizon, rng) -> int:
-    """One measured step: draw t ~ U[0, horizon], then sample the position
-    distribution of the walk run for time t by inverse CDF."""
+    """One measured step: draw t ~ U[0, horizon], then a cell of the P_t
+    profile by inverse CDF in cell order, and move `current` by that cell."""
     check_odd_order(n)
     check_vertex(n, current)
     check_horizon(horizon)
     t = rng.uniform(0.0, horizon)
-    row = probability_row(n, current, t)
-    total = row.sum()
+    cells = probability_profiles(n, [t]).reshape(2 * n)
+    total = cells.sum()
     if not (abs(total - 1.0) <= ROW_SUM_TOL):
-        raise RuntimeError(f"probability row sums to {total}, outside tolerance")
+        raise RuntimeError(f"probability profile sums to {total}, outside tolerance")
     u = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(row), u, side="right"))
-    return min(idx, 2 * n - 1)
+    cell = min(int(np.searchsorted(np.cumsum(cells), u, side="right")), 2 * n - 1)
+    return int(cell_vertex(n, current, *divmod(cell, n)))
 
 
 def measured_walk(config: SamplerConfig, trial=0) -> int:
@@ -119,13 +120,11 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
             trial_rng(config.seed, trial).random(out=trial_draws)
         current = np.full(len(draws), config.start_vertex, dtype=np.int64)
         for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):
-            rows = probability_rows(n, current, times)
-            totals = rows.sum(axis=1)
+            cells = probability_profiles(n, times).reshape(-1, 2 * n)
+            totals = cells.sum(axis=1)
             if not (np.abs(totals - 1.0).max() <= ROW_SUM_TOL):
-                raise RuntimeError("a probability row drifted away from total 1")
-            cumulative = np.cumsum(rows, axis=1)
-            current = np.minimum(
-                (cumulative <= (uniforms * totals)[:, None]).sum(axis=1), 2 * n - 1
-            ).astype(np.int64)
+                raise RuntimeError("a probability profile drifted away from total 1")
+            drawn = np.minimum((np.cumsum(cells, axis=1) <= (uniforms * totals)[:, None]).sum(axis=1), 2 * n - 1)
+            current = cell_vertex(n, current, *np.divmod(drawn, n))
         counts += np.bincount(current, minlength=2 * n)
     return SampleHistogram(counts, config.trials)

@@ -25,7 +25,6 @@ from .dihedral import (
     pair_cell,
     pair_values_dense,
     pair_values_row,
-    pair_values_rows,
 )
 from .spectra import folded_modes, mode_cosines
 
@@ -62,12 +61,6 @@ def probability_profiles(n, times) -> np.ndarray:
     return coin[:, :, None] * cycle[:, None, :]
 
 
-def probability_rows(n, vertices, times) -> np.ndarray:
-    """Transition-probability rows for many (vertex, time) pairs; shape
-    (len(vertices), 2n), one O(n log n) row per pair."""
-    return pair_values_rows(n, probability_profiles(n, times), vertices)
-
-
 def probability_row(n, i, t) -> np.ndarray:
     """All 2n transition probabilities from vertex i at time t."""
     return pair_values_row(n, probability_profiles(n, [t])[0], i)
@@ -80,8 +73,15 @@ def probability_matrix(n, t) -> np.ndarray:
 
 
 def real_phase_average(x, T):
-    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0."""
-    return np.sinc(np.asarray(x, dtype=float) * (T / np.pi))
+    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0.
+    Two block-sized arrays, x T and the result, which the divide fills in
+    place; `np.sinc` would allocate about four."""
+    xT = np.asarray(x, dtype=float) * float(T)
+    nonzero = xT != 0
+    out = np.sin(xT)
+    np.divide(out, xT, out=out, where=nonzero)
+    out[~nonzero] = 1.0
+    return out
 
 
 @dataclass

@@ -206,6 +206,12 @@ def test_mixing_time_respects_epsilon_argument():
         classical.classical_mixing_time(9, epsilon=1.5)
     with pytest.raises(ValueError):
         classical.classical_mixing_time(9, epsilon=0.0)
+    # at n = 3, d(0) = 5/6 is already below 0.9: t = 0 after one probe
+    report = classical.classical_mixing_time(3, 0.9)
+    assert report.threshold_time == 0.0
+    assert report.distance_series == [(0, pytest.approx(5 / 6, rel=1e-15))]
+    with pytest.raises(ValueError, match="unknown norm kind 'sup'"):
+        classical.classical_mixing_time(9, norm_kind="sup")
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk import bounds, classical, cli, dihedral, spectra, walk
+from qwalk import bounds, classical, cli, dihedral, sampling, spectra, walk
 
 
 def run_cli(capsys, argv):
@@ -237,6 +237,10 @@ def test_classical_series_csv(capsys, monkeypatch):
     # profiles batched across several blocks print the same series
     monkeypatch.setattr(dihedral, "BLOCK", 40)
     assert run_cli(capsys, ["classical", "--n", "5", "--t-max", "40"]) == (code, out, err)
+    # a grid that ends before the crossing says so
+    code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "2"])
+    assert code == 0 and len(parse_csv(out)[1]) == 3
+    assert err.startswith("half-induced distance stays above 0.18393972058572117 up to t=2")
 
 
 def test_classical_mix_json(capsys):
@@ -482,6 +486,15 @@ def test_error_exit_codes(capsys, monkeypatch):
     assert code == 2
     code, _, err = run_cli(capsys, ["speedup", "--n-list", "5,abc"])
     assert code == 2
+    for argv, message in (
+        (["walk", "--n", "5", "--steps", "0"], "--steps must be at least 1"),
+        (["classical", "--n", "5", "--t-max", "-1"], "--t-max must be nonnegative"),
+        (["figure-1b", "--n", "5", "--to", "2", "--points", "1"], "--points must be at least 2"),
+        (["speedup", "--n-list", ","], "--n-list is empty"),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
     code, _, err = run_cli(capsys, ["average", "--n", "5", "--T", "0"])
     assert code == 2
     for argv in (
@@ -544,6 +557,11 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["limit", "--n", "3", "--out", "/nonexistent/dir/x"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "/nonexistent/dir/x" in err
+    # a numerical guard tripping inside a command is exit 1, with no output
+    monkeypatch.setattr(sampling, "probability_profiles", lambda n, ts: np.full((len(ts), 2, n), np.nan))
+    code, out, err = run_cli(capsys, ["sample", "--n", "5", "--T", "10", "--T-prime", "1", "--trials", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "drifted" in err
     with pytest.raises(SystemExit):
         cli.main(["not-a-command"])
 

@@ -198,19 +198,29 @@ def test_pair_geometry_and_profile_expansion(n):
     assert table.shape == (2, n, n) and not table.flags.writeable
     for r in range(n):
         assert np.array_equal(table[:, r], np.roll(values, r, axis=1))
-    # the row, batched-row and dense expansions agree bit for bit
+    # the row and dense expansions agree bit for bit
     rows = np.stack([dihedral.pair_values_row(n, values, i) for i in range(2 * n)])
     assert np.array_equal(dense, rows)
     t = 1.7
     prob_rows = np.stack([walk.probability_row(n, i, t) for i in range(2 * n)])
     assert np.array_equal(walk.probability_matrix(n, t), prob_rows)
+    # a batch of P_t profiles is bit-identical to one call per time
     vertices = np.arange(2 * n)[::-1]
     times = np.linspace(0.3, 40.0, 2 * n)
-    batched = walk.probability_rows(n, vertices, times)
+    batched = walk.probability_profiles(n, times)
+    assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [s])[0] for s in times]))
     single = [walk.probability_row(n, int(i), float(s)) for i, s in zip(vertices, times)]
-    assert np.array_equal(batched, np.stack(single))
-    with pytest.raises(ValueError):
-        dihedral.pair_values_rows(n, values, [0, 2 * n])
+    gathered = [dihedral.pair_values_row(n, profile, i) for profile, i in zip(batched, vertices)]
+    assert np.array_equal(np.stack(gathered), np.stack(single))
+    # cell_vertex inverts pair_cell in its second vertex, scalar and batched
+    cells = [[dihedral.pair_cell(n, i, j) for j in range(2 * n)] for i in range(2 * n)]
+    flip, delta = np.moveaxis(np.array(cells), -1, 0)
+    i = np.arange(2 * n)[:, None]
+    assert np.array_equal(dihedral.cell_vertex(n, i, flip, delta), np.broadcast_to(np.arange(2 * n), (2 * n, 2 * n)))
+    assert all(dihedral.cell_vertex(n, 3, *cells[3][j]) == j for j in range(2 * n))
+    for bad in (-1, 2 * n):
+        with pytest.raises(ValueError):
+            dihedral.pair_values_row(n, values, bad)
 
 
 @pytest.mark.parametrize("n", [3, 5, 11])
@@ -245,3 +255,5 @@ def test_order_validation():
         dihedral.check_vertex(5, 10)
     with pytest.raises(ValueError):
         dihedral.check_vertex(5, -1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        dihedral.check_vertex(5, 1.5)

@@ -12,7 +12,9 @@ and the neighbour rule lives only in the adjacency profile, so no
 `np.eye` or `np.roll` rebuilds it.  A profile is expanded only by the
 circulant view: `sliding_window_view` and `take_along_axis` appear
 nowhere else.  The averaged kernel's O(n^2) block loop calls no np.sin,
-np.cos, np.exp or np.sinc: its phases are per mode.
+np.cos, np.exp or np.sinc: its phases are per mode.  The block XOR that
+maps a vertex pair to its cell and a cell back to a vertex is written only
+in `dihedral`.
 """
 
 import ast
@@ -239,3 +241,35 @@ def test_averaged_kernel_block_loop_has_no_transcendentals():
     )
     assert block_loop_transcendentals(probe, "f") == (1, [(5, "np.sinc"), (6, "np.cos"), (6, "np.exp")])
     assert block_loop_transcendentals(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_profiles") == (1, [])
+
+
+# the functions that may write the block XOR: a vertex pair becomes a cell
+# in `pair_cell` and a cell becomes a vertex again in `cell_vertex`
+XOR_HOMES = {("dihedral", "pair_cell"), ("dihedral", "cell_vertex")}
+
+
+def xor_uses(tree):
+    """(line, enclosing top-level def or class) of each ^ or ^= operator;
+    a "^" inside a string is not one."""
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitXor):
+                uses.append((node.lineno, owner))
+    return sorted(uses)
+
+
+def test_block_xor_written_only_in_dihedral():
+    probe = ast.parse("def f(i, n):\n    label = 'b ^ 1'\n    i ^= 1\n    return (i // n) ^ 1\nk = 2 ^ 3\n")
+    assert xor_uses(probe) == [(3, "f"), (4, "f"), (5, None)]
+    homes = set()
+    stray = []
+    for path in PACKAGE:
+        for line, owner in xor_uses(parse(path)):
+            if (path.stem, owner) in XOR_HOMES:
+                homes.add((path.stem, owner))
+            else:
+                stray.append(f"{path.name}:{line} in {owner}")
+    assert not stray
+    assert homes == XOR_HOMES

@@ -36,8 +36,8 @@ def test_config_validation():
 
 
 def test_nan_row_trips_row_sum_guard(monkeypatch):
-    monkeypatch.setattr(sampling, "probability_row", lambda n, i, t: np.full(2 * n, np.nan))
-    monkeypatch.setattr(sampling, "probability_rows", lambda n, vs, ts: np.full((len(vs), 2 * n), np.nan))
+    # both paths draw from the P_t profile, so a NaN profile must trip them
+    monkeypatch.setattr(sampling, "probability_profiles", lambda n, ts: np.full((len(ts), 2, n), np.nan))
     with pytest.raises(RuntimeError, match="sums to"):
         sampling.single_measured_step(5, 0, 10.0, sampling.trial_rng(0, 0))
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=2, trials=3, seed=0)

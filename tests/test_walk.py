@@ -92,14 +92,17 @@ def test_profiles_coin_zeros(n):
 
 
 def test_probability_rows_sum_to_one_at_large_n():
+    # every row of P_t holds each profile cell once, so a row sums to its
+    # profile's total
     n = 4001
     rng = np.random.default_rng(4001)
-    vertices = rng.integers(0, 2 * n, size=16)
     times = np.concatenate([rng.uniform(0.0, 100.0, size=12), [1e3, 1e5, 1e7, 1e9]])
-    rows = walk.probability_rows(n, vertices, times)
-    assert rows.shape == (16, 2 * n)
-    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= walk.ROW_SUM_TOL
-    assert rows.min() >= 0.0
+    profiles = walk.probability_profiles(n, times)
+    assert profiles.shape == (16, 2, n)
+    assert np.max(np.abs(profiles.sum(axis=(1, 2)) - 1.0)) <= walk.ROW_SUM_TOL
+    assert profiles.min() >= 0.0
+    row = walk.probability_row(n, int(rng.integers(0, 2 * n)), 1e9)
+    assert abs(row.sum() - 1.0) <= walk.ROW_SUM_TOL and row.min() >= 0.0
 
 
 @pytest.mark.parametrize("n,t", [(3, 1.3), (9, 7.7)])
@@ -353,7 +356,9 @@ def test_probability_times_must_be_finite():
         with pytest.raises(ValueError, match="finite"):
             walk.probability_matrix(5, bad)
         with pytest.raises(ValueError, match="finite"):
-            walk.probability_rows(5, [0, 3, 7], [1.0, bad, 2.0])
+            walk.probability_profiles(5, [1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            sampling.single_measured_step(5, 0, bad, sampling.trial_rng(0, 0))
     # P_-t = P_t, so negative times stay accepted
     assert np.allclose(walk.probability_row(5, 3, -2.5), walk.probability_row(5, 3, 2.5), atol=1e-15)
 
