@@ -85,7 +85,6 @@ def eigengap_inverse_sum_bruteforce(n) -> float:
     branches no collision is possible for odd n (enforced by a guarded
     minimum-gap check), so floating-point equality never enters.
     """
-    check_odd_order(n)
     cross_branch_gap_check(n)
     m = np.arange(n)
     fold = np.minimum(m, n - m)
@@ -114,7 +113,6 @@ class DecomposedSum:
 
 
 def decomposed_sum(n) -> DecomposedSum:
-    check_odd_order(n)
     cross_branch_gap_check(n)
     lp, lm, mult = _branch_values(n)
     weight = mult / 2.0
@@ -124,7 +122,6 @@ def decomposed_sum(n) -> DecomposedSum:
 
 def cross_sum_plain(n) -> float:
     """Unweighted cross-branch sum over the folded representatives."""
-    check_odd_order(n)
     cross_branch_gap_check(n)
     lp, lm, _ = _branch_values(n)
     return _inv_gap_sum(lp, lm)
@@ -163,7 +160,6 @@ def _quadrant_cosines(n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def su_sums(n) -> QuadrantSums:
-    check_odd_order(n)
     cos_low, cos_high = _quadrant_cosines(n)
     return QuadrantSums(
         su1=1.5 * _inv_gap_sum(cos_low, cos_low, shift=1.0),
@@ -176,7 +172,6 @@ def su_sums(n) -> QuadrantSums:
 def su3_raw(n) -> float:
     """The near-resonant quadrant sum without the 3/2 prefactor; this is
     the quantity the conjectured bound f(n) dominates."""
-    check_odd_order(n)
     cos_low, cos_high = _quadrant_cosines(n)
     return _inv_gap_sum(cos_high, cos_low, shift=1.0)
 
@@ -201,7 +196,6 @@ class WithinBranchSums:
 
 
 def case5_sums(n) -> WithinBranchSums:
-    check_odd_order(n)
     lp, _, _ = _branch_values(n)
     within = _inv_gap_sum(lp, lp, labels=np.arange(len(lp)))
     return WithinBranchSums(within, within)
@@ -233,7 +227,6 @@ def conjecture_f(n) -> float:
     through a log.  Raises if any grid distance is nonpositive, naming the
     offending offset.
     """
-    check_odd_order(n)
     _, c, offsets = conjecture_params(n)
     alpha = np.arccos(1.0 - np.sin((2.0 * np.pi / n) * (offsets + c)))
     if not np.all(alpha > 0):
@@ -424,7 +417,6 @@ class BoundsReport:
 
 
 def bounds_report(n) -> BoundsReport:
-    check_odd_order(n)
     total = eigengap_inverse_sum_bruteforce(n)
     dec = decomposed_sum(n)
     su = su_sums(n)

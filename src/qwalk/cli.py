@@ -48,8 +48,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         # plain-float repr round-trips and avoids numpy scalar wrappers
         return repr(float(value))
-    if isinstance(value, int):
-        return str(int(value))
     return str(value)
 
 
@@ -83,14 +81,13 @@ def _config_dict(args) -> dict:
 class Output:
     """What a subcommand computed, in the shapes its formats need: the csv
     header and rows (a row may be an already-joined line), the json
-    payload, the `_svg_plot` keyword arguments, a trailing csv line and the
-    exit code.  `main` renders the one format asked for."""
+    payload, the `_svg_plot` keyword arguments and the exit code.  `main`
+    renders the one format asked for."""
 
     header: list = None
     rows: object = ()
     payload: dict = None
     plot: dict = None
-    trailing: str = None
     code: int = 0
 
 
@@ -320,16 +317,10 @@ def _cmd_bounds(args) -> Output:
     return Output(payload=payload, code=1 if failed else 0)
 
 
-def _residue_matches(n, residue) -> bool:
-    if residue == "both":
-        return True
-    return n % 4 == int(residue)
-
-
 def _cmd_conjecture(args) -> Output:
     if args.n_max < 5:
         raise ValueError(f"--n-max must be at least 5, got {args.n_max}")
-    ns = [n for n in range(5, args.n_max + 1, 2) if _residue_matches(n, args.residue)]
+    ns = [n for n in range(5, args.n_max + 1, 2) if args.residue in ("both", str(n % 4))]
     rows = [bounds.conjecture_check(n) for n in ns]
     failed = [row.n for row in rows if not row.passed]
     if failed:
@@ -372,9 +363,8 @@ def _cmd_sample(args) -> Output:
     rows = [(vertex_to_label(i), int(count), count / hist.trials) for i, count in enumerate(hist.counts)]
     return Output(
         ["vertex", "count", "empirical_prob"],
-        rows,
+        rows + ["# summary " + json.dumps(summary)],
         {"n": n, "counts": hist.counts.tolist(), "trials": hist.trials, **summary},
-        trailing="# summary " + json.dumps(summary),
     )
 
 
@@ -548,8 +538,6 @@ def main(argv=None) -> int:
         else:
             lines = [_provenance(args), ",".join(output.header)]
             lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in output.rows)
-            if output.trailing is not None:
-                lines.append(output.trailing)
             text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w") as handle:

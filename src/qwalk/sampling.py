@@ -57,12 +57,10 @@ def single_measured_step(n, current, horizon, rng) -> int:
     check_vertex(n, current)
     check_horizon(horizon)
     t = rng.uniform(0.0, horizon)
-    cells = probability_profiles(n, [t]).reshape(2 * n)
-    total = cells.sum()
-    if not (abs(total - 1.0) <= ROW_SUM_TOL):
-        raise RuntimeError(f"probability profile sums to {total}, outside tolerance")
-    u = rng.random() * total
-    cell = min(int(np.searchsorted(np.cumsum(cells), u, side="right")), 2 * n - 1)
+    cdf = np.cumsum(probability_profiles(n, [t]))
+    if not (abs(cdf[-1] - 1.0) <= ROW_SUM_TOL):
+        raise RuntimeError(f"probability profile sums to {cdf[-1]}, outside tolerance")
+    cell = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), 2 * n - 1)
     return int(cell_vertex(n, current, *divmod(cell, n)))
 
 
@@ -120,11 +118,10 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
             trial_rng(config.seed, trial).random(out=trial_draws)
         current = np.full(len(draws), config.start_vertex, dtype=np.int64)
         for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):
-            cells = probability_profiles(n, times).reshape(-1, 2 * n)
-            totals = cells.sum(axis=1)
-            if not (np.abs(totals - 1.0).max() <= ROW_SUM_TOL):
+            cdf = np.cumsum(probability_profiles(n, times).reshape(-1, 2 * n), axis=1)
+            if not (np.abs(cdf[:, -1] - 1.0).max() <= ROW_SUM_TOL):
                 raise RuntimeError("a probability profile drifted away from total 1")
-            drawn = np.minimum((np.cumsum(cells, axis=1) <= (uniforms * totals)[:, None]).sum(axis=1), 2 * n - 1)
+            drawn = np.minimum((cdf <= (uniforms * cdf[:, -1])[:, None]).sum(axis=1), 2 * n - 1)
             current = cell_vertex(n, current, *np.divmod(drawn, n))
         counts += np.bincount(current, minlength=2 * n)
     return SampleHistogram(counts, config.trials)

@@ -33,11 +33,12 @@ ROW_SUM_TOL = 1e-9
 
 
 def check_horizon(T) -> None:
-    """2T must be finite, not only T: the kernel's largest phase is about 2T.
-    T is compared, not converted, so a too-large integer is rejected too."""
-    if not 0 < T <= sys.float_info.max / 2:
+    """1/T and 2T must be finite, not only T: the kernel's factors scale by
+    1/T and its largest phase is about 2T.  T is compared, not converted,
+    so a too-large integer is rejected too."""
+    if not 1 / sys.float_info.max < T <= sys.float_info.max / 2:
         shown = f"an integer of {len(str(abs(T)))} digits" if isinstance(T, int) and abs(T) > 10**30 else repr(T)[:40]
-        raise ValueError(f"averaging horizon must be positive with 2T finite, got {shown}")
+        raise ValueError(f"averaging horizon must be positive with 1/T and 2T finite, got {shown}")
 
 
 def probability_profiles(n, times) -> np.ndarray:

@@ -195,6 +195,9 @@ def test_average_full_matrix_matches_per_entry_format(capsys, monkeypatch, dust)
     header = ",".join(str(k) for k in range(1, 2 * n + 1))
     rows = [",".join(cli._fmt(cli._clamp_tiny_negative(v)) for v in row) for row in avg.to_dense()]
     assert out.split("\n", 1)[1] == "\n".join([header, *rows]) + "\n"
+    # ints, numpy ints and bools keep the text they have always had
+    values = (5, np.int64(5), True, False, None, 0.5, np.float64(0.25))
+    assert [cli._fmt(v) for v in values] == ["5", "5", "true", "false", "", "0.5", "0.25"]
     assert ("-2e-09" in out) == dust
     assert "-3e-17" not in out and "-5e-10" not in out
 
@@ -351,6 +354,7 @@ def test_sample_csv_deterministic(capsys):
     assert sum(int(row[1]) for row in rows) == 400
     summary_line = [line for line in first.splitlines() if line.startswith("# summary ")]
     assert len(summary_line) == 1
+    assert first.splitlines()[-1] == summary_line[0]
     summary = json.loads(summary_line[0][len("# summary "):])
     assert 0.0 <= summary["tv_to_uniform"] <= 1.0
     assert summary["stderr_envelope"] == pytest.approx(math.sqrt(10.0 / 400.0), rel=1e-12)
@@ -510,6 +514,11 @@ def test_error_exit_codes(capsys, monkeypatch):
         ["average", "--n", "7", "--T", "9.5e307"],
         ["figure-1b", "--n", "5", "--to", "3", "--T-max", "1e308", "--points", "3"],
         ["sample", "--n", "7", "--T", "1.7e308", "--T-prime", "1"],
+        # a positive horizon below 1/float_max, whose 1/T overflows in
+        # the averaged kernel; the sampler shares the horizon contract and
+        # refuses such a horizon too
+        ["average", "--n", "7", "--T", "1e-320"],
+        ["sample", "--n", "7", "--T", "5.5e-309", "--T-prime", "1"],
         # a finite --t-max whose grid t_max * k overflows
         ["walk", "--n", "7", "--t-max", "1e308", "--steps", "2"],
     ):
@@ -583,12 +592,15 @@ def declared_script_target():
 
 
 def test_horizon_just_below_the_float_limit_runs_clean(capsys):
-    # 8.9e307 keeps 2T finite; any RuntimeWarning (such as an overflow
-    # inside the kernel) is raised as an error here
+    # 8.9e307 keeps 2T finite and 1e-300 keeps 1/T finite; any
+    # RuntimeWarning (such as an overflow inside the kernel) is raised as
+    # an error here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (
             ["average", "--n", "7", "--T", "8.9e307"],
+            ["average", "--n", "7", "--T", "1e-300"],
+            ["sample", "--n", "7", "--T", "1e-300", "--T-prime", "2", "--trials", "50"],
             ["figure-1b", "--n", "5", "--to", "3", "--T-max", "8.9e307", "--points", "3"],
             ["sample", "--n", "7", "--T", "8.9e307", "--T-prime", "2", "--trials", "50"],
         ):

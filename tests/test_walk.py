@@ -316,7 +316,11 @@ def test_horizon_validation():
         oracles.averaged_entry(5, 5, 1, 10.0)
     with pytest.raises(ValueError):
         oracles.averaged_entry(5, 0, 2, 10.0)
-    for bad in (float("inf"), float("-inf"), float("nan"), np.nextafter(sys.float_info.max / 2, np.inf)):
+    for bad in (
+        float("inf"), float("-inf"), float("nan"), np.nextafter(sys.float_info.max / 2, np.inf),
+        # positive, but 1/T overflows
+        5.5e-309, 1e-320,
+    ):
         with pytest.raises(ValueError, match="finite"):
             walk.averaged_matrix(5, bad)
         with pytest.raises(ValueError, match="finite"):
