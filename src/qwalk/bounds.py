@@ -29,6 +29,9 @@ CROSS_GAP_GUARD = 1e-12
 
 BUDGET_COEFF = 4800.0
 
+# from this n on, a measured quantum threshold must respect the budget
+BUDGET_MIN_N = 100
+
 # relative width at which quantum_mixing_threshold stops bisecting
 THRESHOLD_REL_TOL = 1e-3
 
@@ -40,15 +43,10 @@ def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam[mu], lam[n + mu], mult
 
 
-def _inv_gap_sum(a, b, weight=None, shift=0.0, labels=None) -> float:
-    """sum over i, k of weight_i weight_k / |a_i - b_k + shift| on the outer
-    grid, BLOCK grid entries at a time.
-
-    weight (default all ones) is one per-mode vector for both axes of a
-    grid whose axes index the same modes.  labels marks the indices of a
-    square grid; every pair with equal labels is left out.
-    """
-    partial = []
+def _inv_gap_rows(a, b, shift=0.0, labels=None) -> np.ndarray:
+    """Per-row sums over k of 1 / |a_i - b_k + shift|, streamed BLOCK grid
+    entries at a time; on a square grid, pairs with equal labels are left out."""
+    rows = np.empty(len(a))
     for r in blocks(len(a), len(b)):
         gaps = a[r, None] - b
         if shift:
@@ -56,9 +54,8 @@ def _inv_gap_sum(a, b, weight=None, shift=0.0, labels=None) -> float:
         np.abs(gaps, out=gaps)
         if labels is not None:
             gaps[labels[r, None] == labels] = np.inf
-        inv = np.divide(1.0, gaps, out=gaps)
-        partial.append(float(inv.sum() if weight is None else weight[r] @ inv @ weight))
-    return math.fsum(partial)
+        rows[r] = np.divide(1.0, gaps, out=gaps).sum(axis=1)
+    return rows
 
 
 def cross_branch_gap_check(n) -> float:
@@ -89,7 +86,7 @@ def eigengap_inverse_sum_bruteforce(n) -> float:
     m = np.arange(n)
     fold = np.minimum(m, n - m)
     lam = full_spectrum(n)
-    return _inv_gap_sum(lam, lam, labels=np.concatenate([fold, n + fold]))
+    return math.fsum(_inv_gap_rows(lam, lam, labels=np.concatenate([fold, n + fold])))
 
 
 @dataclass(frozen=True)
@@ -112,26 +109,29 @@ class DecomposedSum:
         return 8.0 * self.cross + 4.0 * self.within_c1 + 4.0 * self.within_c2
 
 
-def decomposed_sum(n) -> DecomposedSum:
+def _folded_sweep(n) -> tuple[DecomposedSum, float, WithinBranchSums]:
+    """The decomposition and the unweighted cross and within sums, from one
+    sweep each of the cross and within grids.  Only mode 0 weighs 1/2: the
+    within grid is symmetric, so its weighted sum is the unweighted one less
+    row 0, and the weighted cross sum is sum_j w_j (R_j - 1/(2|lp_j - lm_0|))."""
     cross_branch_gap_check(n)
     lp, lm, mult = _branch_values(n)
-    weight = mult / 2.0
-    within = _inv_gap_sum(lp, lp, weight, labels=np.arange(len(mult)))
-    return DecomposedSum(_inv_gap_sum(lp, lm, weight), within, within)
+    cross_rows = _inv_gap_rows(lp, lm)
+    within_rows = _inv_gap_rows(lp, lp, labels=np.arange(len(lp)))
+    cross = math.fsum(mult / 2.0 * (cross_rows - 0.5 / np.abs(lp - lm[0])))
+    weighted, plain = math.fsum(within_rows[1:]), math.fsum(within_rows)
+    return DecomposedSum(cross, weighted, weighted), math.fsum(cross_rows), WithinBranchSums(plain, plain)
 
 
-def cross_sum_plain(n) -> float:
-    """Unweighted cross-branch sum over the folded representatives."""
-    cross_branch_gap_check(n)
-    lp, lm, _ = _branch_values(n)
-    return _inv_gap_sum(lp, lm)
+def decomposed_sum(n) -> DecomposedSum:
+    return _folded_sweep(n)[0]
 
 
 def cross_sum_cosine_form(n) -> float:
     """The same cross-branch sum written as
     (3/2) sum_{j,k} 1 / |cos(2 pi j / n) - cos(2 pi k / n) + 1|."""
     cos = mode_cosines(n)[: (n - 1) // 2 + 1]
-    return 1.5 * _inv_gap_sum(cos, cos, shift=1.0)
+    return 1.5 * math.fsum(_inv_gap_rows(cos, cos, shift=1.0))
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,10 @@ def _quadrant_cosines(n) -> tuple[np.ndarray, np.ndarray]:
 def su_sums(n) -> QuadrantSums:
     cos_low, cos_high = _quadrant_cosines(n)
     return QuadrantSums(
-        su1=1.5 * _inv_gap_sum(cos_low, cos_low, shift=1.0),
-        su2=1.5 * _inv_gap_sum(cos_low, cos_high, shift=1.0),
-        su3=1.5 * _inv_gap_sum(cos_high, cos_low, shift=1.0),
-        su4=1.5 * _inv_gap_sum(cos_high, cos_high, shift=1.0),
+        su1=1.5 * math.fsum(_inv_gap_rows(cos_low, cos_low, shift=1.0)),
+        su2=1.5 * math.fsum(_inv_gap_rows(cos_low, cos_high, shift=1.0)),
+        su3=1.5 * math.fsum(_inv_gap_rows(cos_high, cos_low, shift=1.0)),
+        su4=1.5 * math.fsum(_inv_gap_rows(cos_high, cos_high, shift=1.0)),
     )
 
 
@@ -173,7 +173,7 @@ def su3_raw(n) -> float:
     """The near-resonant quadrant sum without the 3/2 prefactor; this is
     the quantity the conjectured bound f(n) dominates."""
     cos_low, cos_high = _quadrant_cosines(n)
-    return _inv_gap_sum(cos_high, cos_low, shift=1.0)
+    return math.fsum(_inv_gap_rows(cos_high, cos_low, shift=1.0))
 
 
 def su_caps(n) -> dict:
@@ -197,7 +197,7 @@ class WithinBranchSums:
 
 def case5_sums(n) -> WithinBranchSums:
     lp, _, _ = _branch_values(n)
-    within = _inv_gap_sum(lp, lp, labels=np.arange(len(lp)))
+    within = math.fsum(_inv_gap_rows(lp, lp, labels=np.arange(len(lp))))
     return WithinBranchSums(within, within)
 
 
@@ -378,7 +378,7 @@ def quantum_mixing_threshold(n, epsilon=DEFAULT_EPSILON) -> MixingReport:
     epsilon, then bisects the last doubling to relative width
     THRESHOLD_REL_TOL.  The distance is not monotone in T, so this is
     neither the smallest such horizon nor one the distance stays below
-    afterwards.  For n >= 100 the measured threshold must respect the
+    afterwards.  For n >= BUDGET_MIN_N the measured threshold must respect the
     certified budget; a violation is a hard error, not a report entry.
     """
     check_odd_order(n)
@@ -387,7 +387,7 @@ def quantum_mixing_threshold(n, epsilon=DEFAULT_EPSILON) -> MixingReport:
         lambda T: averaged_matrix(n, T).distance_to_limit(), epsilon, 2.0**60,
         lambda lo, hi: hi - lo <= THRESHOLD_REL_TOL * hi, lambda lo, hi: 0.5 * (lo + hi),
     )
-    if n >= 100 and hi > budget_time(n):
+    if n >= BUDGET_MIN_N and hi > budget_time(n):
         raise RuntimeError(
             f"measured threshold {hi} exceeds the certified budget {budget_time(n)} at n={n}"
         )
@@ -418,12 +418,10 @@ class BoundsReport:
 
 def bounds_report(n) -> BoundsReport:
     total = eigengap_inverse_sum_bruteforce(n)
-    dec = decomposed_sum(n)
+    dec, plain, within = _folded_sweep(n)
     su = su_sums(n)
-    within = case5_sums(n)
     caps = su_caps(n)
     cap_within = within_branch_cap(n)
-    plain = cross_sum_plain(n)
     cosine = cross_sum_cosine_form(n)
     flags = {
         "decomposition_identity": abs(dec.total - total) <= 1e-6 * total,

@@ -308,7 +308,7 @@ def _cmd_bounds(args) -> Output:
     report = bounds.bounds_report(args.n)
     payload = report.to_dict()
     failed = [name for name, ok in report.bound_flags.items() if not ok]
-    if args.n >= 100:
+    if args.n >= bounds.BUDGET_MIN_N:
         budget = bounds.budget_report(args.n)
         payload["budget"] = budget.to_dict()
         failed += [f"budget.{name}" for name in ("passed", "analytic_passed") if not getattr(budget, name)]
@@ -321,6 +321,8 @@ def _cmd_conjecture(args) -> Output:
     if args.n_max < 5:
         raise ValueError(f"--n-max must be at least 5, got {args.n_max}")
     ns = [n for n in range(5, args.n_max + 1, 2) if args.residue in ("both", str(n % 4))]
+    if not ns:
+        raise ValueError(f"--n-max {args.n_max} with --residue {args.residue} leaves no n to check")
     rows = [bounds.conjecture_check(n) for n in ns]
     failed = [row.n for row in rows if not row.passed]
     if failed:

@@ -100,7 +100,7 @@ def test_decomposition_identity(n):
 
 def test_cross_sum_forms_agree():
     for n in (5, 11, 33):
-        plain = bounds.cross_sum_plain(n)
+        _, plain, _ = bounds._folded_sweep(n)
         cosine = bounds.cross_sum_cosine_form(n)
         assert cosine == pytest.approx(plain, rel=1e-12)
         su = bounds.su_sums(n)
@@ -144,7 +144,8 @@ def test_cross_branch_gap_guard():
 
 
 def full_grid_gap_sum(a, b, weight=None, shift=0.0, labels=None):
-    """Reference for `bounds._inv_gap_sum`: the whole outer grid at once."""
+    """Reference for the total of `bounds._inv_gap_rows`, weighted by
+    weight_i weight_k: the whole outer grid at once."""
     gaps = np.abs(a[:, None] - b[None, :] + shift)
     if labels is not None:
         gaps[labels[:, None] == labels[None, :]] = np.inf
@@ -164,6 +165,14 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     assert dec.cross == pytest.approx(full_grid_gap_sum(lp, lm, weight), rel=1e-12)
     assert dec.within_c1 == pytest.approx(full_grid_gap_sum(lp, lp, weight, labels=modes), rel=1e-12)
     assert dec.within_c2 == pytest.approx(full_grid_gap_sum(lm, lm, weight, labels=modes), rel=1e-12)
+    # the unweighted sums, from the same sweep and from case5_sums' own;
+    # the weighted within sum is the unweighted one less row 0, and row 0
+    # shares its block with few or none of the other rows here
+    _, plain, within = bounds._folded_sweep(n)
+    assert plain == pytest.approx(full_grid_gap_sum(lp, lm), rel=1e-12)
+    unweighted = full_grid_gap_sum(lp, lp, labels=modes)
+    assert within.sum_c1 == within.sum_c2 == pytest.approx(unweighted, rel=1e-12)
+    assert bounds.case5_sums(n).sum_c1 == pytest.approx(unweighted, rel=1e-12)
     m = np.arange(n)
     fold = np.minimum(m, n - m)
     lam = spectra.full_spectrum(n)
@@ -175,6 +184,27 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
         assert bounds.su3_raw(n) == pytest.approx(expected, rel=1e-12)
     # the sorted-neighbour search finds the grid minimum bit for bit
     assert bounds.cross_branch_gap_check(n) == np.abs(lp[:, None] - lm[None, :]).min()
+
+
+@pytest.mark.parametrize("n", [21, 101])
+def test_each_folded_grid_swept_once(n, monkeypatch):
+    """bounds_report sweeps the (2n)^2 enumeration grid, the cross and
+    within grids once each, and the cosine form once in quadrants and
+    once whole: 4 n^2 + 4 m^2 entries for m = (n + 1) / 2 folded modes."""
+    swept = []
+    row_sums = bounds._inv_gap_rows
+
+    def counting(a, b, *args, **kwargs):
+        swept.append(len(a) * len(b))
+        return row_sums(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_inv_gap_rows", counting)
+    m = (n + 1) // 2
+    assert bounds.bounds_report(n).all_passed
+    assert sum(swept) == 4 * n * n + 4 * m * m
+    swept.clear()
+    bounds.budget_report(n)
+    assert sum(swept) == 2 * m * m
 
 
 def bruteforce_matches_decomposition_4001():

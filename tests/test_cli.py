@@ -495,6 +495,8 @@ def test_error_exit_codes(capsys, monkeypatch):
         (["classical", "--n", "5", "--t-max", "-1"], "--t-max must be nonnegative"),
         (["figure-1b", "--n", "5", "--to", "2", "--points", "1"], "--points must be at least 2"),
         (["speedup", "--n-list", ","], "--n-list is empty"),
+        (["conjecture", "--n-max", "5", "--residue", "3"], "--n-max 5 with --residue 3"),
+        (["conjecture", "--n-max", "6", "--residue", "3", "--format", "svg"], "--n-max 6 with --residue 3"),
     ):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
