@@ -24,7 +24,8 @@ class SamplerConfig:
 
     horizon is the measurement window T, steps the number of measured
     steps per trial, trials the number of independent walks, and seed the
-    root of the per-trial random streams.
+    root of the run's one random stream, PCG64(SeedSequence(seed)): trial
+    k reads the 2 steps doubles that start at draw 2 steps k.
     """
 
     n: int
@@ -45,9 +46,10 @@ class SamplerConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-def trial_rng(seed, trial) -> np.random.Generator:
-    """Independent stream for one trial: child (trial,) of the root seed."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+def trial_rng(seed, trial, steps) -> np.random.Generator:
+    """The run's stream advanced to trial `trial`'s segment: PCG64 spends
+    one 64-bit draw per double, so `advance` jumps 2 steps trial doubles."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(2 * steps * trial))
 
 
 def single_measured_step(n, current, horizon, rng) -> int:
@@ -70,7 +72,7 @@ def measured_walk(config: SamplerConfig, trial=0) -> int:
     Deterministic in (config.seed, trial); `empirical_check` reproduces it
     trial by trial.
     """
-    rng = trial_rng(config.seed, trial)
+    rng = trial_rng(config.seed, trial, config.steps)
     vertex = config.start_vertex
     for _ in range(config.steps):
         vertex = single_measured_step(config.n, vertex, config.horizon, rng)
@@ -103,19 +105,19 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
     """Histogram of the endpoints of `config.trials` independent walks.
 
     Trials go in chunks of about BLOCK / (2 max(n, steps)), so memory is
-    O(n + steps + BLOCK) for any trial count.  A measured step takes two
-    doubles from its trial's stream, the time fraction and then the
-    inverse-CDF uniform, so each trial draws all its steps at once;
-    `horizon * u` is the value `rng.uniform(0, horizon)` returns for the
-    same draw.  The batch thus reproduces `measured_walk(config, trial)`
-    exactly for every trial.
+    O(n + steps + BLOCK) for any trial count.  One generator serves the
+    run: trial k owns the 2 steps doubles from draw 2 steps k, a (time
+    fraction, inverse-CDF uniform) pair per step, so each chunk reads its
+    trials' segments in one call and the histogram does not depend on
+    BLOCK.  `horizon * u` is the value `rng.uniform(0, horizon)` returns
+    for the same draw, so the batch reproduces `measured_walk(config,
+    trial)`, which jumps to its segment, exactly for every trial.
     """
     n = config.n
     counts = np.zeros(2 * n, dtype=np.int64)
+    rng = trial_rng(config.seed, 0, config.steps)
     for chunk in blocks(config.trials, 2 * max(n, config.steps)):
-        draws = np.empty((chunk.stop - chunk.start, config.steps, 2))
-        for trial, trial_draws in zip(range(chunk.start, chunk.stop), draws):
-            trial_rng(config.seed, trial).random(out=trial_draws)
+        draws = rng.random((chunk.stop - chunk.start, config.steps, 2))
         current = np.full(len(draws), config.start_vertex, dtype=np.int64)
         for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):
             cdf = np.cumsum(probability_profiles(n, times).reshape(-1, 2 * n), axis=1)

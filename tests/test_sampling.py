@@ -1,8 +1,10 @@
 """Measured-walk sampler: determinism, batching, and statistics.
 
-The batched runner must reproduce the scalar walk trial by trial, since
-both read the same per-trial random streams in the same order.  Its
-histograms are tested against the exact law of the measured walk.
+A run reads one PCG64(SeedSequence(seed)) stream: trial k owns the
+2 steps doubles from draw 2 steps k.  The batched runner reads the stream
+in trial order and the scalar walk jumps to its trial's segment with
+`advance`, so the two agree trial by trial.  Their histograms are tested
+against the exact law of the measured walk.
 """
 
 import tracemalloc
@@ -39,18 +41,25 @@ def test_nan_row_trips_row_sum_guard(monkeypatch):
     # both paths draw from the P_t profile, so a NaN profile must trip them
     monkeypatch.setattr(sampling, "probability_profiles", lambda n, ts: np.full((len(ts), 2, n), np.nan))
     with pytest.raises(RuntimeError, match="sums to"):
-        sampling.single_measured_step(5, 0, 10.0, sampling.trial_rng(0, 0))
+        sampling.single_measured_step(5, 0, 10.0, sampling.trial_rng(0, 0, 1))
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=2, trials=3, seed=0)
     with pytest.raises(RuntimeError, match="drifted"):
         sampling.empirical_check(config)
 
 
 def test_trial_streams_are_independent_and_stable():
-    first = sampling.trial_rng(123, 0).random(4)
-    again = sampling.trial_rng(123, 0).random(4)
-    other = sampling.trial_rng(123, 1).random(4)
+    first = sampling.trial_rng(123, 0, 2).random(4)
+    again = sampling.trial_rng(123, 0, 2).random(4)
+    other = sampling.trial_rng(123, 1, 2).random(4)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+@pytest.mark.parametrize("seed, trial, steps", [(0, 0, 1), (123, 1, 2), (7, 5, 3)])
+def test_trial_segment_is_a_slice_of_the_run_stream(seed, trial, steps):
+    # `advance` counts 64-bit draws, so this pins one draw per double
+    run = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(2 * steps * (trial + 1))
+    assert np.array_equal(sampling.trial_rng(seed, trial, steps).random(2 * steps), run[-2 * steps:])
 
 
 def test_measured_walk_deterministic():
@@ -67,7 +76,7 @@ def test_zero_steps_returns_start():
 
 def test_tiny_horizon_keeps_walker_in_place():
     # at t <= 1e-12 the stay-put probability is 1 up to 1e-24
-    rng = sampling.trial_rng(0, 0)
+    rng = sampling.trial_rng(0, 0, 20)
     for _ in range(20):
         assert sampling.single_measured_step(5, 3, 1e-12, rng) == 3
 
@@ -90,6 +99,22 @@ def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
     expected = sampling.empirical_check(config).counts
     monkeypatch.setattr(dihedral, "BLOCK", buffer)
     assert np.array_equal(sampling.empirical_check(config).counts, expected)
+
+
+def test_batched_check_builds_one_generator(monkeypatch):
+    # BLOCK 24 walks the 12 trials in 6 chunks, all from one stream
+    calls = []
+    real = sampling.trial_rng
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "trial_rng", counted)
+    monkeypatch.setattr(dihedral, "BLOCK", 24)
+    config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
+    assert sampling.empirical_check(config).counts.sum() == 12
+    assert len(calls) == 1
 
 
 def test_batched_check_in_small_memory():

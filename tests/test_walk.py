@@ -362,7 +362,7 @@ def test_probability_times_must_be_finite():
         with pytest.raises(ValueError, match="finite"):
             walk.probability_profiles(5, [1.0, bad, 2.0])
         with pytest.raises(ValueError, match="finite"):
-            sampling.single_measured_step(5, 0, bad, sampling.trial_rng(0, 0))
+            sampling.single_measured_step(5, 0, bad, sampling.trial_rng(0, 0, 1))
     # P_-t = P_t, so negative times stay accepted
     assert np.allclose(walk.probability_row(5, 3, -2.5), walk.probability_row(5, 3, 2.5), atol=1e-15)
 
