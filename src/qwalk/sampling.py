@@ -52,18 +52,26 @@ def trial_rng(seed, trial, steps) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(2 * steps * trial))
 
 
+def _measured_step(n, current, horizon, draws):
+    """Move each walker in `current` by one measurement: walker k's time is
+    horizon draws[k, 0], and draws[k, 1] picks a cell of its P_t profile by
+    inverse CDF in cell order, clamped to 2n - 1 as a uniform times the last
+    CDF entry can round up to it.  Both public paths measure through here."""
+    cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).reshape(-1, 2 * n), axis=1)
+    drifted = ~(np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
+    if drifted.any():
+        raise RuntimeError(f"a probability profile sums to {cdf[drifted, -1][0]}, drifted away from 1")
+    drawn = np.minimum((cdf <= (draws[:, 1] * cdf[:, -1])[:, None]).sum(axis=1), 2 * n - 1)
+    return cell_vertex(n, current, *np.divmod(drawn, n))
+
+
 def single_measured_step(n, current, horizon, rng) -> int:
-    """One measured step: draw t ~ U[0, horizon], then a cell of the P_t
-    profile by inverse CDF in cell order, and move `current` by that cell."""
+    """One measured step: draw t ~ U[0, horizon] and then a uniform, and
+    move `current` by the cell of the P_t profile that it picks."""
     check_odd_order(n)
     check_vertex(n, current)
     check_horizon(horizon)
-    t = rng.uniform(0.0, horizon)
-    cdf = np.cumsum(probability_profiles(n, [t]))
-    if not (abs(cdf[-1] - 1.0) <= ROW_SUM_TOL):
-        raise RuntimeError(f"probability profile sums to {cdf[-1]}, outside tolerance")
-    cell = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), 2 * n - 1)
-    return int(cell_vertex(n, current, *divmod(cell, n)))
+    return int(_measured_step(n, current, horizon, rng.random((1, 2)))[0])
 
 
 def measured_walk(config: SamplerConfig, trial=0) -> int:
@@ -109,9 +117,10 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
     run: trial k owns the 2 steps doubles from draw 2 steps k, a (time
     fraction, inverse-CDF uniform) pair per step, so each chunk reads its
     trials' segments in one call and the histogram does not depend on
-    BLOCK.  `horizon * u` is the value `rng.uniform(0, horizon)` returns
-    for the same draw, so the batch reproduces `measured_walk(config,
-    trial)`, which jumps to its segment, exactly for every trial.
+    BLOCK.  Each step moves the chunk's walkers through the measurement
+    that `single_measured_step` makes, on the same draws, so the batch
+    reproduces `measured_walk(config, trial)`, which jumps to its segment,
+    exactly for every trial.
     """
     n = config.n
     counts = np.zeros(2 * n, dtype=np.int64)
@@ -119,11 +128,7 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
     for chunk in blocks(config.trials, 2 * max(n, config.steps)):
         draws = rng.random((chunk.stop - chunk.start, config.steps, 2))
         current = np.full(len(draws), config.start_vertex, dtype=np.int64)
-        for times, uniforms in zip(config.horizon * draws[:, :, 0].T, draws[:, :, 1].T):
-            cdf = np.cumsum(probability_profiles(n, times).reshape(-1, 2 * n), axis=1)
-            if not (np.abs(cdf[:, -1] - 1.0).max() <= ROW_SUM_TOL):
-                raise RuntimeError("a probability profile drifted away from total 1")
-            drawn = np.minimum((cdf <= (uniforms * cdf[:, -1])[:, None]).sum(axis=1), 2 * n - 1)
-            current = cell_vertex(n, current, *np.divmod(drawn, n))
+        for step in draws.transpose(1, 0, 2):
+            current = _measured_step(n, current, config.horizon, step)
         counts += np.bincount(current, minlength=2 * n)
     return SampleHistogram(counts, config.trials)

@@ -48,7 +48,10 @@ def probability_profiles(n, times) -> np.ndarray:
     (2 cos(2 pi m / n) +- 1) / 3 and the walk factorises into an n-cycle
     walk times a two-state coin.  With a = ifft(e^{2 i t cos(2 pi m / n) / 3})
     the same-block amplitude is cos(t / 3) a and the other-block one
-    i sin(t / 3) a: one inverse DFT per time.
+    i sin(t / 3) a: one inverse DFT per time, of the (n + 1) / 2 folded
+    phases (mirror modes m, n - m share a cosine) gathered back to n
+    columns, so P_t is even in the offset to rounding.  The coin is read from
+    mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) = (1 +- cos(2 t / 3)) / 2.
     """
     try:
         times = np.asarray(times, dtype=float)
@@ -56,9 +59,10 @@ def probability_profiles(n, times) -> np.ndarray:
         raise ValueError("walk times must be finite, got an integer too large for a float") from None
     if not np.isfinite(times).all():
         raise ValueError(f"walk times must be finite, got {times[~np.isfinite(times)][0]}")
-    ring = (2.0 / 3.0) * mode_cosines(n)
-    cycle = np.abs(np.fft.ifft(np.exp(1j * np.outer(times, ring)), axis=1)) ** 2
-    coin = np.stack([np.cos(times / 3.0) ** 2, np.sin(times / 3.0) ** 2], axis=1)
+    mu, _ = folded_modes(n)
+    phases = np.exp(1j * np.outer(times, (2.0 / 3.0) * mode_cosines(n)[mu]))
+    cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1)) ** 2
+    coin = 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5])
     return coin[:, :, None] * cycle[:, None, :]
 
 

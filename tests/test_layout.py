@@ -14,7 +14,8 @@ circulant view: `sliding_window_view` and `take_along_axis` appear
 nowhere else.  The averaged kernel's O(n^2) block loop calls no np.sin,
 np.cos, np.exp or np.sinc: its phases are per mode.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
-in `dihedral`.
+in `dihedral`, and the sampler builds its inverse CDF only in the one
+measured step that its single and batched walks share.
 """
 
 import ast
@@ -273,3 +274,31 @@ def test_block_xor_written_only_in_dihedral():
                 stray.append(f"{path.name}:{line} in {owner}")
     assert not stray
     assert homes == XOR_HOMES
+
+
+# the one function in the sampler that may build an inverse CDF: both the
+# single step and the batched checker measure through it
+CUMSUM_HOME = "_measured_step"
+
+
+def cumsum_uses(tree):
+    """(line, enclosing top-level def or class) of each np.cumsum reference."""
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "cumsum"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                uses.append((node.lineno, owner))
+    return sorted(uses)
+
+
+def test_inverse_cdf_written_once_in_sampler():
+    probe = ast.parse("import numpy as np\ndef f(p):\n    return np.cumsum(p)\nc = np.cumsum([1])\n")
+    assert cumsum_uses(probe) == [(3, "f"), (4, None)]
+    uses = cumsum_uses(parse(ROOT / "src" / "qwalk" / "sampling.py"))
+    assert uses and {owner for _, owner in uses} == {CUMSUM_HOME}

@@ -81,14 +81,19 @@ def test_tiny_horizon_keeps_walker_in_place():
         assert sampling.single_measured_step(5, 3, 1e-12, rng) == 3
 
 
-def test_batched_check_reproduces_scalar_walk():
-    config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
-    hist = sampling.empirical_check(config)
-    scalar_counts = np.zeros(10, dtype=int)
-    for trial in range(config.trials):
-        scalar_counts[sampling.measured_walk(config, trial)] += 1
-    assert np.array_equal(hist.counts, scalar_counts)
-    assert hist.trials == 12
+def test_batched_check_reproduces_scalar_walk(monkeypatch):
+    # BLOCK 10 n walks the 12 trials in chunks of 5, 5 and 2, and the
+    # folded P_t must give both paths the same bits at every n
+    for n in (5, 7, 21, 101):
+        monkeypatch.setattr(dihedral, "BLOCK", 10 * n)
+        for horizon in (30.0, 1e3):
+            config = sampling.SamplerConfig(n=n, start_vertex=0, horizon=horizon, steps=4, trials=12, seed=42)
+            hist = sampling.empirical_check(config)
+            scalar_counts = np.zeros(2 * n, dtype=int)
+            for trial in range(config.trials):
+                scalar_counts[sampling.measured_walk(config, trial)] += 1
+            assert np.array_equal(hist.counts, scalar_counts), (n, horizon)
+            assert hist.trials == 12
 
 
 @pytest.mark.parametrize("buffer", [24, 72])

@@ -113,6 +113,19 @@ def test_probability_matrix_symmetric_doubly_stochastic(n, t):
     assert np.min(mat) > -1e-12
 
 
+@pytest.mark.parametrize("n", [3, 7, 21, 101])
+def test_probability_profiles_even_in_offset_at_large_times(n):
+    """Mirror modes m, n - m share one phase, so P_t is even in the offset
+    and the dense matrix symmetric to rounding, not to the t 1e-16 by
+    which two separately rounded mirror phases differ (3.4e-11 at t = 1e6)."""
+    times = [1e2, 1e4, 1e6]
+    profiles = walk.probability_profiles(n, times)
+    assert np.abs(profiles - profiles[..., -np.arange(n) % n]).max() <= 1e-15
+    for t in times:
+        mat = walk.probability_matrix(n, t)
+        assert np.abs(mat - mat.T).max() <= 1e-15
+
+
 def test_phase_average_values():
     # (e^{ixT}-1)/(ixT) at x=0 is exactly 1
     assert oracles.phase_average(np.array([0.0]), 10.0)[0] == 1.0 + 0.0j
