@@ -164,7 +164,7 @@ def su_sums(n) -> QuadrantSums:
     return QuadrantSums(
         su1=1.5 * math.fsum(_inv_gap_rows(cos_low, cos_low, shift=1.0)),
         su2=1.5 * math.fsum(_inv_gap_rows(cos_low, cos_high, shift=1.0)),
-        su3=1.5 * math.fsum(_inv_gap_rows(cos_high, cos_low, shift=1.0)),
+        su3=1.5 * su3_raw(n),
         su4=1.5 * math.fsum(_inv_gap_rows(cos_high, cos_high, shift=1.0)),
     )
 

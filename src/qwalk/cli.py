@@ -191,7 +191,7 @@ def _cmd_walk(args) -> Output:
     if not (args.t_max > 0 and math.isfinite(args.t_max * args.steps)):
         raise ValueError(f"--t-max must be positive with --t-max * --steps finite, got {args.t_max}")
     ts = [args.t_max * k / args.steps for k in range(args.steps + 1)]
-    probs = [_clamp_tiny_negative(p[cell]) for p in _grid_profiles(walk.probability_profiles, n, ts)]
+    probs = [float(p[cell]) for p in _grid_profiles(walk.probability_profiles, n, ts)]
     points = list(zip(ts, probs))
     plot = {
         "series": [(f"P_t({args.src},{args.dst})", points)],
@@ -225,21 +225,9 @@ def _cmd_average(args) -> Output:
 
 def _cmd_limit(args) -> Output:
     pi = walk.limiting_distribution(args.n)
-    return Output(
-        payload={
-            "n": args.n,
-            "diagonal": float(pi.diagonal),
-            "offdiagonal": float(pi.off_diagonal),
-            "min_entry": float(pi.min_entry()),
-            "row_sum": float(pi.row_sum()),
-            "exact": {
-                "diagonal": str(pi.diagonal),
-                "offdiagonal": str(pi.off_diagonal),
-                "min_entry": str(pi.min_entry()),
-                "row_sum": str(pi.row_sum()),
-            },
-        }
-    )
+    exact = dict(diagonal=pi.diagonal, offdiagonal=pi.off_diagonal, min_entry=pi.min_entry(), row_sum=pi.row_sum())
+    floats = {key: float(value) for key, value in exact.items()}
+    return Output(payload={"n": args.n, **floats, "exact": {key: str(value) for key, value in exact.items()}})
 
 
 def _cmd_classical(args) -> Output:
@@ -431,19 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="continuous-time walk on dihedral Cayley graphs: dynamics, mixing bounds, sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    needs_n = argparse.ArgumentParser(add_help=False)
+    needs_n.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("graph", help="emit the 3-regular graph")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("graph", help="emit the 3-regular graph", parents=[needs_n])
     _add_output_flags(p, ["edges-csv", "matrix-csv"], "edges-csv")
     p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("spectrum", help="all 2n eigenvalues with branch labels")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("spectrum", help="all 2n eigenvalues with branch labels", parents=[needs_n])
     _add_output_flags(p, ["csv", "json"], "csv")
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("walk", help="transition probability over a time grid")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("walk", help="transition probability over a time grid", parents=[needs_n])
     p.add_argument("--from", dest="src", type=int, default=1, help="1-based source vertex")
     p.add_argument("--to", dest="dst", type=int, default=2, help="1-based target vertex")
     p.add_argument("--t-max", type=float, default=30.0)
@@ -451,40 +438,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ["csv", "json", "svg"], "csv")
     p.set_defaults(handler=_cmd_walk)
 
-    p = sub.add_parser("average", help="time-averaged transition values at horizon T")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("average", help="time-averaged transition values at horizon T", parents=[needs_n])
     p.add_argument("--T", type=float, required=True, help="averaging horizon")
     p.add_argument("--full-matrix", action="store_true", help="emit the dense matrix instead of the value profile")
     _add_output_flags(p, ["csv", "json"], "csv")
     p.set_defaults(handler=_cmd_average)
 
-    p = sub.add_parser("limit", help="exact limiting distribution")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("limit", help="exact limiting distribution", parents=[needs_n])
     _add_output_flags(p, ["json"], "json")
     p.set_defaults(handler=_cmd_limit)
 
-    p = sub.add_parser("classical", help="classical distance-to-uniform series")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("classical", help="classical distance-to-uniform series", parents=[needs_n])
     p.add_argument("--t-max", type=int, default=100)
     p.add_argument("--epsilon", type=float, default=spectra.DEFAULT_EPSILON)
     _add_output_flags(p, ["csv", "svg"], "csv")
     p.set_defaults(handler=_cmd_classical)
 
-    p = sub.add_parser("classical-mix", help="measured classical mixing time")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("classical-mix", help="measured classical mixing time", parents=[needs_n])
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--norm", choices=["half_induced", "column_pairs"], default="half_induced")
     _add_output_flags(p, ["json"], "json")
     p.set_defaults(handler=_cmd_classical_mix)
 
-    p = sub.add_parser("mix", help="quantum vs classical mixing thresholds")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("mix", help="quantum vs classical mixing thresholds", parents=[needs_n])
     p.add_argument("--epsilon", type=float, default=None)
     _add_output_flags(p, ["json"], "json")
     p.set_defaults(handler=_cmd_mix)
 
-    p = sub.add_parser("bounds", help="gap sums, decomposition identity, analytic caps")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("bounds", help="gap sums, decomposition identity, analytic caps", parents=[needs_n])
     _add_output_flags(p, ["json"], "json")
     p.set_defaults(handler=_cmd_bounds)
 
@@ -494,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ["csv", "svg"], "csv")
     p.set_defaults(handler=_cmd_conjecture)
 
-    p = sub.add_parser("sample", help="measured-walk endpoint histogram")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("sample", help="measured-walk endpoint histogram", parents=[needs_n])
     p.add_argument("--start", type=int, default=1, help="1-based start vertex")
     p.add_argument("--T", type=float, required=True, help="measurement window")
     p.add_argument("--T-prime", type=int, required=True, help="measured steps per trial")

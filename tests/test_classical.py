@@ -212,6 +212,9 @@ def test_mixing_time_respects_epsilon_argument():
     assert report.distance_series == [(0, pytest.approx(5 / 6, rel=1e-15))]
     with pytest.raises(ValueError, match="unknown norm kind 'sup'"):
         classical.classical_mixing_time(9, norm_kind="sup")
+    # a distance that never drops to epsilon ends the doubling at the cap
+    with pytest.raises(RuntimeError, match="distance stays above 0.5 up to 8"):
+        classical.bracket_search(lambda t: 1.0, 0.5, 8, lambda lo, hi: hi - lo <= 1, lambda lo, hi: (lo + hi) // 2)
 
 
 @pytest.mark.parametrize(
@@ -272,6 +275,8 @@ def test_step_count_validation():
     for bad in ([2.7], np.array([1.0, 2.0])):
         with pytest.raises(ValueError, match="integers"):
             classical.classical_profiles(5, bad)
+    with pytest.raises(ValueError, match="step counts must be nonnegative"):
+        classical.classical_profiles(5, [3, -1])
     assert classical.classical_profiles(5, np.array([2], dtype=np.int32)).shape == (1, 2, 5)
     with pytest.raises(ValueError):
         classical.check_step_count(-3)

@@ -240,6 +240,9 @@ def test_classical_series_csv(capsys, monkeypatch):
     # profiles batched across several blocks print the same series
     monkeypatch.setattr(dihedral, "BLOCK", 40)
     assert run_cli(capsys, ["classical", "--n", "5", "--t-max", "40"]) == (code, out, err)
+    # a one-point grid plots on a unit x range
+    code, out, _ = run_cli(capsys, ["classical", "--n", "5", "--t-max", "0", "--format", "svg"])
+    assert code == 0 and out.count("<polyline") == 2
     # a grid that ends before the crossing says so
     code, out, err = run_cli(capsys, ["classical", "--n", "5", "--t-max", "2"])
     assert code == 0 and len(parse_csv(out)[1]) == 3
@@ -309,6 +312,11 @@ def test_failed_checks_are_named_on_stderr(capsys, monkeypatch):
         "lower_bound_respected failed at n=9",
     ]
     assert all("< floor(1000000.0)" in line for line in failures)
+    # conjecture lists the n it failed at; stdout keeps its table
+    monkeypatch.setattr(bounds, "conjecture_f", lambda n: 0.0)
+    code, out, err = run_cli(capsys, ["conjecture", "--n-max", "11"])
+    assert code == 1 and [row[-1] for row in parse_csv(out)[1]] == ["false"] * 4
+    assert err == "conjecture check failed at n=[5, 7, 9, 11]\n"
 
 
 def test_conjecture_csv_roundtrip(capsys):
@@ -476,6 +484,23 @@ def test_provenance_line_everywhere(capsys):
         assert code == 0, argv
         first = out.splitlines()[0]
         assert first.startswith(f"# qwalk {argv[0]}"), argv
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["graph", "spectrum", "walk", "average", "limit", "classical", "classical-mix", "mix", "bounds", "sample"],
+)
+def test_n_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --n" in capsys.readouterr().err
+
+
+def test_figure_1b_defaults_n_to_101(capsys):
+    code, out, _ = run_cli(capsys, ["figure-1b", "--T-max", "100", "--t-max", "5", "--points", "3"])
+    assert code == 0
+    assert out.splitlines()[0].startswith("# qwalk figure-1b n=101 ")
 
 
 def test_error_exit_codes(capsys, monkeypatch):

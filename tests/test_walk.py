@@ -103,6 +103,10 @@ def test_probability_rows_sum_to_one_at_large_n():
     assert profiles.min() >= 0.0
     row = walk.probability_row(n, int(rng.integers(0, 2 * n)), 1e9)
     assert abs(row.sum() - 1.0) <= walk.ROW_SUM_TOL and row.min() >= 0.0
+    # P_t = coin |a|^2 with coin = (1 +- cos(2t/3)) / 2, so no entry rounds
+    # below zero and the CLI prints P_t unclamped
+    for small_n in (3, 7, 21, 101):
+        assert walk.probability_profiles(small_n, rng.uniform(0.0, 1e6, size=4000)).min() >= 0.0
 
 
 @pytest.mark.parametrize("n,t", [(3, 1.3), (9, 7.7)])
