@@ -11,6 +11,7 @@ holds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -413,7 +414,10 @@ def _add_output_flags(parser, formats, default) -> None:
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on first use, then shared by every
+    `main` call, as parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="qwalk",
         description="continuous-time walk on dihedral Cayley graphs: dynamics, mixing bounds, sampling",
@@ -505,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "n"):
             dihedral.check_odd_order(args.n)

@@ -21,6 +21,7 @@ import numpy as np
 from .dihedral import (
     blocks,
     check_odd_order,
+    circulant,
     cosine_profiles,
     pair_cell,
     pair_values_dense,
@@ -128,9 +129,10 @@ def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
     pair (mu, mu') is column mu of a[0] or a[1] dotted with column mu' of b."""
     check_horizon(T)
     mu, w = folded_modes(n)
-    phi, psi = (2.0 * T / 3.0) * (mode_cosines(n)[mu] + np.array([[0.0], [1.0]]))
-    a = (0.5 * w / T) * np.array([[np.sin(phi), -np.cos(phi)], [np.sin(psi), -np.cos(psi)]])
-    return a, w * np.stack([np.cos(phi), np.sin(phi)])
+    phases = (2.0 * T / 3.0) * (mode_cosines(n)[mu] + np.array([[0.0], [1.0]]))
+    sin, cos = np.sin(phases), np.cos(phases)
+    a = (0.5 * w / T) * np.stack([sin, -cos], axis=1)
+    return a, w * np.stack([cos[0], sin[0]])
 
 
 def averaged_profiles(n, Ts) -> np.ndarray:
@@ -144,12 +146,18 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     the four preimages of (mu, mu') carry w w' / 2 times
     cos 2 pi delta (mu - mu') / n + cos 2 pi delta (mu + mu') / n, so each
     kernel value is binned at |mu - mu'| and at mu + mu', and
-    `cosine_profiles` finishes the job.  Each block builds its bins, |x|
-    and 1 / x once, same-branch x as -(4/3) sin(pi (mu + mu') / n)
-    sin(pi (mu - mu') / n) from a sine table (0 for mirror modes, full
-    relative precision).  Per horizon, sin(xT) w w' / (2T) is a rank-2
-    product of `mode_phases` factors times 1 / x; pairs with |x| T < 1
-    (all, if most) take sin(xT) / (xT) directly, as that product cancels.
+    `cosine_profiles` finishes the job.
+
+    Each block of rows builds its gaps x once.  The same-branch x is
+    -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n), the product of a
+    Hankel and a Toeplitz `circulant` view of one sine table (0 for mirror
+    modes, full relative precision).  Per horizon, sin(xT) w w' / (2T) is
+    a rank-2 product of `mode_phases` factors divided by x; the pairs with
+    |x| T < 1 (all, if most) take w w' / 2 sin(xT) / (xT) directly, as that
+    quotient cancels.  The kernel block is written into a zero-padded
+    buffer whose rows, re-cut one entry shorter or longer, put each
+    anti-diagonal or diagonal in one column: a column sum bins the block
+    at mu + mu' or at mu' - mu, which folds onto |mu - mu'|.
     """
     check_odd_order(n)
     factors = [mode_phases(n, T) for T in Ts]
@@ -158,26 +166,51 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     cos = (2.0 / 3.0) * mode_cosines(n)[:size]
     # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
     sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
+    # the same-branch gap's factors are windows of one circulant view,
+    # table[r, c] = t[(c - r) mod 2n] with t = (-sine[:size], -(4/3) |sine|,
+    # -sine[size:]): hankel[mu, mu'] = -(4/3) |sine[mu + mu']| and
+    # toeplitz[mu, mu'] = sine[mu - mu']
+    table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
+    hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
+    half = 0.5 * w
     # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
     binned = np.zeros((len(Ts), 2, n))
+    # buffers for the first block, the tallest: kernel row i sits at columns
+    # height - 1 .. height + size - 2 of row i of the zero-padded `flat`
+    height = blocks(size, size)[0].stop
+    width = size + 2 * height - 1
+    flat = np.zeros(height * (width + 1))
+    kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]
+    gaps, scratch, small = np.empty((2, height, size)), np.empty((height, size)), np.empty((height, size), bool)
     for r in blocks(size, size):
-        diff = mu[r, None] - mu
-        total = (mu[r, None] + mu).ravel()
-        gaps = [(-4.0 / 3.0 * np.abs(sine))[total] * sine[diff].ravel(), ((2.0 / 3.0 + cos[r, None]) - cos).ravel()]
-        reciprocals = [np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0) for gap in gaps]
-        gaps, diff = [np.abs(gap, out=gap) for gap in gaps], np.abs(diff, out=diff).ravel()
-        weight, kernel = np.outer(0.5 * w[r], w).ravel(), np.empty_like(gaps[0])
+        rows, last = r.stop - r.start, r.stop - 1
+        # only the last block can be shorter; it uses the first rows
+        gaps, scratch, small, kernel = gaps[:, :rows], scratch[:rows], small[:rows], kernel[:rows]
+        # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
+        # one entry longer, mu' - mu = k - last
+        sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
+        diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
+        np.multiply(hankel[r], toeplitz[r], out=gaps[0])
+        np.subtract(2.0 / 3.0 + cos[r, None], cos, out=gaps[1])
         for T, (a, b), pair in zip(Ts, factors, binned):
-            for out, gap, reciprocal, a_rows in zip(pair, gaps, reciprocals, a[:, :, r]):
-                small = gap < 1.0 / T
-                if 2 * np.count_nonzero(small) > small.size:
-                    kernel = weight * real_phase_average(gap, T)
+            for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
+                np.less(gap, 1.0 / T, out=small)
+                np.logical_and(small, gap > -1.0 / T, out=small)
+                where = np.flatnonzero(small)
+                if 2 * where.size > small.size:
+                    np.multiply(real_phase_average(np.abs(gap), T), half[r, None], out=scratch)
+                    np.multiply(scratch, w, out=kernel)
                 else:
-                    np.matmul(a_rows.T, b, out=kernel.reshape(-1, size))
-                    kernel *= reciprocal
-                    kernel[small] = weight[small] * real_phase_average(gap[small], T)
-                out += np.bincount(diff, kernel, n) + np.bincount(total, kernel, n)
-        del diff, total, gaps, reciprocals, weight, kernel  # before the next block's arrays exist
+                    np.matmul(a_rows.T, b, out=scratch)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        np.divide(scratch, gap, out=kernel)
+                    if where.size:
+                        i, j = np.divmod(where, size)
+                        kernel[i, j] = half[r].take(i) * w.take(j) * real_phase_average(np.abs(gap.take(where)), T)
+                out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
+                by_diff = diffs.sum(axis=0)
+                out[: size - r.start] += by_diff[last:]
+                out[last:0:-1] += by_diff[:last]
     vals = cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
     # every row of the dense matrix holds each distinct value once
     drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)

@@ -12,6 +12,8 @@ something `qwalk` computes another way:
   folded sum with sin(xT) / (xT) evaluated directly at every mode pair;
 - the exact law of the measured walk, the k-th power of the averaged
   kernel taken through its branch characters, for the sampler;
+- the wrapped arcsine model D(c) of the averaged kernel's distance to
+  its limit at horizon c n, for the scaling of the quantum threshold;
 - the normalized adjacency, dense powers of the classical walk and the
   matrix distances built on them, for the distinct-value profiles;
 - the quarter split of the eigenvalue indices behind the folded gap sums.
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from qwalk.classical import check_step_count, classical_profile, profile_column_distance
 from qwalk.dihedral import (
@@ -329,6 +332,30 @@ def measured_law(n, T, steps, start) -> np.ndarray:
     a, b = np.fft.fft(averaged_matrix(n, T).values, axis=1).real[:, mu]
     profile = cosine_profiles(w * (a + b) ** steps, w * (a - b) ** steps, n) / (2 * n)
     return pair_values_row(n, profile, start)
+
+
+def arcsine_distance(c) -> float:
+    """D(c) = integral_0^1 |rho_c(x) - 1| dx, the n-free limit of the averaged
+    kernel's distance to its limit at horizon T = c n.
+
+    The cycle amplitude sum_k i^k J_k(2t/3) spreads, in cycle units x = r / n,
+    with the arcsine density 1 / (pi sqrt(w^2 - x^2)) between fronts at
+    |x| = w = 2t / (3n).  Averaged over t in [0, c n] and wrapped onto the
+    cycle it becomes rho_c(x) = (3 / (2 pi c)) sum_k arccosh(W / |x + k|)
+    over |x + k| < W, W = 2c / 3.  Integrated by quad with breakpoints at
+    the fronts |x + k| = W.
+    """
+    front = 2.0 * c / 3.0
+    scale = 3.0 / (2.0 * math.pi * c)
+    shifts = range(-math.ceil(front) - 1, math.ceil(front) + 1)
+
+    def deviation(x):
+        density = sum(math.acosh(front / abs(x + k)) for k in shifts if 0.0 < abs(x + k) < front)
+        return abs(scale * density - 1.0)
+
+    fronts = sorted({x for k in shifts for x in (front - k, -front - k) if 0.0 < x < 1.0})
+    value, _ = quad(deviation, 0.0, 1.0, points=fronts or None, limit=400, epsabs=1e-11, epsrel=1e-11)
+    return value
 
 
 def normalized_adjacency(n) -> np.ndarray:

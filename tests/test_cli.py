@@ -503,6 +503,24 @@ def test_figure_1b_defaults_n_to_101(capsys):
     assert out.splitlines()[0].startswith("# qwalk figure-1b n=101 ")
 
 
+def test_main_shares_one_parser(capsys, monkeypatch):
+    # main builds its parser once per process; consecutive calls, with
+    # different subcommands and with a flag set then left out, print what a
+    # freshly built parser gives for each
+    cases = [
+        ["average", "--n", "5", "--T", "3", "--full-matrix"],
+        ["spectrum", "--n", "3", "--format", "json"],
+        ["average", "--n", "5", "--T", "3"],
+    ]
+    shared = [run_cli(capsys, argv) for argv in cases]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(capsys, argv) for argv in cases]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0]
+    assert shared[0][1] != shared[2][1]
+
+
 def test_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["spectrum", "--n", "4"])
     assert code == 2

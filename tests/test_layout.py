@@ -11,8 +11,10 @@ transform that finishes every real profile and by the complex P_t kernel,
 and the neighbour rule lives only in the adjacency profile, so no
 `np.eye` or `np.roll` rebuilds it.  A profile is expanded only by the
 circulant view: `sliding_window_view` and `take_along_axis` appear
-nowhere else.  The averaged kernel's O(n^2) block loop calls no np.sin,
-np.cos, np.exp or np.sinc: its phases are per mode.  The block XOR that
+nowhere else, and the averaged kernel's Hankel and Toeplitz gap tables are
+views of it too.  The averaged kernel's O(n^2) block loop calls no np.sin,
+np.cos, np.exp or np.sinc: its phases are per mode.  Nor does it reference
+np.bincount: it bins by column sums over diagonal views.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
 in `dihedral`, and the sampler builds its inverse CDF only in the one
 measured step that its single and batched walks share.
@@ -205,34 +207,47 @@ def test_profile_expanded_only_by_the_circulant_view():
 LOOP_BANNED = ("sin", "cos", "exp", "sinc")
 
 
+def block_loops(tree, function):
+    """The `for ... in blocks(...)` loops in the named top-level function."""
+    return [
+        loop
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for loop in ast.walk(top)
+        if isinstance(loop, ast.For)
+        and isinstance(loop.iter, ast.Call)
+        and isinstance(loop.iter.func, ast.Name)
+        and loop.iter.func.id == "blocks"
+    ]
+
+
+def numpy_references(loop):
+    """(line, name) of each np.<name> attribute in the loop's body."""
+    return [
+        (node.lineno, node.attr)
+        for statement in loop.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+
+
 def block_loop_transcendentals(tree, function):
     """Number of `for ... in blocks(...)` loops in the named top-level
     function, and (line, name) of each np.sin, np.cos, np.exp or np.sinc
     call inside them."""
-    loops = 0
+    loops = block_loops(tree, function)
     calls = []
-    for top in tree.body:
-        if not (isinstance(top, ast.FunctionDef) and top.name == function):
-            continue
-        for loop in ast.walk(top):
-            if not (
-                isinstance(loop, ast.For)
-                and isinstance(loop.iter, ast.Call)
-                and isinstance(loop.iter.func, ast.Name)
-                and loop.iter.func.id == "blocks"
+    for loop in loops:
+        for node in (inner for statement in loop.body for inner in ast.walk(statement)):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("np", "numpy")
+                and func.attr in LOOP_BANNED
             ):
-                continue
-            loops += 1
-            for node in (inner for statement in loop.body for inner in ast.walk(statement)):
-                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in ("np", "numpy")
-                    and func.attr in LOOP_BANNED
-                ):
-                    calls.append((node.lineno, f"np.{func.attr}"))
-    return loops, sorted(calls)
+                calls.append((node.lineno, f"np.{func.attr}"))
+    return len(loops), sorted(calls)
 
 
 def test_averaged_kernel_block_loop_has_no_transcendentals():
@@ -242,6 +257,20 @@ def test_averaged_kernel_block_loop_has_no_transcendentals():
     )
     assert block_loop_transcendentals(probe, "f") == (1, [(5, "np.sinc"), (6, "np.cos"), (6, "np.exp")])
     assert block_loop_transcendentals(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_profiles") == (1, [])
+
+
+def test_averaged_kernel_block_loop_has_no_scatter():
+    # the kernel is binned by column sums of re-cut diagonal views, so the
+    # block loop references no np.bincount, called or not
+    probe = ast.parse(
+        "import numpy as np\ndef f(x, i):\n    for r in blocks(3, 3):\n"
+        "        g = np.bincount\n        y = g(i[r], x[r])\n"
+    )
+    assert [ref for loop in block_loops(probe, "f") for ref in numpy_references(loop)] == [(4, "bincount")]
+    (loop,) = block_loops(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_profiles")
+    refs = numpy_references(loop)
+    assert any(name == "divide" for _, name in refs)
+    assert [ref for ref in refs if ref[1] == "bincount"] == []
 
 
 # the functions that may write the block XOR: a vertex pair becomes a cell

@@ -2,7 +2,8 @@
 
 Oracles: scipy.linalg.expm for the propagator, scipy.integrate.quad for
 the time average, the direct double sum and a 50-digit mpmath sum for the
-averaged kernel, exact Fraction arithmetic for the limit.
+averaged kernel, exact Fraction arithmetic for the limit, and the wrapped
+arcsine model D(c) for the distance to the limit at horizon c n.
 """
 
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from qwalk import bounds, dihedral, sampling, spectra, walk
 
@@ -208,18 +210,36 @@ def test_averaged_profiles_match_direct_kernel(n, horizon):
     assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon]))) <= 1e-15
 
 
-def test_small_phase_seam_matches_direct_kernel():
-    # the pair with the smallest nonzero same-branch gap sits just below and
-    # just above |x| T = 1, where the kernel switches from the direct path
-    # to angle addition, while the rest of its block stays above it
-    n = 101
+def seam_horizons(n):
+    """Horizons that put the pair with the smallest nonzero same-branch gap
+    just below and just above |x| T = 1, where the kernel switches from the
+    direct path to angle addition, while most pairs stay above it."""
     lam = spectra.eigenvalues(n, spectra.PLUS)[: (n + 1) // 2]
     gaps = np.abs(lam[:, None] - lam)
     gap = gaps[gaps > 0].min()
-    for horizon in ((1 - 1e-9) / gap, (1 + 1e-9) / gap):
+    horizons = [(1 - 1e-9) / gap, (1 + 1e-9) / gap]
+    for horizon in horizons:
         assert np.count_nonzero(gaps * horizon < 1) < gaps.size / 2
+    return horizons
+
+
+def test_small_phase_seam_matches_direct_kernel():
+    n = 101
+    for horizon in seam_horizons(n):
         got = walk.averaged_profiles(n, [horizon])
         assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon]))) <= 1e-15
+
+
+def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch):
+    # BLOCK 204 cuts n = 101's 51 folded rows into runs of 4 and a last run
+    # of 3: multi-row blocks, binned by diagonal sums, and a shorter block
+    # that reuses the first rows of the tallest block's buffers
+    n = 101
+    monkeypatch.setattr(dihedral, "BLOCK", 204)
+    assert [r.stop - r.start for r in dihedral.blocks(51, 51)] == [4] * 12 + [3]
+    horizons = HORIZONS + seam_horizons(n)
+    got = walk.averaged_profiles(n, horizons)
+    assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, horizons))) <= 1e-15
 
 
 def test_averaged_profiles_edge_grids():
@@ -448,8 +468,45 @@ def test_averaged_profile_matches_mpmath_at_large_horizon():
         assert np.abs(avg.values - limit).sum() == pytest.approx(np.abs(oracle - limit).sum(), rel=1e-3)
 
 
+# where the arcsine model D(c) crosses epsilon = 1/(2e): d(c n) falls below
+# it, rises above it again and falls below it for good
+ARCSINE_CROSSINGS = (1.2539, 1.6839, 2.0387)
+
+
+def distances_at(n, cs):
+    """Exact d(c n), the averaged kernel's induced 1-norm distance to its
+    limit, for each c, from one batch call."""
+    profiles = walk.averaged_profiles(n, [c * n for c in cs])
+    return np.abs(profiles - walk.limiting_distribution(n).values()).sum(axis=(1, 2))
+
+
+def test_averaged_distance_follows_arcsine_model():
+    # d(c n) -> D(c) as n grows; at n = 401 the largest gap on this grid is
+    # 2.2e-3, at c = 0.25
+    cs = np.geomspace(0.25, 16, 40)
+    model = [oracles.arcsine_distance(c) for c in cs]
+    assert np.max(np.abs(distances_at(401, cs) - model)) < 3e-3
+
+
+def test_arcsine_model_crosses_epsilon_three_times():
+    epsilon = spectra.DEFAULT_EPSILON
+    brackets = ((1.0, 1.4), (1.4, 1.85), (1.85, 2.5))
+    crossings = [brentq(lambda c: oracles.arcsine_distance(c) - epsilon, lo, hi) for lo, hi in brackets]
+    assert crossings == pytest.approx(ARCSINE_CROSSINGS, abs=1e-3)
+
+
+def test_exact_distance_crosses_epsilon_at_the_model_crossings():
+    # 0.01 before and after each crossing, the exact d at n = 1601 is on
+    # the side of epsilon that the model puts it
+    cs = [c + step for c in ARCSINE_CROSSINGS for step in (-0.01, 0.01)]
+    above = distances_at(1601, cs) > spectra.DEFAULT_EPSILON
+    assert above.tolist() == [True, False, False, True, True, False]
+
+
 @pytest.mark.parametrize("n", [1001, 4001])
 def test_averaged_matrix_budget_horizon_in_small_memory(n):
+    # 16 MiB is eight 2 MiB arrays of BLOCK = 2^18 floats: the kernel's
+    # buffers are allocated once for all blocks, and nothing is n^2
     horizon = bounds.budget_time(n)
     tracemalloc.start()
     try:
@@ -457,7 +514,7 @@ def test_averaged_matrix_budget_horizon_in_small_memory(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+    assert peak < 16 * 2**20
     assert avg.distance_to_limit() <= bounds.decomposed_sum(n).total / (n * horizon)
 
 
