@@ -22,10 +22,11 @@ import numpy as np
 from . import bounds, classical, dihedral, sampling, spectra, walk
 
 
-def vertex_to_internal(label, n) -> int:
-    """1-based CLI label to 0-based internal index."""
+def vertex_to_internal(label, n, option) -> int:
+    """1-based CLI label to 0-based internal index; an error names the
+    option the label came from, as its value may be a default."""
     if not 1 <= label <= 2 * n:
-        raise ValueError(f"vertex label {label} out of range [1, {2 * n}]")
+        raise ValueError(f"{option} {label} out of range [1, {2 * n}]")
     return label - 1
 
 
@@ -186,7 +187,7 @@ def _grid_profiles(profiles, n, grid):
 
 def _cmd_walk(args) -> Output:
     n = args.n
-    cell = dihedral.pair_cell(n, vertex_to_internal(args.src, n), vertex_to_internal(args.dst, n))
+    cell = dihedral.pair_cell(n, vertex_to_internal(args.src, n, "--from"), vertex_to_internal(args.dst, n, "--to"))
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if not (args.t_max > 0 and math.isfinite(args.t_max * args.steps)):
@@ -340,7 +341,7 @@ def _cmd_sample(args) -> Output:
     n = args.n
     config = sampling.SamplerConfig(
         n=n,
-        start_vertex=vertex_to_internal(args.start, n),
+        start_vertex=vertex_to_internal(args.start, n, "--start"),
         horizon=args.T,
         steps=args.T_prime,
         trials=args.trials,
@@ -361,7 +362,7 @@ def _cmd_sample(args) -> Output:
 
 def _cmd_figure_1b(args) -> Output:
     n = args.n
-    cell = dihedral.pair_cell(n, vertex_to_internal(args.src, n), vertex_to_internal(args.dst, n))
+    cell = dihedral.pair_cell(n, vertex_to_internal(args.src, n, "--from"), vertex_to_internal(args.dst, n, "--to"))
     if not (args.T_max > 1 and math.isfinite(args.T_max)):
         raise ValueError(f"--T-max must be finite and exceed 1, got {args.T_max}")
     if args.points < 2:

@@ -7,13 +7,17 @@ something `qwalk` computes another way:
   block-circulant relabeling `qwalk.dihedral.semi_cayley_adjacency` is
   checked;
 - the unit eigenvectors and the dense propagator assembled from them,
-  for the closed-form transition probabilities;
+  for the closed-form transition probabilities, and the length-n inverse
+  np.fft of the mirrored folded phases, against which the prime-n Rader
+  transform of P_t is checked at sizes the propagator cannot reach;
 - the direct O(n^2) double sum of the time-averaged kernel, and its
   folded sum with sin(xT) / (xT) evaluated directly at every mode pair;
 - the exact law of the measured walk, the k-th power of the averaged
   kernel taken through its branch characters, for the sampler;
 - the wrapped arcsine model D(c) of the averaged kernel's distance to
-  its limit at horizon c n, for the scaling of the quantum threshold;
+  its limit at horizon c n, for the scaling of the quantum threshold, and
+  the two-theta model D_cl(a) of the classical walk's distance at step
+  a n^2, for the scaling of the classical one;
 - the normalized adjacency, dense powers of the classical walk and the
   matrix distances built on them, for the distinct-value profiles;
 - the quarter split of the eigenvalue indices behind the folded gap sums.
@@ -251,6 +255,19 @@ def propagator_oracle(n, t) -> np.ndarray:
     return (basis * np.exp(1j * lam * t)) @ basis.conj().T
 
 
+def fft_probability_profiles(n, times) -> np.ndarray:
+    """P_t profiles, shape (len(times), 2, n), from one length-n inverse
+    np.fft per time of the folded phases mirrored back to n modes: the
+    cycle amplitude a = ifft(e^{2 i t cos(2 pi m / n) / 3}) times the coin
+    (1 +- cos(2 t / 3)) / 2, at any odd n."""
+    check_odd_order(n)
+    mu, _ = folded_modes(n)
+    phases = np.exp(1j * np.outer(np.asarray(times, dtype=float), (2.0 / 3.0) * mode_cosines(n)[mu]))
+    cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1)) ** 2
+    coin = 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5])
+    return coin[:, :, None] * cycle[:, None, :]
+
+
 def phase_average(x, T):
     """(1/T) integral_0^T e^{i x t} dt, evaluated as e^{i x T / 2} sinc(x T / (2 pi)).
 
@@ -356,6 +373,30 @@ def arcsine_distance(c) -> float:
     fronts = sorted({x for k in shifts for x in (front - k, -front - k) if 0.0 < x < 1.0})
     value, _ = quad(deviation, 0.0, 1.0, points=fronts or None, limit=400, epsabs=1e-11, epsrel=1e-11)
     return value
+
+
+def theta_distance(a) -> float:
+    """D_cl(a) = (1/2) integral_0^1 max(|A(x)|, |B(x)|) dx, the n-free limit
+    of the classical walk's distance to uniform at step t = a n^2.
+
+    The slow modes sit near m = 0 on the + branch and near m = n/2 on the
+    - branch; with kappa = 4 pi^2 / 3 they give
+    A(x) = 2 sum_{m>=1} e^{-kappa a m^2} cos 2 pi m x and
+    B(x) = 2 sum_{k>=0} e^{-kappa a (k+1/2)^2} cos 2 pi (k+1/2) x, the
+    latter with a checkerboard sign that max(|A|, |B|) absorbs.  Terms
+    with kappa a m^2 > 42, each below 6e-19, are dropped.
+    """
+    rate = 4.0 * math.pi**2 / 3.0 * a
+    count = math.ceil(math.sqrt(42.0 / rate)) + 1
+    whole = np.arange(1, count + 1)
+    odd = np.arange(count + 1) + 0.5
+    wa, wb = 2.0 * np.exp(-rate * whole**2), 2.0 * np.exp(-rate * odd**2)
+
+    def spread(x):
+        return max(abs(wa @ np.cos(2 * math.pi * whole * x)), abs(wb @ np.cos(2 * math.pi * odd * x)))
+
+    value, _ = quad(spread, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-12)
+    return 0.5 * value
 
 
 def normalized_adjacency(n) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Oracles: numpy matrix powers for the profile fast path, a brute scan of
 dense powers for the mixing time, random Birkhoff (doubly stochastic)
-matrices for the norm sandwich.
+matrices for the norm sandwich, and the two-theta model D_cl(a) for the
+distance at step a n^2 and its crossing a* of 1/(2e).
 """
 
 import math
@@ -10,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qwalk import classical, dihedral, spectra
 
@@ -245,6 +247,19 @@ def test_mixing_time_large_n_is_first_crossing_in_small_memory():
     assert tau == 378229
     assert classical.half_uniform_distance(n, tau) <= report.epsilon < classical.half_uniform_distance(n, tau - 1)
     assert peak < 16 * 2**20
+
+
+def test_theta_model_gives_the_classical_threshold_scale():
+    # D_cl(a) crosses 1/(2e) once, at a* = 0.3774737; tau / n^2 reads
+    # 0.377512, 0.377466 and 0.377473 at n = 101, 201, 401, and the
+    # distance at a n^2 is within 2.4e-5 of the model at n = 101
+    a_star = brentq(lambda a: oracles.theta_distance(a) - spectra.DEFAULT_EPSILON, 0.2, 0.6, xtol=1e-10)
+    assert a_star == pytest.approx(0.3774737, abs=1e-7)
+    for n in (101, 201, 401):
+        assert abs(classical.classical_mixing_time(n).threshold_time / n**2 - a_star) <= 1e-4, n
+    for a in (0.1, 0.3775, 1.0):
+        t = round(a * 101**2)
+        assert classical.half_uniform_distance(101, t) == pytest.approx(oracles.theta_distance(t / 101**2), abs=5e-5)
 
 
 def test_contraction_check():

@@ -521,6 +521,24 @@ def test_main_shares_one_parser(capsys, monkeypatch):
     assert shared[0][1] != shared[2][1]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # figure-1b's --to defaults to 15, beyond n = 7's 14 vertices
+        (["figure-1b", "--n", "7"], "--to 15 out of range [1, 14]"),
+        (["figure-1b", "--n", "5", "--from", "11", "--to", "2"], "--from 11 out of range [1, 10]"),
+        (["walk", "--n", "5", "--from", "0"], "--from 0 out of range [1, 10]"),
+        (["walk", "--n", "5", "--to", "11"], "--to 11 out of range [1, 10]"),
+        (["sample", "--n", "5", "--start", "11", "--T", "10", "--T-prime", "1"], "--start 11 out of range [1, 10]"),
+    ],
+    ids=["figure-1b-default-to", "figure-1b-from", "walk-from", "walk-to", "sample-start"],
+)
+def test_vertex_range_error_names_the_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def test_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["spectrum", "--n", "4"])
     assert code == 2

@@ -204,14 +204,6 @@ def test_pair_geometry_and_profile_expansion(n):
     t = 1.7
     prob_rows = np.stack([walk.probability_row(n, i, t) for i in range(2 * n)])
     assert np.array_equal(walk.probability_matrix(n, t), prob_rows)
-    # a batch of P_t profiles is bit-identical to one call per time
-    vertices = np.arange(2 * n)[::-1]
-    times = np.linspace(0.3, 40.0, 2 * n)
-    batched = walk.probability_profiles(n, times)
-    assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [s])[0] for s in times]))
-    single = [walk.probability_row(n, int(i), float(s)) for i, s in zip(vertices, times)]
-    gathered = [dihedral.pair_values_row(n, profile, i) for profile, i in zip(batched, vertices)]
-    assert np.array_equal(np.stack(gathered), np.stack(single))
     # cell_vertex inverts pair_cell in its second vertex, scalar and batched
     cells = [[dihedral.pair_cell(n, i, j) for j in range(2 * n)] for i in range(2 * n)]
     flip, delta = np.moveaxis(np.array(cells), -1, 0)
@@ -221,6 +213,20 @@ def test_pair_geometry_and_profile_expansion(n):
     for bad in (-1, 2 * n):
         with pytest.raises(ValueError):
             dihedral.pair_values_row(n, values, bad)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 21, 1009])
+def test_probability_batch_is_bit_identical_to_single_calls(n):
+    # 1009, a prime above RADER_MIN_N with H = 504, takes the Rader
+    # transform; the others the length-n np.fft
+    assert (walk.cycle_plan(n)[1] is not None) == (n == 1009)
+    vertices = np.arange(2 * n)[::-1]
+    times = np.linspace(0.3, 40.0, 2 * n)
+    batched = walk.probability_profiles(n, times)
+    assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [s])[0] for s in times]))
+    single = [walk.probability_row(n, int(i), float(s)) for i, s in zip(vertices, times)]
+    gathered = [dihedral.pair_values_row(n, profile, i) for profile, i in zip(batched, vertices)]
+    assert np.array_equal(np.stack(gathered), np.stack(single))
 
 
 @pytest.mark.parametrize("n", [3, 5, 11])

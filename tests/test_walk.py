@@ -119,7 +119,7 @@ def test_probability_matrix_symmetric_doubly_stochastic(n, t):
     assert np.min(mat) > -1e-12
 
 
-@pytest.mark.parametrize("n", [3, 7, 21, 101])
+@pytest.mark.parametrize("n", [3, 7, 21, 101, 1009])
 def test_probability_profiles_even_in_offset_at_large_times(n):
     """Mirror modes m, n - m share one phase, so P_t is even in the offset
     and the dense matrix symmetric to rounding, not to the t 1e-16 by
@@ -130,6 +130,66 @@ def test_probability_profiles_even_in_offset_at_large_times(n):
     for t in times:
         mat = walk.probability_matrix(n, t)
         assert np.abs(mat - mat.T).max() <= 1e-15
+
+
+@pytest.fixture
+def rader_from_three(monkeypatch):
+    """Every prime n whose H = (n - 1) / 2 np.fft transforms directly takes
+    the Rader path, the way the kernel tests shrink BLOCK; the per-n plans
+    are dropped on both sides, as they depend on RADER_MIN_N."""
+    monkeypatch.setattr(walk, "RADER_MIN_N", 3)
+    walk.cycle_plan.cache_clear()
+    yield
+    walk.cycle_plan.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17])
+def test_rader_profiles_match_propagator_oracle(n, rader_from_three):
+    assert walk.cycle_plan(n)[1] is not None
+    times = np.random.default_rng(n).uniform(0.0, 60.0, size=4)
+    profiles = walk.probability_profiles(n, times)
+    for t, profile in zip(times, profiles):
+        from_origin = np.abs(oracles.propagator_oracle(n, t)[:, 0]) ** 2
+        assert np.max(np.abs(profile - from_origin.reshape(2, n))) < 1e-12
+    assert np.array_equal(profiles, profiles[..., -np.arange(n) % n])
+
+
+@pytest.mark.parametrize("n,rader", [(1009, True), (2003, True), (4001, True), (4007, False)])
+def test_large_prime_profiles_match_fft_reference(n, rader):
+    # 4007's H = 2003 is prime, which np.fft transforms by Bluestein's
+    # algorithm, so 4007 keeps the length-n np.fft path
+    assert (walk.cycle_plan(n)[1] is not None) == rader
+    times = [0.3, 57.3, 1e4, 1e9]
+    profiles = walk.probability_profiles(n, times)
+    assert np.abs(profiles - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
+    if rader:
+        assert np.array_equal(profiles, profiles[..., -np.arange(n) % n])
+
+
+def test_cycle_plan_built_once_per_n_and_read_only():
+    walk.cycle_plan.cache_clear()
+    for _ in range(3):
+        walk.probability_profiles(1009, [1.0, 2.0])
+        walk.probability_row(1009, 5, 3.0)
+    info = walk.cycle_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    rates, rader = walk.cycle_plan(1009)
+    assert walk.cycle_plan(1009)[1] is rader
+    gather, offsets, kernel = rader
+    # g^p and g^-q each run once over the nonzero folded modes 1..H
+    assert sorted(gather) == sorted(offsets) == list(range(1, 505))
+    assert rates.shape == (505,) and kernel.shape == (504,)
+    for array in (rates, *rader):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # composite n, primes below RADER_MIN_N and primes whose H has a prime
+    # factor above sqrt(H) (997: H = 2 3 83) keep only their rates
+    for n in (1001, 353, 997):
+        rates, rader = walk.cycle_plan(n)
+        assert rader is None and not rates.flags.writeable
+    assert walk.prime_factors(1) == set() and walk.prime_factors(4000) == {2, 5}
+    assert [walk.direct_fft_length(m) for m in (49, 2000, 1001, 404, 2003)] == [True, True, True, False, False]
 
 
 def test_phase_average_values():
