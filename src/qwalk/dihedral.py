@@ -66,8 +66,8 @@ def cell_vertex(n, i, flip, delta):
 
 def circulant(values) -> np.ndarray:
     """Read-only view C[..., r, c] = values[..., (c - r) mod n] of a (..., n)
-    stack, the one place a profile is expanded: row r is the length-n
-    window at offset n - r of one doubled copy of values."""
+    stack, the one place a profile is expanded to a matrix: row r is the
+    length-n window at offset n - r of one doubled copy of values."""
     values = np.asarray(values)
     n = values.shape[-1]
     return sliding_window_view(np.concatenate([values, values], axis=-1), n, axis=-1)[..., n:0:-1, :]
@@ -89,10 +89,13 @@ def semi_cayley_adjacency(n) -> np.ndarray:
 
 def pair_values_row(n, values, i) -> np.ndarray:
     """Row i of the 2n x 2n matrix whose (i, j) entry is
-    values[pair_cell(n, i, j)]: two rows of the circulant, one per block."""
+    values[pair_cell(n, i, j)]: row rho = i mod n of each block's
+    circulant, read without building it as that profile rotated right by
+    rho, two contiguous slices."""
     check_vertex(n, i)
     block, rho = divmod(int(i), n)
-    return circulant(values)[[block, 1 - block], rho].ravel()
+    cut = n - rho
+    return np.concatenate([part for b in (block, 1 - block) for part in (values[b, cut:], values[b, :cut])])
 
 
 def pair_values_dense(n, values) -> np.ndarray:

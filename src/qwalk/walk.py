@@ -5,13 +5,15 @@ finite-horizon time average and its exact limit.  The first two each have
 one batch form over times (`probability_profiles`, `averaged_profiles`)
 that the single-time calls view.  The graph is the prism C_n x K_2, so
 the two eigenvalue families differ by exactly 2/3 mode by mode: P_t is an
-n-cycle walk times a two-state coin, one inverse DFT per time, and the
-averaged kernel is real and finished by `cosine_profiles`.  The dense
+n-cycle walk times a two-state coin, one inverse DFT per time (on a
+short cycle while the walk's light cone fits in one), and the averaged
+kernel is real and finished by `cosine_profiles`.  The dense
 propagator and the direct double sum are test oracles.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import sys
 from dataclasses import dataclass
@@ -38,6 +40,14 @@ ROW_SUM_TOL = 1e-9
 # length-n np.fft: below it a single row is faster that way (crossover
 # table in CHANGES.md)
 RADER_MIN_N = 400
+
+# odd 7-smooth cycle lengths, each the least one at least 1.5 times the one
+# before, that `probability_profiles` uses for times inside their light
+# cone; np.fft transforms each directly, and a coarse ladder keeps a
+# batch's times in few groups
+SHORT_CYCLES = (125, 189, 315, 525, 875, 1323, 2025, 3087, 4725, 7203, 10935, 16807, 25515, 39375, 59535, 91125)
+# the largest |t| each length holds: e (2 |t| / 3) <= h = (m - 1) / 2
+SHORT_REACH = 1.5 / np.e * (np.array(SHORT_CYCLES) // 2)
 
 
 def check_horizon(T) -> None:
@@ -69,7 +79,7 @@ def direct_fft_length(m) -> bool:
     return m < 50 or max(prime_factors(m)) ** 2 <= m
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=32)
 def cycle_plan(n):
     """The per-n constants of `probability_profiles`, built once and read-only:
     the folded rates (2/3) cos(2 pi mu / n), and Rader's plan
@@ -114,9 +124,21 @@ def probability_profiles(n, times) -> np.ndarray:
     rates `cycle_plan` caches per n.  The coin is read from mode 0's phase
     e^{2 i t / 3}: cos^2, sin^2(t / 3) = (1 +- cos(2 t / 3)) / 2.
 
-    At a prime n >= RADER_MIN_N whose H = (n - 1) / 2 np.fft transforms
-    directly, where a length-n np.fft would build a Bluestein plan on
-    every call, a comes from Rader's transform with the plan that
+    Inside its light cone a time takes that transform on a short cycle.
+    The amplitude is a_t(r) = sum_{k = r mod n} i^k J_k(z), z = 2 |t| / 3,
+    and |J_k(z)| <= (z / 2)^k / k! <= 2^-k for k >= e z (DLMF 10.14.4).  So
+    on any odd cycle of half-length h >= K(t) = max(60, ceil(e z)) it is
+    the line's i^r J_r(z) at offsets |r| <= h to 2^(1 - K) <= 1.7e-18, and
+    below that beyond.  Each time takes the shortest length m of
+    SHORT_CYCLES with 2 K + 1 <= m <= n / 2, if any; its offsets 0..h are
+    copied from the m-cycle's and mirrored, the rest are 0, and P_t is
+    exactly even.  The choice depends on (n, t) alone, so a batch is its
+    single calls bit for bit; n < 250 never takes it.  A row costs
+    O(n + t log t) inside the cone and O(n log n) outside it.
+
+    At a prime length n >= RADER_MIN_N whose H = (n - 1) / 2 np.fft
+    transforms directly, where a length-n np.fft would build a Bluestein
+    plan on every call, a comes from Rader's transform with the plan that
     `cycle_plan` caches: n a_0 = 2 sum_mu x_mu - x_0, and for q < H,
     n a at offset g^-q is x_0 + sum_p x_{gather[p]} k_{p - q}, one
     length-H cyclic correlation, ifft(fft(x[gather]) conj(fft(k))).  |a|^2
@@ -125,24 +147,50 @@ def probability_profiles(n, times) -> np.ndarray:
     is even in the offset to rounding.
     """
     try:
-        times = np.asarray(times, dtype=float)
+        times = np.asarray(times, dtype=float).ravel()
     except OverflowError:
         raise ValueError("walk times must be finite, got an integer too large for a float") from None
     if not np.isfinite(times).all():
         raise ValueError(f"walk times must be finite, got {times[~np.isfinite(times)][0]}")
     check_odd_order(n)
-    rates, rader = cycle_plan(int(n))
-    phases = np.exp(1j * np.outer(times, rates))
-    if rader is None:
-        cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1)) ** 2
+    n = int(n)
+
+    def transform(m, ts):
+        """The coin (len(ts), 2) and |a|^2 on the m-cycle (len(ts), m)."""
+        rates, rader = cycle_plan(m)
+        # in place: one phase-sized array fewer per call
+        phases = 1j * np.outer(ts, rates)
+        np.exp(phases, out=phases)
+        if rader is None:
+            cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1))
+            np.square(cycle, out=cycle)
+        else:
+            gather, offsets, kernel = rader
+            correlation = np.fft.ifft(np.fft.fft(phases[:, gather], axis=1) * kernel, axis=1)
+            folded = np.empty(phases.shape)
+            folded[:, 0] = np.abs((2.0 * phases.sum(axis=1) - phases[:, 0]) / m) ** 2
+            folded[:, offsets] = np.abs(phases[:, :1] / m + correlation) ** 2
+            cycle = np.concatenate([folded, folded[:, :0:-1]], axis=1)
+        return 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5]), cycle
+
+    # time k runs on SHORT_CYCLES[which[k]], the first length m <= n / 2
+    # whose reach covers |t|, or on n where which[k] == rungs
+    rungs = bisect.bisect_right(SHORT_CYCLES, n // 2)
+    which = np.searchsorted(SHORT_REACH[:rungs], np.abs(times))
+    far = which == rungs
+    if 2 * np.count_nonzero(far) > len(times):
+        # mostly outside the cone: every time takes the length-n transform,
+        # cheaper than scattering its rows, and those inside are overwritten
+        coin, cycle = transform(n, times)
     else:
-        gather, offsets, kernel = rader
-        correlation = np.fft.ifft(np.fft.fft(phases[:, gather], axis=1) * kernel, axis=1)
-        folded = np.empty(phases.shape)
-        folded[:, 0] = np.abs((2.0 * phases.sum(axis=1) - phases[:, 0]) / n) ** 2
-        folded[:, offsets] = np.abs(phases[:, :1] / n + correlation) ** 2
-        cycle = np.concatenate([folded, folded[:, :0:-1]], axis=1)
-    coin = 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5])
+        coin, cycle = np.empty((len(times), 2)), np.zeros((len(times), n))
+        if far.any():
+            coin[far], cycle[far] = transform(n, times[far])
+    for k in set(which[~far].tolist()):
+        rows, h = which == k, SHORT_CYCLES[k] // 2
+        coin[rows], part = transform(SHORT_CYCLES[k], times[rows])
+        # offsets 0..h of the short cycle, 0 beyond, mirrored
+        cycle[rows] = np.concatenate([part[:, : h + 1], np.zeros((len(part), n - 2 * h - 1)), part[:, h:0:-1]], axis=1)
     return coin[:, :, None] * cycle[:, None, :]
 
 

@@ -218,10 +218,11 @@ def test_pair_geometry_and_profile_expansion(n):
 @pytest.mark.parametrize("n", [3, 5, 7, 21, 1009])
 def test_probability_batch_is_bit_identical_to_single_calls(n):
     # 1009, a prime above RADER_MIN_N with H = 504, takes the Rader
-    # transform; the others the length-n np.fft
+    # transform at times outside the light cone, t > 86.6, and a short
+    # cycle inside it; the others the length-n np.fft at every time
     assert (walk.cycle_plan(n)[1] is not None) == (n == 1009)
     vertices = np.arange(2 * n)[::-1]
-    times = np.linspace(0.3, 40.0, 2 * n)
+    times = np.linspace(0.3, 200.0, 2 * n)
     batched = walk.probability_profiles(n, times)
     assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [s])[0] for s in times]))
     single = [walk.probability_row(n, int(i), float(s)) for i, s in zip(vertices, times)]

@@ -10,7 +10,7 @@ statements are written once each: `np.fft` is called only by the cosine
 transform that finishes every real profile, by the complex P_t kernel and
 by the per-n plan that holds its Rader kernel, and the neighbour rule
 lives only in the adjacency profile, so no `np.eye` or `np.roll`
-rebuilds it.  A profile is expanded only by the circulant view:
+rebuilds it.  A profile is expanded to a matrix only by the circulant view:
 `sliding_window_view` and `take_along_axis` appear nowhere else, and the averaged kernel's Hankel and Toeplitz gap tables are
 views of it too.  The averaged kernel's O(n^2) block loop calls no np.sin,
 np.cos, np.exp or np.sinc: its phases are per mode.  Nor does it reference

@@ -6,6 +6,7 @@ averaged kernel, exact Fraction arithmetic for the limit, and the wrapped
 arcsine model D(c) for the distance to the limit at horizon c n.
 """
 
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import brentq
+from scipy.special import jv
 
 from qwalk import bounds, dihedral, sampling, spectra, walk
 
@@ -166,11 +168,108 @@ def test_large_prime_profiles_match_fft_reference(n, rader):
         assert np.array_equal(profiles, profiles[..., -np.arange(n) % n])
 
 
+@pytest.fixture
+def cycle_lengths(monkeypatch):
+    """The cycle lengths `probability_profiles` reads plans for, in order."""
+    seen = []
+    plan = walk.cycle_plan
+
+    def recording(m):
+        seen.append(m)
+        return plan(m)
+
+    monkeypatch.setattr(walk, "cycle_plan", recording)
+    return seen
+
+
+def test_short_cycle_ladder():
+    # odd 7-smooth lengths np.fft transforms directly, each at least 1.5
+    # times the one before; the shortest has half-length 62 >= K's floor 60,
+    # and the reach is the largest |t| with e (2 |t| / 3) <= h
+    lengths = walk.SHORT_CYCLES
+    assert all(m % 2 and walk.prime_factors(m) <= {3, 5, 7} and walk.direct_fft_length(m) for m in lengths)
+    assert all(b >= 1.5 * a for a, b in zip(lengths, lengths[1:])) and lengths[0] // 2 >= 60
+    h = np.array(lengths) // 2
+    assert np.all(np.e * 2.0 * walk.SHORT_REACH / 3.0 <= h * (1 + 1e-15))
+    assert np.all(np.e * 2.0 * (walk.SHORT_REACH * (1 + 1e-12)) / 3.0 > h)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.2, 1.0, 7.3, 66.7, 243.0])
+def test_bessel_tail_bound_behind_the_light_cone(z):
+    # |J_k(z)| <= (z / 2)^k / k! <= 2^-k for k >= e z: the amplitude's terms
+    # beyond a cycle's half-length h >= K(t) sum to at most 2^(1 - K)
+    first = max(60, math.ceil(np.e * z))
+    k = np.arange(first, first + 200)
+    assert np.all(np.abs(jv(k, z)) <= 2.0**-k)
+
+
+@pytest.mark.parametrize("n", [1009, 2003, 4001, 4007])
+def test_short_cycle_profiles_match_fft_reference(n, cycle_lengths):
+    """Inside the cone each time takes the shortest SHORT_CYCLES length
+    m <= n / 2 whose reach covers it: offsets beyond its half-length are
+    exactly 0 and the profile is exactly even.  Just outside the longest
+    such m's reach it takes the length-n path."""
+    usable = [m for m in walk.SHORT_CYCLES if m <= n / 2]
+    edges = walk.SHORT_REACH[: len(usable)]
+    inside = np.concatenate([[0.0, 0.3, 57.3], edges, -edges * (1 - 1e-12)])
+    outside = edges[-1] * np.array([1 + 1e-12, 1.01, 3.0])
+    for t in np.concatenate([inside, outside]):
+        cycle_lengths.clear()
+        profile = walk.probability_profiles(n, [t])[0]
+        assert np.abs(profile - oracles.fft_probability_profiles(n, [t])[0]).max() <= 1e-15, t
+        (m,) = cycle_lengths
+        if t in outside:
+            assert m == n
+        else:
+            h = m // 2
+            assert m == usable[np.searchsorted(edges, abs(t))] and not profile[:, h + 1 : n - h].any()
+            assert np.array_equal(profile, profile[:, -np.arange(n) % n])
+            assert abs(profile.sum() - 1.0) <= walk.ROW_SUM_TOL
+
+
+def test_short_cycle_profiles_match_propagator_oracle(cycle_lengths):
+    # at n = 301 only the 125-cycle fits, and t = 40 lies outside its reach
+    n = 301
+    profiles = walk.probability_profiles(n, [0.5, 20.0, 40.0])
+    assert sorted(cycle_lengths) == [125, 301]
+    for t, profile in zip([0.5, 20.0, 40.0], profiles):
+        from_origin = np.abs(oracles.propagator_oracle(n, t)[:, 0]) ** 2
+        assert np.max(np.abs(profile - from_origin.reshape(2, n))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1009, 4001])
+def test_batch_across_the_light_cone_is_its_single_calls(n, cycle_lengths):
+    # one batch mostly inside the cone and one mostly outside: each time's
+    # path depends on (n, t) alone, however its batch is grouped
+    top = walk.SHORT_REACH[sum(m <= n / 2 for m in walk.SHORT_CYCLES) - 1]
+    for times in (np.linspace(-top, 1.2 * top, 41), np.linspace(0.0, 30.0 * top, 41)):
+        batched = walk.probability_profiles(n, times)
+        assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [t])[0] for t in times]))
+        assert np.array_equal(batched, batched[..., -np.arange(n) % n])
+        assert np.abs(batched - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
+    assert n in cycle_lengths and walk.SHORT_CYCLES[0] in cycle_lengths
+
+
+def test_small_time_row_builds_no_length_n_plan():
+    # a row inside the cone reads only the 125-cycle's plan, so its cost
+    # does not grow with n beyond the O(n) output
+    n = 40001
+    walk.cycle_plan.cache_clear()
+    row = walk.probability_row(n, 3, 10.0)
+    assert walk.cycle_plan.cache_info()[:2] == (0, 1)
+    walk.cycle_plan(125)
+    assert walk.cycle_plan.cache_info()[:2] == (1, 1)
+    assert abs(row.sum() - 1.0) <= walk.ROW_SUM_TOL
+    # from vertex 3, offsets 63..n-63 of either block are exactly 0
+    assert not row[66 : n - 59].any() and not row[n + 66 : 2 * n - 59].any() and row[65] > 0.0
+
+
 def test_cycle_plan_built_once_per_n_and_read_only():
+    # times outside the light cone, so each call reads the length-1009 plan
     walk.cycle_plan.cache_clear()
     for _ in range(3):
-        walk.probability_profiles(1009, [1.0, 2.0])
-        walk.probability_row(1009, 5, 3.0)
+        walk.probability_profiles(1009, [1e3, 2e3])
+        walk.probability_row(1009, 5, 3e3)
     info = walk.cycle_plan.cache_info()
     assert (info.misses, info.hits) == (1, 5)
     rates, rader = walk.cycle_plan(1009)
