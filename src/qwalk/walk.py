@@ -13,8 +13,8 @@ propagator and the direct double sum are test oracles.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,15 +40,6 @@ ROW_SUM_TOL = 1e-9
 # length-n np.fft: below it a single row is faster that way (crossover
 # table in CHANGES.md)
 RADER_MIN_N = 400
-
-# odd 7-smooth cycle lengths, each the least one at least 1.5 times the one
-# before, that `probability_profiles` uses for times inside their light
-# cone; np.fft transforms each directly, and a coarse ladder keeps a
-# batch's times in few groups
-SHORT_CYCLES = (125, 189, 315, 525, 875, 1323, 2025, 3087, 4725, 7203, 10935, 16807, 25515, 39375, 59535, 91125)
-# the largest |t| each length holds: e (2 |t| / 3) <= h = (m - 1) / 2
-SHORT_REACH = 1.5 / np.e * (np.array(SHORT_CYCLES) // 2)
-
 
 def check_horizon(T) -> None:
     """1/T and 2T must be finite, not only T: the kernel's factors scale by
@@ -77,6 +68,26 @@ def direct_fft_length(m) -> bool:
     """Whether np.fft transforms length m without Bluestein's algorithm:
     pocketfft does so when m < 50 or no prime factor of m exceeds sqrt(m)."""
     return m < 50 or max(prime_factors(m)) ** 2 <= m
+
+
+def short_cycle_ladder() -> tuple[int, ...]:
+    """Odd 7-smooth cycle lengths from 125 up to 10^5, each the least one
+    at least 1.5 times the one before.  np.fft transforms each directly,
+    and a coarse ladder keeps a batch's times in few groups."""
+    lengths, top = [125], 10**5
+    powers = [range(int(math.log(top, p)) + 2) for p in (3, 5, 7)]
+    for m in sorted(3**a * 5**b * 7**c for a in powers[0] for b in powers[1] for c in powers[2]):
+        if 1.5 * lengths[-1] <= m <= top:
+            lengths.append(m)
+    return tuple(lengths)
+
+
+# the lengths `probability_profiles` uses for times inside their light cone
+# (125, 189, 315, 525, 875, ..., 91125), and the largest |t| each holds:
+# e (2 |t| / 3) <= h = (m - 1) / 2
+SHORT_CYCLES = np.array(short_cycle_ladder())
+SHORT_REACH = 1.5 / np.e * (SHORT_CYCLES // 2)
+SHORT_CYCLES.flags.writeable = SHORT_REACH.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=32)
@@ -133,7 +144,9 @@ def probability_profiles(n, times) -> np.ndarray:
     SHORT_CYCLES with 2 K + 1 <= m <= n / 2, if any; its offsets 0..h are
     copied from the m-cycle's and mirrored, the rest are 0, and P_t is
     exactly even.  The choice depends on (n, t) alone, so a batch is its
-    single calls bit for bit; n < 250 never takes it.  A row costs
+    single calls bit for bit; n < 250 never takes it.  A batch with any
+    time outside the cone runs the length-n transform on all its times
+    and overwrites the rows inside.  A row costs
     O(n + t log t) inside the cone and O(n log n) outside it.
 
     At a prime length n >= RADER_MIN_N whose H = (n - 1) / 2 np.fft
@@ -174,21 +187,20 @@ def probability_profiles(n, times) -> np.ndarray:
         return 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5]), cycle
 
     # time k runs on SHORT_CYCLES[which[k]], the first length m <= n / 2
-    # whose reach covers |t|, or on n where which[k] == rungs
-    rungs = bisect.bisect_right(SHORT_CYCLES, n // 2)
+    # whose reach covers |t|, or on n where which[k] == rungs; if any time
+    # is outside the cone, the length-n transform runs on the whole batch
+    # and the rows inside are overwritten
+    rungs = SHORT_CYCLES.searchsorted(n // 2, side="right")
     which = np.searchsorted(SHORT_REACH[:rungs], np.abs(times))
     far = which == rungs
-    if 2 * np.count_nonzero(far) > len(times):
-        # mostly outside the cone: every time takes the length-n transform,
-        # cheaper than scattering its rows, and those inside are overwritten
+    if far.any():
         coin, cycle = transform(n, times)
     else:
-        coin, cycle = np.empty((len(times), 2)), np.zeros((len(times), n))
-        if far.any():
-            coin[far], cycle[far] = transform(n, times[far])
+        coin, cycle = np.empty((len(times), 2)), np.empty((len(times), n))
     for k in set(which[~far].tolist()):
-        rows, h = which == k, SHORT_CYCLES[k] // 2
-        coin[rows], part = transform(SHORT_CYCLES[k], times[rows])
+        rows, m = which == k, int(SHORT_CYCLES[k])
+        coin[rows], part = transform(m, times[rows])
+        h = m // 2
         # offsets 0..h of the short cycle, 0 beyond, mirrored
         cycle[rows] = np.concatenate([part[:, : h + 1], np.zeros((len(part), n - 2 * h - 1)), part[:, h:0:-1]], axis=1)
     return coin[:, :, None] * cycle[:, None, :]

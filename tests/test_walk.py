@@ -159,9 +159,13 @@ def test_rader_profiles_match_propagator_oracle(n, rader_from_three):
 @pytest.mark.parametrize("n,rader", [(1009, True), (2003, True), (4001, True), (4007, False)])
 def test_large_prime_profiles_match_fft_reference(n, rader):
     # 4007's H = 2003 is prime, which np.fft transforms by Bluestein's
-    # algorithm, so 4007 keeps the length-n np.fft path
+    # algorithm, so outside the light cone 4007 takes the length-n np.fft
+    # path; 0.3 and 57.3 lie inside the cone at each n, and the first time
+    # past the longest usable short cycle's reach runs the length-n path
+    # near the cone
     assert (walk.cycle_plan(n)[1] is not None) == rader
-    times = [0.3, 57.3, 1e4, 1e9]
+    past = 1.01 * walk.SHORT_REACH[np.searchsorted(walk.SHORT_CYCLES, n // 2, side="right") - 1]
+    times = [0.3, 57.3, past, 1e4, 1e9]
     profiles = walk.probability_profiles(n, times)
     assert np.abs(profiles - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
     if rader:
@@ -183,12 +187,16 @@ def cycle_lengths(monkeypatch):
 
 
 def test_short_cycle_ladder():
-    # odd 7-smooth lengths np.fft transforms directly, each at least 1.5
-    # times the one before; the shortest has half-length 62 >= K's floor 60,
-    # and the reach is the largest |t| with e (2 |t| / 3) <= h
-    lengths = walk.SHORT_CYCLES
+    # odd 7-smooth lengths np.fft transforms directly, each the least one
+    # at least 1.5 times the one before; the shortest has half-length
+    # 62 >= K's floor 60, and the reach is the largest |t| with
+    # e (2 |t| / 3) <= h
+    lengths = tuple(walk.SHORT_CYCLES.tolist())
+    assert lengths[:5] == (125, 189, 315, 525, 875) and lengths[-1] == 91125 and len(lengths) == 16
     assert all(m % 2 and walk.prime_factors(m) <= {3, 5, 7} and walk.direct_fft_length(m) for m in lengths)
     assert all(b >= 1.5 * a for a, b in zip(lengths, lengths[1:])) and lengths[0] // 2 >= 60
+    for a, b in zip(lengths, lengths[1:]):
+        assert not any(walk.prime_factors(m) <= {3, 5, 7} for m in range(math.ceil(1.5 * a) | 1, b, 2))
     h = np.array(lengths) // 2
     assert np.all(np.e * 2.0 * walk.SHORT_REACH / 3.0 <= h * (1 + 1e-15))
     assert np.all(np.e * 2.0 * (walk.SHORT_REACH * (1 + 1e-12)) / 3.0 > h)
@@ -225,6 +233,33 @@ def test_short_cycle_profiles_match_fft_reference(n, cycle_lengths):
             assert m == usable[np.searchsorted(edges, abs(t))] and not profile[:, h + 1 : n - h].any()
             assert np.array_equal(profile, profile[:, -np.arange(n) % n])
             assert abs(profile.sum() - 1.0) <= walk.ROW_SUM_TOL
+
+
+@pytest.mark.parametrize("n", [40001, 182251])
+def test_upper_short_cycles_match_the_line_and_fft_reference(n, cycle_lengths):
+    """The ladder's upper lengths, used only from n = 4051 on: 40001
+    reaches it up to 16807, and 182251 = 2 * 91125 + 1 all of it.  At each
+    length's reach and just past it, a profile matches the length-n
+    reference, and inside the cone it matches the line's coin times
+    J_r(z)^2 at offsets 0..h.  The line is the check that stays tight at
+    small t: there the length-n reference sums n unit phases into offset 0
+    and is off by 1.8e-15 at n = 40001 and t = 0.3."""
+    usable = [m for m in walk.SHORT_CYCLES if m <= n / 2]
+    edges = walk.SHORT_REACH[: len(usable)]
+    for t in np.concatenate([[0.3], edges, -edges * (1 - 1e-12), edges * (1 + 1e-12)]):
+        cycle_lengths.clear()
+        profile = walk.probability_profiles(n, [t])[0]
+        (m,) = cycle_lengths
+        if abs(t) > edges[-1]:
+            assert m == n
+        else:
+            h = m // 2
+            assert m == usable[np.searchsorted(edges, abs(t))] and not profile[:, h + 1 : n - h].any()
+            line = np.multiply.outer([np.cos(t / 3) ** 2, np.sin(t / 3) ** 2], jv(np.arange(h + 1), 2 * abs(t) / 3) ** 2)
+            assert np.abs(profile[:, : h + 1] - line).max() <= 1e-15, t
+            assert np.array_equal(profile, profile[:, -np.arange(n) % n])
+        if t != 0.3:
+            assert np.abs(profile - oracles.fft_probability_profiles(n, [t])[0]).max() <= 1e-15, t
 
 
 def test_short_cycle_profiles_match_propagator_oracle(cycle_lengths):
