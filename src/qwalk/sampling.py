@@ -80,6 +80,8 @@ def measured_walk(config: SamplerConfig, trial=0) -> int:
     Deterministic in (config.seed, trial); `empirical_check` reproduces it
     trial by trial.
     """
+    if not isinstance(trial, (int, np.integer)) or trial < 0:
+        raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
     rng = trial_rng(config.seed, trial, config.steps)
     vertex = config.start_vertex
     for _ in range(config.steps):

@@ -35,11 +35,6 @@ from .spectra import folded_modes, mode_cosines
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
 
-# primes n from this size on whose (n - 1) / 2 np.fft transforms directly
-# take P_t's cycle amplitude by Rader's transform, every other n by a
-# length-n np.fft: below it a single row is faster that way (crossover
-# table in CHANGES.md)
-RADER_MIN_N = 400
 
 def check_horizon(T) -> None:
     """1/T and 2T must be finite, not only T: the kernel's factors scale by
@@ -48,26 +43,6 @@ def check_horizon(T) -> None:
     if not 1 / sys.float_info.max < T <= sys.float_info.max / 2:
         shown = f"an integer of {len(str(abs(T)))} digits" if isinstance(T, int) and abs(T) > 10**30 else repr(T)[:40]
         raise ValueError(f"averaging horizon must be positive with 1/T and 2T finite, got {shown}")
-
-
-def prime_factors(m) -> set[int]:
-    """The distinct prime factors of an integer m >= 1, by trial division."""
-    factors, d = set(), 2
-    while d * d <= m:
-        if m % d:
-            d += 1
-        else:
-            factors.add(d)
-            m //= d
-    if m > 1:
-        factors.add(m)
-    return factors
-
-
-def direct_fft_length(m) -> bool:
-    """Whether np.fft transforms length m without Bluestein's algorithm:
-    pocketfft does so when m < 50 or no prime factor of m exceeds sqrt(m)."""
-    return m < 50 or max(prime_factors(m)) ** 2 <= m
 
 
 def short_cycle_ladder() -> tuple[int, ...]:
@@ -91,36 +66,13 @@ SHORT_CYCLES.flags.writeable = SHORT_REACH.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=32)
-def cycle_plan(n):
-    """The per-n constants of `probability_profiles`, built once and read-only:
-    the folded rates (2/3) cos(2 pi mu / n), and Rader's plan
-    (gather, offsets, kernel) for prime n >= RADER_MIN_N whose
-    H = (n - 1) / 2 np.fft transforms directly, else None.
-
-    With g a primitive root mod n, mode g^p folds to gather[p] and offset
-    g^-q to offsets[q], p, q < H, and kernel is conj(fft(k)) / n for
-    k_s = 2 cos(2 pi g^s / n), s < H.  g^H = -1, so the folded phases are
-    read once each and the n - 1 nonzero modes pair up in one length-H
-    correlation.  g is the least residue with g^((n-1)/q) != 1 for every
-    prime q dividing n - 1, and its powers come from one running product.
-    """
+def cycle_rates(n):
+    """The folded rates (2/3) cos(2 pi mu / n) of `probability_profiles`,
+    built once per n and read-only."""
     mu, _ = folded_modes(n)
-    cos = mode_cosines(n)
-    half = (n - 1) // 2
-    rates, rader = (2.0 / 3.0) * cos[mu], None
-    if n >= RADER_MIN_N and prime_factors(n) == {n} and direct_fft_length(half):
-        factors = prime_factors(n - 1)
-        g = next(g for g in range(2, n) if all(pow(g, (n - 1) // q, n) != 1 for q in factors))
-        powers = np.empty(half, dtype=np.intp)
-        power = 1
-        for p in range(half):
-            powers[p] = power
-            power = power * g % n
-        gather = np.minimum(powers, n - powers)
-        rader = gather, gather[-np.arange(half) % half], np.fft.fft(2.0 * cos[gather]).conj() / n
-    for array in (rates, *(rader or ())):
-        array.flags.writeable = False
-    return rates, rader
+    rates = (2.0 / 3.0) * mode_cosines(n)[mu]
+    rates.flags.writeable = False
+    return rates
 
 
 def probability_profiles(n, times) -> np.ndarray:
@@ -132,7 +84,7 @@ def probability_profiles(n, times) -> np.ndarray:
     the same-block amplitude is cos(t / 3) a and the other-block one
     i sin(t / 3) a: one inverse DFT per time of the (n + 1) / 2 phases
     x_mu on the folded modes (mirror modes m, n - m share a cosine), whose
-    rates `cycle_plan` caches per n.  The coin is read from mode 0's phase
+    rates `cycle_rates` caches per n.  The coin is read from mode 0's phase
     e^{2 i t / 3}: cos^2, sin^2(t / 3) = (1 +- cos(2 t / 3)) / 2.
 
     Inside its light cone a time takes that transform on a short cycle.
@@ -146,18 +98,9 @@ def probability_profiles(n, times) -> np.ndarray:
     exactly even.  The choice depends on (n, t) alone, so a batch is its
     single calls bit for bit; n < 250 never takes it.  A batch with any
     time outside the cone runs the length-n transform on all its times
-    and overwrites the rows inside.  A row costs
-    O(n + t log t) inside the cone and O(n log n) outside it.
-
-    At a prime length n >= RADER_MIN_N whose H = (n - 1) / 2 np.fft
-    transforms directly, where a length-n np.fft would build a Bluestein
-    plan on every call, a comes from Rader's transform with the plan that
-    `cycle_plan` caches: n a_0 = 2 sum_mu x_mu - x_0, and for q < H,
-    n a at offset g^-q is x_0 + sum_p x_{gather[p]} k_{p - q}, one
-    length-H cyclic correlation, ifft(fft(x[gather]) conj(fft(k))).  |a|^2
-    fills offsets 0..H and is mirrored, so P_t is exactly even.  At other
-    n the phases are mirrored back to n columns for np.fft.ifft, and P_t
-    is even in the offset to rounding.
+    and overwrites the rows inside.  There the phases are mirrored back to
+    n columns for np.fft.ifft, and P_t is even in the offset to rounding.
+    A row costs O(n + t log t) inside the cone and O(n log n) outside it.
     """
     try:
         times = np.asarray(times, dtype=float).ravel()
@@ -170,20 +113,11 @@ def probability_profiles(n, times) -> np.ndarray:
 
     def transform(m, ts):
         """The coin (len(ts), 2) and |a|^2 on the m-cycle (len(ts), m)."""
-        rates, rader = cycle_plan(m)
         # in place: one phase-sized array fewer per call
-        phases = 1j * np.outer(ts, rates)
+        phases = 1j * np.outer(ts, cycle_rates(m))
         np.exp(phases, out=phases)
-        if rader is None:
-            cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1))
-            np.square(cycle, out=cycle)
-        else:
-            gather, offsets, kernel = rader
-            correlation = np.fft.ifft(np.fft.fft(phases[:, gather], axis=1) * kernel, axis=1)
-            folded = np.empty(phases.shape)
-            folded[:, 0] = np.abs((2.0 * phases.sum(axis=1) - phases[:, 0]) / m) ** 2
-            folded[:, offsets] = np.abs(phases[:, :1] / m + correlation) ** 2
-            cycle = np.concatenate([folded, folded[:, :0:-1]], axis=1)
+        cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1))
+        np.square(cycle, out=cycle)
         return 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5]), cycle
 
     # time k runs on SHORT_CYCLES[which[k]], the first length m <= n / 2

@@ -7,15 +7,20 @@ something `qwalk` computes another way:
   block-circulant relabeling `qwalk.dihedral.semi_cayley_adjacency` is
   checked;
 - the unit eigenvectors and the dense propagator assembled from them,
-  for the closed-form transition probabilities, and the length-n inverse
-  np.fft of the mirrored folded phases, against which the prime-n Rader
-  transform of P_t is checked at sizes the propagator cannot reach;
+  for the closed-form transition probabilities, and, at sizes the
+  propagator cannot reach, the length-n inverse np.fft of the mirrored
+  folded phases and the cycle amplitude summed from Bessel functions,
+  which shares no transform with the package;
+- the prime factors of a cycle length and whether np.fft transforms it
+  without Bluestein's algorithm, for the short-cycle ladder of P_t;
 - the direct O(n^2) double sum of the time-averaged kernel, and its
   folded sum with sin(xT) / (xT) evaluated directly at every mode pair;
 - the exact law of the measured walk, the k-th power of the averaged
   kernel taken through its branch characters, for the sampler;
 - the wrapped arcsine model D(c) of the averaged kernel's distance to
-  its limit at horizon c n, for the scaling of the quantum threshold, and
+  its limit at horizon c n, for the scaling of the quantum threshold, its
+  Bessel model of the largest non-trivial character of the averaged
+  kernel, for the sampler's per-step contraction, and
   the two-theta model D_cl(a) of the classical walk's distance at step
   a n^2, for the scaling of the classical one;
 - the normalized adjacency, dense powers of the classical walk and the
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import j0, jv
 
 from qwalk.classical import check_step_count, classical_profile, profile_column_distance
 from qwalk.dihedral import (
@@ -268,6 +274,46 @@ def fft_probability_profiles(n, times) -> np.ndarray:
     return coin[:, :, None] * cycle[:, None, :]
 
 
+def wrapped_bessel_profiles(n, times) -> np.ndarray:
+    """P_t profiles, shape (len(times), 2, n), with no Fourier transform:
+    the cycle amplitude a_t(r) = sum_j i^(r + j n) J_(r + j n)(2 |t| / 3)
+    over j = -3..3, the line's Jacobi-Anger amplitude wrapped onto the
+    n-cycle, times the coin (cos^2(t / 3), sin^2(t / 3)).  For
+    z = 2 |t| / 3 <= n every dropped order k has |k| > 3 n >= 3 z, where
+    |J_k(z)| <= (e z / (2 |k|))^|k| < 2^-|k| (DLMF 10.14.4), so together
+    they are below 2^(1 - 3 n)."""
+    check_odd_order(n)
+    times = np.asarray(times, dtype=float)
+    z = 2.0 * np.abs(times) / 3.0
+    if (z > n).any():
+        raise ValueError(f"wrapping three times holds for 2 |t| / 3 <= n, got t = {times[z > n][0]} at n = {n}")
+    orders = np.arange(n) + n * np.arange(-3, 4)[:, None]
+    phases = 1j ** (orders % 4)
+    cycle = np.stack([np.abs((phases * jv(orders, x)).sum(axis=0)) ** 2 for x in z])
+    coin = np.stack([np.cos(times / 3.0) ** 2, np.sin(times / 3.0) ** 2], axis=-1)
+    return coin[:, :, None] * cycle[:, None, :]
+
+
+def prime_factors(m) -> set[int]:
+    """The distinct prime factors of an integer m >= 1, by trial division."""
+    factors, d = set(), 2
+    while d * d <= m:
+        if m % d:
+            d += 1
+        else:
+            factors.add(d)
+            m //= d
+    if m > 1:
+        factors.add(m)
+    return factors
+
+
+def direct_fft_length(m) -> bool:
+    """Whether np.fft transforms length m without Bluestein's algorithm:
+    pocketfft does so when m < 50 or no prime factor of m exceeds sqrt(m)."""
+    return m < 50 or max(prime_factors(m)) ** 2 <= m
+
+
 def phase_average(x, T):
     """(1/T) integral_0^T e^{i x t} dt, evaluated as e^{i x T / 2} sinc(x T / (2 pi)).
 
@@ -373,6 +419,22 @@ def arcsine_distance(c) -> float:
     fronts = sorted({x for k in shifts for x in (front - k, -front - k) if 0.0 < x < 1.0})
     value, _ = quad(deviation, 0.0, 1.0, points=fronts or None, limit=400, epsabs=1e-11, epsrel=1e-11)
     return value
+
+
+def bessel_contraction(c) -> float:
+    """max over m >= 1 of |(1/c) integral_0^c J_0(4 pi m tau / 3) d tau|,
+    the n-free limit of the averaged kernel's largest non-trivial
+    |character| at horizon T = c n.
+
+    Character m of |a_t|^2 is the mean over modes k of
+    e^{(2 i t / 3)(cos(2 pi k / n) - cos(2 pi (k + m) / n))}, which tends
+    to J_0(4 pi m t / (3 n)) as n grows, and K_T averages it over
+    t in [0, c n].  integral_0^x J_0 lies in (0, 1.4703] for x > 0, so
+    mode m is at most 0.351 / (m c) and the scan stops at m = 20.
+    """
+    return max(
+        abs(quad(lambda tau: j0(4.0 * math.pi * m * tau / 3.0), 0.0, c, limit=400)[0]) / c for m in range(1, 21)
+    )
 
 
 def theta_distance(a) -> float:

@@ -7,10 +7,9 @@ creep back in as a second copy of itself.  A package module reads only
 the public names of the others: a name another module depends on is part
 of its interface and carries no underscore.  The prism's two shared
 statements are written once each: `np.fft` is called only by the cosine
-transform that finishes every real profile, by the complex P_t kernel and
-by the per-n plan that holds its Rader kernel, and the neighbour rule
-lives only in the adjacency profile, so no `np.eye` or `np.roll`
-rebuilds it.  A profile is expanded to a matrix only by the circulant view:
+transform that finishes every real profile and by the complex P_t
+kernel, and the neighbour rule lives only in the adjacency profile, so no
+`np.eye` or `np.roll` rebuilds it.  A profile is expanded to a matrix only by the circulant view:
 `sliding_window_view` and `take_along_axis` appear nowhere else, and the averaged kernel's Hankel and Toeplitz gap tables are
 views of it too.  The averaged kernel's O(n^2) block loop calls no np.sin,
 np.cos, np.exp or np.sinc: its phases are per mode.  Nor does it reference
@@ -105,9 +104,8 @@ def test_no_private_name_read_across_modules():
 
 
 # the functions that may call np.fft: the shared cosine transform of every
-# real profile, P_t, whose amplitudes are complex, and the per-n plan of
-# its prime-n Rader transform, which holds that transform's kernel
-FFT_HOMES = {("dihedral", "cosine_profiles"), ("walk", "probability_profiles"), ("walk", "cycle_plan")}
+# real profile, and P_t, whose amplitudes are complex
+FFT_HOMES = {("dihedral", "cosine_profiles"), ("walk", "probability_profiles")}
 
 
 def transform_and_shift_uses(tree):

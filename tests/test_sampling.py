@@ -69,6 +69,15 @@ def test_measured_walk_deterministic():
     assert 0 <= results[0] < 14
 
 
+@pytest.mark.parametrize("trial", [-1, 2.5])
+def test_measured_walk_rejects_a_bad_trial(trial):
+    # a negative jump would wrap to the end of the 2^128 stream, a segment
+    # no run reads
+    config = sampling.SamplerConfig(n=7, start_vertex=2, horizon=50.0, steps=5, trials=1, seed=99)
+    with pytest.raises(ValueError, match="trial must be a nonnegative integer"):
+        sampling.measured_walk(config, trial)
+
+
 def test_zero_steps_returns_start():
     config = sampling.SamplerConfig(n=5, start_vertex=7, horizon=50.0, steps=0, trials=1, seed=5)
     assert sampling.measured_walk(config) == 7

@@ -1,9 +1,11 @@
 """Unitary evolution, time-averaged kernel, and the limiting profile.
 
-Oracles: scipy.linalg.expm for the propagator, scipy.integrate.quad for
-the time average, the direct double sum and a 50-digit mpmath sum for the
-averaged kernel, exact Fraction arithmetic for the limit, and the wrapped
-arcsine model D(c) for the distance to the limit at horizon c n.
+Oracles: scipy.linalg.expm for the propagator, the length-n np.fft and the
+wrapped Bessel sum for P_t at large n, scipy.integrate.quad for the time
+average, the direct double sum and a 50-digit mpmath sum for the averaged
+kernel, exact Fraction arithmetic for the limit, the wrapped arcsine model
+D(c) for the distance to the limit at horizon c n, and its Bessel model of
+the averaged kernel's largest non-trivial character.
 """
 
 import math
@@ -134,55 +136,38 @@ def test_probability_profiles_even_in_offset_at_large_times(n):
         assert np.abs(mat - mat.T).max() <= 1e-15
 
 
-@pytest.fixture
-def rader_from_three(monkeypatch):
-    """Every prime n whose H = (n - 1) / 2 np.fft transforms directly takes
-    the Rader path, the way the kernel tests shrink BLOCK; the per-n plans
-    are dropped on both sides, as they depend on RADER_MIN_N."""
-    monkeypatch.setattr(walk, "RADER_MIN_N", 3)
-    walk.cycle_plan.cache_clear()
-    yield
-    walk.cycle_plan.cache_clear()
-
-
-@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 17])
-def test_rader_profiles_match_propagator_oracle(n, rader_from_three):
-    assert walk.cycle_plan(n)[1] is not None
-    times = np.random.default_rng(n).uniform(0.0, 60.0, size=4)
-    profiles = walk.probability_profiles(n, times)
-    for t, profile in zip(times, profiles):
-        from_origin = np.abs(oracles.propagator_oracle(n, t)[:, 0]) ** 2
-        assert np.max(np.abs(profile - from_origin.reshape(2, n))) < 1e-12
-    assert np.array_equal(profiles, profiles[..., -np.arange(n) % n])
-
-
-@pytest.mark.parametrize("n,rader", [(1009, True), (2003, True), (4001, True), (4007, False)])
-def test_large_prime_profiles_match_fft_reference(n, rader):
-    # 4007's H = 2003 is prime, which np.fft transforms by Bluestein's
-    # algorithm, so outside the light cone 4007 takes the length-n np.fft
-    # path; 0.3 and 57.3 lie inside the cone at each n, and the first time
-    # past the longest usable short cycle's reach runs the length-n path
-    # near the cone
-    assert (walk.cycle_plan(n)[1] is not None) == rader
+@pytest.mark.parametrize("n", [1009, 2003, 4001, 4007])
+def test_large_prime_profiles_match_fft_reference(n):
+    # 0.3 and 57.3 lie inside the cone at each n; the first time past the
+    # longest usable short cycle's reach runs the length-n path near the
+    # cone, which np.fft transforms by Bluestein's algorithm at prime n
     past = 1.01 * walk.SHORT_REACH[np.searchsorted(walk.SHORT_CYCLES, n // 2, side="right") - 1]
     times = [0.3, 57.3, past, 1e4, 1e9]
     profiles = walk.probability_profiles(n, times)
     assert np.abs(profiles - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
-    if rader:
-        assert np.array_equal(profiles, profiles[..., -np.arange(n) % n])
+
+
+@pytest.mark.parametrize("n", [1009, 2003, 4001, 4007])
+def test_large_prime_profiles_match_wrapped_bessel(n):
+    # the length-n path at prime n, near the cone and far outside it, against
+    # a reference that shares no transform with it
+    top = walk.SHORT_REACH[np.searchsorted(walk.SHORT_CYCLES, n // 2, side="right") - 1]
+    times = [1.01 * top, 3.0 * top, n / 3.0, 0.9 * n]
+    profiles = walk.probability_profiles(n, times)
+    assert np.abs(profiles - oracles.wrapped_bessel_profiles(n, times)).max() <= 2e-15
 
 
 @pytest.fixture
 def cycle_lengths(monkeypatch):
-    """The cycle lengths `probability_profiles` reads plans for, in order."""
+    """The cycle lengths `probability_profiles` reads rates for, in order."""
     seen = []
-    plan = walk.cycle_plan
+    rates = walk.cycle_rates
 
     def recording(m):
         seen.append(m)
-        return plan(m)
+        return rates(m)
 
-    monkeypatch.setattr(walk, "cycle_plan", recording)
+    monkeypatch.setattr(walk, "cycle_rates", recording)
     return seen
 
 
@@ -193,10 +178,10 @@ def test_short_cycle_ladder():
     # e (2 |t| / 3) <= h
     lengths = tuple(walk.SHORT_CYCLES.tolist())
     assert lengths[:5] == (125, 189, 315, 525, 875) and lengths[-1] == 91125 and len(lengths) == 16
-    assert all(m % 2 and walk.prime_factors(m) <= {3, 5, 7} and walk.direct_fft_length(m) for m in lengths)
+    assert all(m % 2 and oracles.prime_factors(m) <= {3, 5, 7} and oracles.direct_fft_length(m) for m in lengths)
     assert all(b >= 1.5 * a for a, b in zip(lengths, lengths[1:])) and lengths[0] // 2 >= 60
     for a, b in zip(lengths, lengths[1:]):
-        assert not any(walk.prime_factors(m) <= {3, 5, 7} for m in range(math.ceil(1.5 * a) | 1, b, 2))
+        assert not any(oracles.prime_factors(m) <= {3, 5, 7} for m in range(math.ceil(1.5 * a) | 1, b, 2))
     h = np.array(lengths) // 2
     assert np.all(np.e * 2.0 * walk.SHORT_REACH / 3.0 <= h * (1 + 1e-15))
     assert np.all(np.e * 2.0 * (walk.SHORT_REACH * (1 + 1e-12)) / 3.0 > h)
@@ -280,50 +265,41 @@ def test_batch_across_the_light_cone_is_its_single_calls(n, cycle_lengths):
     for times in (np.linspace(-top, 1.2 * top, 41), np.linspace(0.0, 30.0 * top, 41)):
         batched = walk.probability_profiles(n, times)
         assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [t])[0] for t in times]))
-        assert np.array_equal(batched, batched[..., -np.arange(n) % n])
+        # rows inside the cone are exactly even, the length-n ones to rounding
+        odd = np.abs(batched - batched[..., -np.arange(n) % n]).max(axis=(1, 2))
+        inside = np.abs(times) <= top
+        assert not odd[inside].any() and odd.max() <= 1e-15
         assert np.abs(batched - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
     assert n in cycle_lengths and walk.SHORT_CYCLES[0] in cycle_lengths
 
 
 def test_small_time_row_builds_no_length_n_plan():
-    # a row inside the cone reads only the 125-cycle's plan, so its cost
+    # a row inside the cone reads only the 125-cycle's rates, so its cost
     # does not grow with n beyond the O(n) output
     n = 40001
-    walk.cycle_plan.cache_clear()
+    walk.cycle_rates.cache_clear()
     row = walk.probability_row(n, 3, 10.0)
-    assert walk.cycle_plan.cache_info()[:2] == (0, 1)
-    walk.cycle_plan(125)
-    assert walk.cycle_plan.cache_info()[:2] == (1, 1)
+    assert walk.cycle_rates.cache_info()[:2] == (0, 1)
+    walk.cycle_rates(125)
+    assert walk.cycle_rates.cache_info()[:2] == (1, 1)
     assert abs(row.sum() - 1.0) <= walk.ROW_SUM_TOL
     # from vertex 3, offsets 63..n-63 of either block are exactly 0
     assert not row[66 : n - 59].any() and not row[n + 66 : 2 * n - 59].any() and row[65] > 0.0
 
 
-def test_cycle_plan_built_once_per_n_and_read_only():
-    # times outside the light cone, so each call reads the length-1009 plan
-    walk.cycle_plan.cache_clear()
+def test_cycle_rates_built_once_per_n_and_read_only():
+    # times outside the light cone, so each call reads the length-1009 rates
+    walk.cycle_rates.cache_clear()
     for _ in range(3):
         walk.probability_profiles(1009, [1e3, 2e3])
         walk.probability_row(1009, 5, 3e3)
-    info = walk.cycle_plan.cache_info()
+    info = walk.cycle_rates.cache_info()
     assert (info.misses, info.hits) == (1, 5)
-    rates, rader = walk.cycle_plan(1009)
-    assert walk.cycle_plan(1009)[1] is rader
-    gather, offsets, kernel = rader
-    # g^p and g^-q each run once over the nonzero folded modes 1..H
-    assert sorted(gather) == sorted(offsets) == list(range(1, 505))
-    assert rates.shape == (505,) and kernel.shape == (504,)
-    for array in (rates, *rader):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
-    # composite n, primes below RADER_MIN_N and primes whose H has a prime
-    # factor above sqrt(H) (997: H = 2 3 83) keep only their rates
-    for n in (1001, 353, 997):
-        rates, rader = walk.cycle_plan(n)
-        assert rader is None and not rates.flags.writeable
-    assert walk.prime_factors(1) == set() and walk.prime_factors(4000) == {2, 5}
-    assert [walk.direct_fft_length(m) for m in (49, 2000, 1001, 404, 2003)] == [True, True, True, False, False]
+    rates = walk.cycle_rates(1009)
+    assert walk.cycle_rates(1009) is rates and rates.shape == (505,)
+    assert not rates.flags.writeable
+    with pytest.raises(ValueError):
+        rates[0] = 0
 
 
 def test_phase_average_values():
@@ -695,6 +671,22 @@ def test_exact_distance_crosses_epsilon_at_the_model_crossings():
     cs = [c + step for c in ARCSINE_CROSSINGS for step in (-0.01, 0.01)]
     above = distances_at(1601, cs) > spectra.DEFAULT_EPSILON
     assert above.tolist() == [True, False, False, True, True, False]
+
+
+@pytest.mark.parametrize("n,bound", [(101, 2e-4), (401, 2e-5)])
+def test_averaged_contraction_follows_bessel_model(n, bound):
+    # the sampler's per-step contraction, K_T's largest non-trivial
+    # |character| max(|a + b| at m >= 1, |a - b|), at the horizons where a
+    # measured step is cheapest; the largest gaps are 8.1e-5 at n = 101 and
+    # 5.1e-6 at n = 401
+    cs = [1.08, 1.21, 1.35, 2.0, 4.0]
+    contraction = []
+    for profiles in walk.averaged_profiles(n, [c * n for c in cs]):
+        a, b = np.fft.fft(profiles, axis=1).real
+        contraction.append(max(np.abs(a + b)[1:].max(), np.abs(a - b).max()))
+    model = [oracles.bessel_contraction(c) for c in cs]
+    assert model[:3] == pytest.approx([0.1844, 0.1389, 0.1188], abs=1e-4)
+    assert np.max(np.abs(np.array(contraction) - model)) <= bound
 
 
 @pytest.mark.parametrize("n", [1001, 4001])
