@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ["json"], "json")
     p.set_defaults(handler=_cmd_mix)
 
-    p = sub.add_parser("bounds", help="gap sums, decomposition identity, analytic caps", parents=[needs_n])
+    p = sub.add_parser("bounds", help="gap sums, analytic caps, averaging budget", parents=[needs_n])
     _add_output_flags(p, ["json"], "json")
     p.set_defaults(handler=_cmd_bounds)
 

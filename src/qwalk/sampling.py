@@ -48,7 +48,11 @@ class SamplerConfig:
 
 def trial_rng(seed, trial, steps) -> np.random.Generator:
     """The run's stream advanced to trial `trial`'s segment: PCG64 spends
-    one 64-bit draw per double, so `advance` jumps 2 steps trial doubles."""
+    one 64-bit draw per double, so `advance` jumps 2 steps trial doubles.
+    A negative jump would wrap to the end of the 2^128 stream, so `trial`
+    must be a nonnegative integer."""
+    if not isinstance(trial, (int, np.integer)) or trial < 0:
+        raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(2 * steps * trial))
 
 
@@ -80,8 +84,6 @@ def measured_walk(config: SamplerConfig, trial=0) -> int:
     Deterministic in (config.seed, trial); `empirical_check` reproduces it
     trial by trial.
     """
-    if not isinstance(trial, (int, np.integer)) or trial < 0:
-        raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
     rng = trial_rng(config.seed, trial, config.steps)
     vertex = config.start_vertex
     for _ in range(config.steps):

@@ -25,7 +25,9 @@ something `qwalk` computes another way:
   a n^2, for the scaling of the classical one;
 - the normalized adjacency, dense powers of the classical walk and the
   matrix distances built on them, for the distinct-value profiles;
-- the quarter split of the eigenvalue indices behind the folded gap sums.
+- the quarter split of the eigenvalue indices behind the folded gap sums,
+  and the cross-branch gap sum in its cosine form, summed over the whole
+  grid at once.
 """
 
 from __future__ import annotations
@@ -549,3 +551,11 @@ def index_sets(n) -> IndexSets:
         c1_prime=np.arange(half + 1, n),
         c2_prime=np.arange(n + half + 1, 2 * n),
     )
+
+
+def cross_sum_cosine_form(n) -> float:
+    """The unweighted cross-branch gap sum over the folded modes, written as
+    (3/2) sum_{j,k} 1 / |cos(2 pi j / n) - cos(2 pi k / n) + 1|, from one
+    whole (n + 1)/2 x (n + 1)/2 grid and an exact float sum."""
+    cos = mode_cosines(n)[: (n - 1) // 2 + 1]
+    return 1.5 * math.fsum((1.0 / np.abs(cos[:, None] - cos[None, :] + 1.0)).ravel())

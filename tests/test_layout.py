@@ -16,7 +16,9 @@ np.cos, np.exp or np.sinc: its phases are per mode.  Nor does it reference
 np.bincount: it bins by column sums over diagonal views.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
 in `dihedral`, and the sampler builds its inverse CDF only in the one
-measured step that its single and batched walks share.
+measured step that its single and batched walks share.  The literal
+enumeration of the gap sum is a reference the tests compare against: the
+package defines and exports it, and nothing in it calls it.
 """
 
 import ast
@@ -330,3 +332,36 @@ def test_inverse_cdf_written_once_in_sampler():
     assert cumsum_uses(probe) == [(3, "f"), (4, None)]
     uses = cumsum_uses(parse(ROOT / "src" / "qwalk" / "sampling.py"))
     assert uses and {owner for _, owner in uses} == {CUMSUM_HOME}
+
+
+# the (2n)^2 enumeration of the gap sum: defined in bounds, exported by
+# __init__, and read by no report
+ENUMERATION = "eigengap_inverse_sum_bruteforce"
+
+
+def enumeration_uses(tree):
+    """(line, kind) of each definition, import and reference of the
+    enumeration; kind is "def", "import" or "use"."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == ENUMERATION:
+            uses.append((node.lineno, "def"))
+        elif isinstance(node, ast.ImportFrom):
+            uses += [(node.lineno, "import") for alias in node.names if alias.name == ENUMERATION]
+        elif (isinstance(node, ast.Name) and node.id == ENUMERATION) or (
+            isinstance(node, ast.Attribute) and node.attr == ENUMERATION
+        ):
+            uses.append((node.lineno, "use"))
+    return sorted(uses)
+
+
+def test_gap_sum_enumeration_called_nowhere_in_package():
+    probe = ast.parse(
+        f"from .bounds import {ENUMERATION}\ndef {ENUMERATION}(n):\n    return n\n"
+        f"total = {ENUMERATION}(3) + bounds.{ENUMERATION}(5)\n"
+    )
+    assert enumeration_uses(probe) == [(1, "import"), (2, "def"), (4, "use"), (4, "use")]
+    found = {path.name: enumeration_uses(parse(path)) for path in PACKAGE}
+    assert [kind for _, kind in found.pop("bounds.py")] == ["def"]
+    assert [kind for _, kind in found.pop("__init__.py")] == ["import"]
+    assert not any(found.values()), found

@@ -70,6 +70,13 @@ def test_measured_walk_deterministic():
 
 
 @pytest.mark.parametrize("trial", [-1, 2.5])
+def test_trial_rng_rejects_a_bad_trial(trial):
+    # the check sits where the stream is advanced, so every caller gets it
+    with pytest.raises(ValueError, match="trial must be a nonnegative integer"):
+        sampling.trial_rng(0, trial, 3)
+
+
+@pytest.mark.parametrize("trial", [-1, 2.5])
 def test_measured_walk_rejects_a_bad_trial(trial):
     # a negative jump would wrap to the end of the 2^128 stream, a segment
     # no run reads
