@@ -2,15 +2,17 @@
 
 The averaged walk's distance to its limit is controlled by
 sum 1/|gap| over all ordered pairs of distinct eigenvalues, divided by n T.
-This module computes that sum once, by an exact regrouping over folded
-modes, and splits its cross-branch part into quadrants with closed-form
-caps; it evaluates the conjectured near-resonance bound f(n) and certifies
-the 4800 n ln(n)^5 averaging budget.  The tests check the regrouping, the
+This module computes that sum by an exact regrouping over folded modes,
+from one sweep of the gap blocks the averaged kernel reads too, and splits
+its cross-branch part into quadrants with closed-form caps; it evaluates
+the conjectured near-resonance bound f(n) and certifies the
+4800 n ln(n)^5 averaging budget.  The tests check the regrouping, the
 quadrants and the literal enumeration of the sum against each other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -19,9 +21,9 @@ import numpy as np
 from .classical import MixingReport, bracket_search
 from .dihedral import blocks, check_odd_order
 from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum, mode_cosines
-from .walk import averaged_matrix, check_horizon
+from .walk import averaged_matrix, check_horizon, folded_gap_blocks
 
-# largest n at which conjecture_check enumerates the near-resonant quadrant
+# largest n at which the benchmark's gap-sum check enumerates the (2n)^2 grid
 BRUTE_FORCE_CAP = 2001
 
 # cross-branch gaps scale like 1/n^2; anything this small means the two
@@ -114,32 +116,41 @@ class DecomposedSum:
         return 8.0 * self.cross + 4.0 * self.within_c1 + 4.0 * self.within_c2
 
 
-def _folded_sweep(n) -> tuple[DecomposedSum, WithinBranchSums]:
-    """The decomposition and the unweighted within sums, from one sweep
-    each of the cross and within grids.  Only mode 0 weighs 1/2: the within
-    grid is symmetric, so its weighted sum is the unweighted one less row 0,
-    and the weighted cross sum is sum_j w_j (R_j - 1/(2|lp_j - lm_0|))."""
+@functools.lru_cache(maxsize=1)
+def _gap_rows(n) -> np.ndarray:
+    """Row sums of one sweep of `folded_gap_blocks`, read-only and kept for
+    the last n: rows[0] and rows[1] sum 1 / |lp_j - lm_k| over k < q and
+    k >= q, q = n // 4 + 1; rows[2] sums 1 / |lp_j - lp_k|, whose diagonal
+    gap is set to inf, so that term is exactly 0."""
     cross_branch_gap_check(n)
-    lp, lm, mult = _branch_values(n)
-    cross_rows = _inv_gap_rows(lp, lm)
-    within_rows = _inv_gap_rows(lp, lp, labels=np.arange(len(lp)))
-    cross = math.fsum(mult / 2.0 * (cross_rows - 0.5 / np.abs(lp - lm[0])))
-    weighted, plain = math.fsum(within_rows[1:]), math.fsum(within_rows)
-    return DecomposedSum(cross, weighted, weighted), WithinBranchSums(plain, plain)
+    q = n // 4 + 1
+    rows = np.empty((3, (n + 1) // 2))
+    for r, gaps in folded_gap_blocks(n):
+        np.fill_diagonal(gaps[0, :, r.start :], np.inf)
+        np.abs(gaps, out=gaps)
+        np.divide(1.0, gaps, out=gaps)
+        rows[0, r], rows[1, r] = gaps[1, :, :q].sum(axis=1), gaps[1, :, q:].sum(axis=1)
+        rows[2, r] = gaps[0].sum(axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def decomposed_sum(n) -> DecomposedSum:
-    return _folded_sweep(n)[0]
+    """Only mode 0 weighs 1/2: the weighted within sum is the unweighted one
+    less row 0, and the cross one is sum_j w_j (R_j - 1/(2|lp_j - lm_0|))."""
+    low, high, within = _gap_rows(n)
+    lp, lm, mult = _branch_values(n)
+    weighted = math.fsum(within[1:])
+    return DecomposedSum(math.fsum(mult / 2.0 * (low + high - 0.5 / np.abs(lp - lm[0]))), weighted, weighted)
 
 
 @dataclass(frozen=True)
 class QuadrantSums:
-    """Split at mode n/4 of the unweighted cross-branch sum, written as
-    (3/2) sum_{j,k} 1 / |cos(2 pi j / n) - cos(2 pi k / n) + 1|.
-
-    su1: both modes below n/4; su2: j below, k above; su3: j above,
-    k below (the near-resonant quadrant); su4: both above.  Each keeps the
-    3/2 prefactor of the cosine form.
+    """The unweighted cross-branch sum of 1 / |lambda+_j - lambda-_k| =
+    (3/2) / |cos(2 pi j / n) - cos(2 pi k / n) + 1|, split at q = n // 4 + 1
+    in rows and columns: su1, both modes below; su2, j below, k above; su3,
+    j above, k below (the near-resonant quadrant, 3/2 `su3_raw` to
+    rounding); su4, both above.  Views of `_gap_rows`.
     """
 
     su1: float
@@ -152,27 +163,18 @@ class QuadrantSums:
         return self.su1 + self.su2 + self.su3 + self.su4
 
 
-def _quadrant_cosines(n) -> tuple[np.ndarray, np.ndarray]:
-    """cos(2 pi m / n) for the folded modes below and above n/4."""
-    cos = mode_cosines(n)
-    return cos[: n // 4 + 1], cos[n // 4 + 1 : (n - 1) // 2 + 1]
-
-
 def su_sums(n) -> QuadrantSums:
-    cos_low, cos_high = _quadrant_cosines(n)
-    return QuadrantSums(
-        su1=1.5 * math.fsum(_inv_gap_rows(cos_low, cos_low, shift=1.0)),
-        su2=1.5 * math.fsum(_inv_gap_rows(cos_low, cos_high, shift=1.0)),
-        su3=1.5 * su3_raw(n),
-        su4=1.5 * math.fsum(_inv_gap_rows(cos_high, cos_high, shift=1.0)),
-    )
+    low, high, _ = _gap_rows(n)
+    q = n // 4 + 1
+    return QuadrantSums(*(math.fsum(part) for part in (low[:q], high[:q], low[q:], high[q:])))
 
 
 def su3_raw(n) -> float:
-    """The near-resonant quadrant sum without the 3/2 prefactor; this is
-    the quantity the conjectured bound f(n) dominates."""
-    cos_low, cos_high = _quadrant_cosines(n)
-    return math.fsum(_inv_gap_rows(cos_high, cos_low, shift=1.0))
+    """The near-resonant quadrant sum in cosine form, without the 3/2
+    prefactor: the quantity the conjectured bound f(n) dominates, swept on
+    its own so that a conjecture sweep reads only this quadrant."""
+    cos, q = mode_cosines(n), n // 4 + 1
+    return math.fsum(_inv_gap_rows(cos[q : (n + 1) // 2], cos[:q], shift=1.0))
 
 
 def su_caps(n) -> dict:
@@ -195,8 +197,7 @@ class WithinBranchSums:
 
 
 def case5_sums(n) -> WithinBranchSums:
-    lp, _, _ = _branch_values(n)
-    within = math.fsum(_inv_gap_rows(lp, lp, labels=np.arange(len(lp))))
+    within = math.fsum(_gap_rows(n)[2])
     return WithinBranchSums(within, within)
 
 
@@ -252,52 +253,38 @@ def conjecture_caps(n) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConjectureRow:
-    """One n of the conjecture sweep.
+    """One n of the conjecture sweep, with su3 computed at every n.
 
-    holds_raw compares the unscaled quadrant sum against f(n) (the form
-    every tested n satisfies); holds_scaled compares the 3/2-scaled sum
-    (known to fail for many n, reported for the record).  su fields are
-    None past the enumeration cap.
+    su3_raw is sum 1 / |cos_j - cos_k + 1| over the near-resonant quadrant,
+    2/3 of QuadrantSums.su3, as (3/2) sum 1 / |cos_j - cos_k + 1| =
+    sum 1 / |lambda+_j - lambda-_k|.  holds_raw compares it with f(n) (every
+    checked n satisfies it); holds_scaled compares 3/2 su3_raw (known to
+    fail for many n, reported for the record).
     """
 
     n: int
     p: int
-    su3_raw: float | None
+    su3_raw: float
     f_value: float
     cap_log5: float
     cap_log1: float
-    holds_raw: bool | None
-    holds_scaled: bool | None
+    holds_raw: bool
+    holds_scaled: bool
     f_within_cap: bool
 
     @property
     def passed(self) -> bool:
-        ok = self.holds_raw if self.holds_raw is not None else True
-        return ok and self.f_within_cap
+        return self.holds_raw and self.f_within_cap
 
 
 def conjecture_check(n) -> ConjectureRow:
     p, _, _ = conjecture_params(n)
     f_value = conjecture_f(n)
     cap5, cap1 = conjecture_caps(n)
-    if n <= BRUTE_FORCE_CAP:
-        raw = su3_raw(n)
-        holds_raw = bool(raw <= f_value)
-        holds_scaled = bool(1.5 * raw <= f_value)
-    else:
-        raw = None
-        holds_raw = None
-        holds_scaled = None
+    raw = su3_raw(n)
     return ConjectureRow(
-        n=int(n),
-        p=int(p),
-        su3_raw=raw,
-        f_value=f_value,
-        cap_log5=cap5,
-        cap_log1=cap1,
-        holds_raw=holds_raw,
-        holds_scaled=holds_scaled,
-        f_within_cap=bool(f_value <= cap5),
+        n=int(n), p=int(p), su3_raw=raw, f_value=f_value, cap_log5=cap5, cap_log1=cap1,
+        holds_raw=bool(raw <= f_value), holds_scaled=bool(1.5 * raw <= f_value), f_within_cap=bool(f_value <= cap5),
     )
 
 
@@ -415,8 +402,7 @@ class BoundsReport:
 
 
 def bounds_report(n) -> BoundsReport:
-    dec, within = _folded_sweep(n)
-    su = su_sums(n)
+    dec, su, within = decomposed_sum(n), su_sums(n), case5_sums(n)
     caps = su_caps(n)
     cap_within = within_branch_cap(n)
     flags = {

@@ -326,7 +326,7 @@ def _cmd_conjecture(args) -> Output:
             ("f(n)", [(row.n, row.f_value) for row in rows]),
             ("100 n^2 ln(n)^5", [(row.n, row.cap_log5) for row in rows]),
             ("100 n^2 ln(n)", [(row.n, row.cap_log1) for row in rows]),
-            ("su3 raw", [(row.n, row.su3_raw) for row in rows if row.su3_raw is not None]),
+            ("su3 raw", [(row.n, row.su3_raw) for row in rows]),
         ],
         "title": "near-resonance bound sweep",
         "x_label": "n",

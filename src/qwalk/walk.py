@@ -30,7 +30,7 @@ from .dihedral import (
     pair_values_dense,
     pair_values_row,
 )
-from .spectra import folded_modes, mode_cosines
+from .spectra import MINUS, PLUS, eigenvalues, folded_modes, mode_cosines
 
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
@@ -208,6 +208,31 @@ def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
     return a, w * np.stack([cos[0], sin[0]])
 
 
+def folded_gap_blocks(n):
+    """(r, gaps) for each `blocks` row slice r of the folded (mu, mu') grid,
+    in one (2, rows, size) buffer that the next block overwrites.  gaps[0] is
+    the same-branch gap -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n):
+    0 on the diagonal only, at full relative precision near it.  gaps[1] is
+    the cross-branch gap lambda+_mu - lambda-_mu'."""
+    mu, _ = folded_modes(n)
+    size = len(mu)
+    plus, minus = eigenvalues(n, PLUS)[:size], eigenvalues(n, MINUS)[:size]
+    # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
+    sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
+    # the same-branch gap's factors are windows of one circulant view,
+    # table[r, c] = t[(c - r) mod 2n] with t = (-sine[:size], -(4/3) |sine|,
+    # -sine[size:]): hankel[mu, mu'] = -(4/3) |sine[mu + mu']| and
+    # toeplitz[mu, mu'] = sine[mu - mu']
+    table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
+    hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
+    buffer = np.empty((2, blocks(size, size)[0].stop, size))
+    for r in blocks(size, size):
+        gaps = buffer[:, : r.stop - r.start]
+        np.multiply(hankel[r], toeplitz[r], out=gaps[0])
+        np.subtract(plus[r, None], minus, out=gaps[1])
+        yield r, gaps
+
+
 def averaged_profiles(n, Ts) -> np.ndarray:
     """All distinct time-averaged entries at many horizons; shape
     (len(Ts), 2, n), from about n^2 / 2 real kernel values per horizon, in
@@ -221,13 +246,10 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     kernel value is binned at |mu - mu'| and at mu + mu', and
     `cosine_profiles` finishes the job.
 
-    Each block of rows builds its gaps x once.  The same-branch x is
-    -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n), the product of a
-    Hankel and a Toeplitz `circulant` view of one sine table (0 for mirror
-    modes, full relative precision).  Per horizon, sin(xT) w w' / (2T) is
-    a rank-2 product of `mode_phases` factors divided by x; the pairs with
-    |x| T < 1 (all, if most) take w w' / 2 sin(xT) / (xT) directly, as that
-    quotient cancels.  The kernel block is written into a zero-padded
+    Each block of rows takes its gaps x from `folded_gap_blocks`.  Per
+    horizon, sin(xT) w w' / (2T) is a rank-2 product of `mode_phases`
+    factors divided by x; the pairs with |x| T < 1 (all, if most) take
+    w w' / 2 sin(xT) / (xT) directly, as that quotient cancels.  The kernel block is written into a zero-padded
     buffer whose rows, re-cut one entry shorter or longer, put each
     anti-diagonal or diagonal in one column: a column sum bins the block
     at mu + mu' or at mu' - mu, which folds onto |mu - mu'|.
@@ -236,15 +258,6 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     factors = [mode_phases(n, T) for T in Ts]
     mu, w = folded_modes(n)
     size = len(mu)
-    cos = (2.0 / 3.0) * mode_cosines(n)[:size]
-    # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
-    sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
-    # the same-branch gap's factors are windows of one circulant view,
-    # table[r, c] = t[(c - r) mod 2n] with t = (-sine[:size], -(4/3) |sine|,
-    # -sine[size:]): hankel[mu, mu'] = -(4/3) |sine[mu + mu']| and
-    # toeplitz[mu, mu'] = sine[mu - mu']
-    table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
-    hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
     half = 0.5 * w
     # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
     binned = np.zeros((len(Ts), 2, n))
@@ -254,17 +267,15 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     width = size + 2 * height - 1
     flat = np.zeros(height * (width + 1))
     kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]
-    gaps, scratch, small = np.empty((2, height, size)), np.empty((height, size)), np.empty((height, size), bool)
-    for r in blocks(size, size):
+    scratch, small = np.empty((height, size)), np.empty((height, size), bool)
+    for r, gaps in folded_gap_blocks(n):
         rows, last = r.stop - r.start, r.stop - 1
         # only the last block can be shorter; it uses the first rows
-        gaps, scratch, small, kernel = gaps[:, :rows], scratch[:rows], small[:rows], kernel[:rows]
+        scratch, small, kernel = scratch[:rows], small[:rows], kernel[:rows]
         # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
         # one entry longer, mu' - mu = k - last
         sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
         diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
-        np.multiply(hankel[r], toeplitz[r], out=gaps[0])
-        np.subtract(2.0 / 3.0 + cos[r, None], cos, out=gaps[1])
         for T, (a, b), pair in zip(Ts, factors, binned):
             for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
                 np.less(gap, 1.0 / T, out=small)

@@ -2,8 +2,9 @@
 the averaging budget.
 
 Oracles: tolerance-grouping of numpy.linalg.eigvalsh output for the gap
-sum, exact rational arithmetic at n=3, and a 50-digit mpmath
-re-evaluation of f(n).
+sum, exact rational arithmetic at n=3, 30-digit mpmath sums of the
+quadrant and within-branch grids, and a 50-digit mpmath re-evaluation of
+f(n).
 """
 
 import math
@@ -14,9 +15,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from qwalk import bounds, dihedral, spectra, walk
+from qwalk import bounds, cli, dihedral, spectra, walk
 
 import oracles
+
+
+@pytest.fixture(autouse=True)
+def fresh_gap_rows():
+    # `_gap_rows` keeps the last n's rows; rows swept at a patched BLOCK
+    # must not reach another test
+    bounds._gap_rows.cache_clear()
+    yield
+    bounds._gap_rows.cache_clear()
 
 
 def gap_sum_from_eigh(n):
@@ -57,6 +67,27 @@ def f_value_mpmath(n):
             total += (mpmath.pi / (2 * alpha)) * (1 / alpha + 1 / d_low + 1 / d_high)
             total += (n / (4 * alpha)) * mpmath.log((mpmath.pi**2 / 2) / (d_low * d_high))
         return float(total)
+
+
+def quadrant_sums_mpmath(n):
+    # (su1, su2, su3, su4) at 30 significant digits, from the cosine form
+    with mpmath.workdps(30):
+        m, q = (n + 1) // 2, n // 4 + 1
+        cos = [mpmath.cos(2 * mpmath.pi * j / n) for j in range(m)]
+        shifted = [c + 1 for c in cos]
+        low, high = range(q), range(q, m)
+        return [
+            float(1.5 * mpmath.fsum(1 / abs(shifted[j] - cos[k]) for j in rows for k in cols))
+            for rows, cols in ((low, low), (low, high), (high, low), (high, high))
+        ]
+
+
+def within_sum_mpmath(n):
+    # the unweighted within-branch sum at 30 significant digits
+    with mpmath.workdps(30):
+        m = (n + 1) // 2
+        lam = [(2 * mpmath.cos(2 * mpmath.pi * j / n) + 1) / 3 for j in range(m)]
+        return float(mpmath.fsum(1 / abs(lam[j] - lam[k]) for j in range(m) for k in range(m) if j != k))
 
 
 def test_index_sets_partition():
@@ -112,15 +143,26 @@ def test_cross_sum_forms_agree():
 @pytest.mark.parametrize("n", [21, 101, 1001, 2001])
 def test_gap_sum_identities(n):
     # the three forms of the gap sum agree at every n the benchmark reports
-    # bounds at; the largest measured gaps, all at n = 2001, are 2.7e-11
-    # (regrouping against enumeration), 0 (quadrants against the whole
-    # cosine grid) and 2.4e-11 (cross-branch rows against the cosine form)
+    # bounds at; the largest measured gaps are 2.7e-11 (regrouping against
+    # enumeration, n = 2001), 1.7e-16 (quadrants against the whole lambda
+    # grid, n = 1001) and 2.4e-11 (the lambda grid against the cosine form,
+    # n = 2001)
     brute = bounds.eigengap_inverse_sum_bruteforce(n)
     assert bounds.decomposed_sum(n).total == pytest.approx(brute, rel=1e-9)
-    cosine = oracles.cross_sum_cosine_form(n)
-    assert bounds.su_sums(n).total == pytest.approx(cosine, rel=1e-12)
-    lp, lm, _ = bounds._branch_values(n)
-    assert math.fsum(bounds._inv_gap_rows(lp, lm)) == pytest.approx(cosine, rel=1e-9)
+    mu, _ = spectra.folded_modes(n)
+    lam = spectra.full_spectrum(n)
+    whole = full_grid_gap_sum(lam[mu], lam[n + mu])
+    assert bounds.su_sums(n).total == pytest.approx(whole, rel=1e-12)
+    assert whole == pytest.approx(oracles.cross_sum_cosine_form(n), rel=1e-9)
+
+
+def test_gap_sums_against_30_digits():
+    # at the parent's subtraction and cosine forms these were off by 3.7e-14
+    # (within, n = 401) and 1.6e-12 (su3, n = 1001); measured here: 1.2e-16
+    # and 2.2e-13
+    su = bounds.su_sums(1001)
+    assert [su.su1, su.su2, su.su3, su.su4] == pytest.approx(quadrant_sums_mpmath(1001), rel=1e-12)
+    assert bounds.case5_sums(401).sum_c1 == pytest.approx(within_sum_mpmath(401), rel=1e-15)
 
 
 def test_su3_raw_is_unscaled_quadrant():
@@ -180,46 +222,61 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     assert dec.cross == pytest.approx(full_grid_gap_sum(lp, lm, weight), rel=1e-12)
     assert dec.within_c1 == pytest.approx(full_grid_gap_sum(lp, lp, weight, labels=modes), rel=1e-12)
     assert dec.within_c2 == pytest.approx(full_grid_gap_sum(lm, lm, weight, labels=modes), rel=1e-12)
-    # the unweighted sums, from the blocked rows, the same sweep and
-    # case5_sums' own; the weighted within sum is the unweighted one less
-    # row 0, and row 0 shares its block with few or none of the other rows here
-    _, within = bounds._folded_sweep(n)
-    plain = math.fsum(bounds._inv_gap_rows(lp, lm))
-    assert plain == pytest.approx(full_grid_gap_sum(lp, lm), rel=1e-12)
+    # the blocked row sums, split at column q, and the views of them; the
+    # weighted within sum is the unweighted one less row 0, and row 0
+    # shares its block with few or none of the other rows here
+    low, high, within = bounds._gap_rows(n)
+    q = n // 4 + 1
+    cross = 1.0 / np.abs(lp[:, None] - lm[None, :])
+    assert low == pytest.approx(cross[:, :q].sum(axis=1), rel=1e-12)
+    assert high == pytest.approx(cross[:, q:].sum(axis=1), rel=1e-12)
+    same = np.abs(lp[:, None] - lp[None, :])
+    np.fill_diagonal(same, np.inf)
+    assert within == pytest.approx((1.0 / same).sum(axis=1), rel=1e-12)
+    su = bounds.su_sums(n)
+    assert su.total == pytest.approx(full_grid_gap_sum(lp, lm), rel=1e-12)
     unweighted = full_grid_gap_sum(lp, lp, labels=modes)
-    assert within.sum_c1 == within.sum_c2 == pytest.approx(unweighted, rel=1e-12)
-    assert bounds.case5_sums(n).sum_c1 == pytest.approx(unweighted, rel=1e-12)
+    assert bounds.case5_sums(n).sum_c1 == bounds.case5_sums(n).sum_c2 == pytest.approx(unweighted, rel=1e-12)
     m = np.arange(n)
     fold = np.minimum(m, n - m)
     lam = spectra.full_spectrum(n)
     brute = full_grid_gap_sum(lam, lam, labels=np.concatenate([fold, n + fold]))
     assert bounds.eigengap_inverse_sum_bruteforce(n) == pytest.approx(brute, rel=1e-12)
-    cos_low, cos_high = bounds._quadrant_cosines(n)
-    if len(cos_high):
-        expected = full_grid_gap_sum(cos_high, cos_low, shift=1.0)
+    cos = spectra.mode_cosines(n)
+    if len(lp) > q:
+        expected = full_grid_gap_sum(cos[q : len(lp)], cos[:q], shift=1.0)
         assert bounds.su3_raw(n) == pytest.approx(expected, rel=1e-12)
     # the sorted-neighbour search finds the grid minimum bit for bit
     assert bounds.cross_branch_gap_check(n) == np.abs(lp[:, None] - lm[None, :]).min()
 
 
 @pytest.mark.parametrize("n", [21, 101])
-def test_each_folded_grid_swept_once(n, monkeypatch):
-    """bounds_report sweeps the cross and within grids once each and the
-    cosine form once, in quadrants: 3 m^2 entries for m = (n + 1) / 2
-    folded modes, and no (2n)^2 enumeration grid."""
+def test_each_folded_grid_swept_once(n, monkeypatch, capsys):
+    """bounds_report and budget_report at one n share one sweep of the
+    same- and cross-branch grids: 2 m^2 entries for m = (n + 1) / 2 folded
+    modes, and no other grid, so no (2n)^2 enumeration; `qwalk bounds`,
+    which adds the budget from n = 100, sweeps the same."""
     swept = []
-    row_sums = bounds._inv_gap_rows
+    sweep = bounds.folded_gap_blocks
 
-    def counting(a, b, *args, **kwargs):
-        swept.append(len(a) * len(b))
-        return row_sums(a, b, *args, **kwargs)
+    def counting(n):
+        for r, gaps in sweep(n):
+            swept.append(gaps.size)
+            yield r, gaps
 
-    monkeypatch.setattr(bounds, "_inv_gap_rows", counting)
+    def other_grid(*args, **kwargs):
+        raise AssertionError("a gap grid swept outside folded_gap_blocks")
+
+    monkeypatch.setattr(bounds, "folded_gap_blocks", counting)
+    monkeypatch.setattr(bounds, "_inv_gap_rows", other_grid)
     m = (n + 1) // 2
     assert bounds.bounds_report(n).all_passed
-    assert sum(swept) == 3 * m * m
-    swept.clear()
     bounds.budget_report(n)
+    assert sum(swept) == 2 * m * m
+    bounds._gap_rows.cache_clear()
+    swept.clear()
+    assert cli.main(["bounds", "--n", str(n)]) == 0
+    assert ('"budget"' in capsys.readouterr().out) == (n >= bounds.BUDGET_MIN_N)
     assert sum(swept) == 2 * m * m
 
 
@@ -281,12 +338,18 @@ def test_conjecture_check_n5_detail():
 
 
 def test_conjecture_check_past_enumeration_cap():
-    row = bounds.conjecture_check(2003)
-    assert row.su3_raw is None
-    assert row.holds_raw is None
-    assert row.holds_scaled is None
+    row = bounds.conjecture_check(2005)
+    assert row.su3_raw == bounds.su3_raw(2005)
+    assert row.holds_raw is True
+    assert isinstance(row.holds_scaled, bool)
     assert row.f_within_cap is True
     assert row.passed is True
+
+
+def test_conjecture_holds_from_2003_to_4001():
+    # su3/f peaks at 0.9629 (n = 3167) in this range
+    failed = [n for n in range(2003, 4002, 2) if not bounds.su3_raw(n) <= bounds.conjecture_f(n)]
+    assert failed == []
 
 
 def test_conjecture_sweep_small():

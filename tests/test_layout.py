@@ -10,10 +10,12 @@ statements are written once each: `np.fft` is called only by the cosine
 transform that finishes every real profile and by the complex P_t
 kernel, and the neighbour rule lives only in the adjacency profile, so no
 `np.eye` or `np.roll` rebuilds it.  A profile is expanded to a matrix only by the circulant view:
-`sliding_window_view` and `take_along_axis` appear nowhere else, and the averaged kernel's Hankel and Toeplitz gap tables are
-views of it too.  The averaged kernel's O(n^2) block loop calls no np.sin,
-np.cos, np.exp or np.sinc: its phases are per mode.  Nor does it reference
-np.bincount: it bins by column sums over diagonal views.  The block XOR that
+`sliding_window_view` and `take_along_axis` appear nowhere else, and the Hankel and Toeplitz gap tables are
+views of it too, built in `walk` and `bounds` only by the one generator of
+folded gap blocks that the averaged kernel and the gap sums both loop over.
+The averaged kernel's O(n^2) block loop and the generator's call no np.sin,
+np.cos, np.exp or np.sinc: their phases are per mode.  Nor do they reference
+np.bincount: the kernel bins by column sums over diagonal views.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
 in `dihedral`, and the sampler builds its inverse CDF only in the one
 measured step that its single and batched walks share.  The literal
@@ -204,12 +206,17 @@ def test_profile_expanded_only_by_the_circulant_view():
 
 # transcendental calls the averaged kernel's O(n^2) block loop must not make:
 # its phases are per mode, and only `real_phase_average` on the small-phase
-# pairs evaluates a kernel directly
+# pairs evaluates a kernel directly; the loop that yields its gaps makes none
 LOOP_BANNED = ("sin", "cos", "exp", "sinc")
 
+# the O(n^2) loops those rules cover, and the generators they run over
+BLOCK_LOOP_OWNERS = ("averaged_profiles", "folded_gap_blocks")
+BLOCK_ITERATORS = ("blocks", "folded_gap_blocks")
 
-def block_loops(tree, function):
-    """The `for ... in blocks(...)` loops in the named top-level function."""
+
+def block_loops(tree, function, iterators=BLOCK_ITERATORS):
+    """The `for ... in blocks(...)` and `for ... in folded_gap_blocks(...)`
+    loops in the named top-level function."""
     return [
         loop
         for top in tree.body
@@ -218,7 +225,7 @@ def block_loops(tree, function):
         if isinstance(loop, ast.For)
         and isinstance(loop.iter, ast.Call)
         and isinstance(loop.iter.func, ast.Name)
-        and loop.iter.func.id == "blocks"
+        and loop.iter.func.id in iterators
     ]
 
 
@@ -233,7 +240,7 @@ def numpy_references(loop):
 
 
 def block_loop_transcendentals(tree, function):
-    """Number of `for ... in blocks(...)` loops in the named top-level
+    """Number of block loops (see `block_loops`) in the named top-level
     function, and (line, name) of each np.sin, np.cos, np.exp or np.sinc
     call inside them."""
     loops = block_loops(tree, function)
@@ -257,7 +264,11 @@ def test_averaged_kernel_block_loop_has_no_transcendentals():
         "        z = np.sinc(x[r]) + real_phase_average(x[r], 2.0)\n        w = np.exp(np.cos(z))\n"
     )
     assert block_loop_transcendentals(probe, "f") == (1, [(5, "np.sinc"), (6, "np.cos"), (6, "np.exp")])
-    assert block_loop_transcendentals(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_profiles") == (1, [])
+    probe = ast.parse("import numpy as np\ndef f(n):\n    for r, gaps in folded_gap_blocks(n):\n        y = np.sin(gaps)\n")
+    assert block_loop_transcendentals(probe, "f") == (1, [(4, "np.sin")])
+    tree = parse(ROOT / "src" / "qwalk" / "walk.py")
+    for function in BLOCK_LOOP_OWNERS:
+        assert block_loop_transcendentals(tree, function) == (1, []), function
 
 
 def test_averaged_kernel_block_loop_has_no_scatter():
@@ -268,10 +279,49 @@ def test_averaged_kernel_block_loop_has_no_scatter():
         "        g = np.bincount\n        y = g(i[r], x[r])\n"
     )
     assert [ref for loop in block_loops(probe, "f") for ref in numpy_references(loop)] == [(4, "bincount")]
-    (loop,) = block_loops(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_profiles")
-    refs = numpy_references(loop)
-    assert any(name == "divide" for _, name in refs)
-    assert [ref for ref in refs if ref[1] == "bincount"] == []
+    tree = parse(ROOT / "src" / "qwalk" / "walk.py")
+    kernel, gaps = (block_loops(tree, function) for function in BLOCK_LOOP_OWNERS)
+    assert any(name == "divide" for _, name in numpy_references(kernel[0]))
+    assert any(name == "multiply" for _, name in numpy_references(gaps[0]))
+    for loop in kernel + gaps:
+        assert [ref for ref in numpy_references(loop) if ref[1] == "bincount"] == []
+
+
+# the folded gap grids are built once: in `walk` and `bounds` only the
+# generator expands its sine table by `circulant`, and the averaged kernel
+# and the gap sums' one sweep both loop over it
+GAP_GRID_HOME = {("walk", "folded_gap_blocks")}
+GAP_GRID_READERS = {("walk", "averaged_profiles"), ("bounds", "_gap_rows")}
+
+
+def callers(tree, name):
+    """Top-level functions that call `name`, bare or as an attribute."""
+    return {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    }
+
+
+def test_folded_gap_grids_built_once():
+    probe = ast.parse(
+        "def f(n):\n    return circulant(n)\n"
+        "def g(n):\n    for r, x in folded_gap_blocks(n):\n        dihedral.circulant(x)\n"
+    )
+    assert callers(probe, "circulant") == {"f", "g"}
+    assert [function for function in ("f", "g") if block_loops(probe, function, ("folded_gap_blocks",))] == ["g"]
+    trees = {stem: parse(ROOT / "src" / "qwalk" / f"{stem}.py") for stem in ("walk", "bounds")}
+    expanding = {(stem, function) for stem, tree in trees.items() for function in callers(tree, "circulant")}
+    assert expanding == GAP_GRID_HOME
+    readers = {
+        (stem, top.name)
+        for stem, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and block_loops(tree, top.name, ("folded_gap_blocks",))
+    }
+    assert readers == GAP_GRID_READERS
 
 
 # the functions that may write the block XOR: a vertex pair becomes a cell
