@@ -157,9 +157,9 @@ def test_gap_sum_identities(n):
 
 
 def test_gap_sums_against_30_digits():
-    # at the parent's subtraction and cosine forms these were off by 3.7e-14
-    # (within, n = 401) and 1.6e-12 (su3, n = 1001); measured here: 1.2e-16
-    # and 2.2e-13
+    # measured gaps: 2.2e-13 (su3, n = 1001) and 1.2e-16 (within, n = 401);
+    # su3 in cosine form is off by 1.6e-12, and the within sum taken by
+    # subtracting eigenvalues by 3.7e-14, so either form fails here
     su = bounds.su_sums(1001)
     assert [su.su1, su.su2, su.su3, su.su4] == pytest.approx(quadrant_sums_mpmath(1001), rel=1e-12)
     assert bounds.case5_sums(401).sum_c1 == pytest.approx(within_sum_mpmath(401), rel=1e-15)
