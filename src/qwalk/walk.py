@@ -3,12 +3,12 @@
 Transition probabilities of the propagator e^{i A t / 3}, the
 finite-horizon time average and its exact limit.  The first two each have
 one batch form over times (`probability_profiles`, `averaged_profiles`)
-that the single-time calls view.  The graph is the prism C_n x K_2, so
-the two eigenvalue families differ by exactly 2/3 mode by mode: P_t is an
-n-cycle walk times a two-state coin, one inverse DFT per time (on a
-short cycle while the walk's light cone fits in one), and the averaged
-kernel is real and finished by `cosine_profiles`.  The dense
-propagator and the direct double sum are test oracles.
+that the single-time calls view; `light_cone` runs each of their times on
+the shortest cycle that holds its light cone.  The graph is the prism
+C_n x K_2, so the two eigenvalue families differ by exactly 2/3 mode by
+mode: P_t is a cycle walk times a two-state coin, one inverse DFT per
+time, and the averaged kernel is real and finished by `cosine_profiles`.
+The dense propagator and the direct double sum are test oracles.
 """
 
 from __future__ import annotations
@@ -57,12 +57,45 @@ def short_cycle_ladder() -> tuple[int, ...]:
     return tuple(lengths)
 
 
-# the lengths `probability_profiles` uses for times inside their light cone
-# (125, 189, 315, 525, 875, ..., 91125), and the largest |t| each holds:
-# e (2 |t| / 3) <= h = (m - 1) / 2
+# the cycle lengths `light_cone` runs P_t and K_T on inside their light cone
+# (125, 189, 315, 525, 875, ..., 91125), and the largest |t| or T each
+# holds: e (2 |t| / 3) <= h = (m - 1) / 2
 SHORT_CYCLES = np.array(short_cycle_ladder())
 SHORT_REACH = 1.5 / np.e * (SHORT_CYCLES // 2)
 SHORT_CYCLES.flags.writeable = SHORT_REACH.flags.writeable = False
+
+
+def light_cone(n, times, profiles) -> np.ndarray:
+    """`profiles(m, ts)`, a (len(ts), 2, m) stack on the m-cycle prism, run
+    once per time on the cycle its (n, t) picks; shape (len(times), 2, n).
+
+    P_t's cycle amplitude is a_t(r) = sum_{k = r mod n} i^k J_k(z) with
+    z = 2 |t| / 3, and |J_k(z)| <= (z / 2)^k / k! <= 2^-k for k >= e z
+    (DLMF 10.14.4).  So on an odd cycle of half-length h >= K(t) =
+    max(60, ceil(e z)) offsets 0..h match the line to 2^(1 - K) <= 1.7e-18
+    and the rest are smaller; so does K_T, P_t's average over 0 <= t <= T,
+    at K(T).  A time runs on the shortest length m of SHORT_CYCLES with
+    2 K + 1 <= m <= n / 2, offsets 0..h written, mirrored and 0 beyond, or
+    else on n; a batch with no time in the cone is `profiles(n, times)`.
+    The choice depends on (n, t) alone, so a batch is its single calls bit
+    for bit; n < 250 never takes a short cycle.
+    """
+    # time k runs on SHORT_CYCLES[which[k]], or on n where which[k] == rungs
+    rungs = SHORT_CYCLES.searchsorted(n // 2, side="right")
+    which = np.searchsorted(SHORT_REACH[:rungs], np.abs(times))
+    far = which == rungs
+    if far.all():
+        return profiles(n, times)
+    out = np.empty((len(times), 2, n))
+    if far.any():
+        out[far] = profiles(n, times[far])
+    for k in set(which[~far].tolist()):
+        rows, m = which == k, int(SHORT_CYCLES[k])
+        part, h = profiles(m, times[rows]), m // 2
+        out[rows, :, h + 1 : n - h] = 0.0
+        out[rows, :, : h + 1] = part[:, :, : h + 1]
+        out[rows, :, n - h :] = part[:, :, h:0:-1]
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -87,20 +120,8 @@ def probability_profiles(n, times) -> np.ndarray:
     rates `cycle_rates` caches per n.  The coin is read from mode 0's phase
     e^{2 i t / 3}: cos^2, sin^2(t / 3) = (1 +- cos(2 t / 3)) / 2.
 
-    Inside its light cone a time takes that transform on a short cycle.
-    The amplitude is a_t(r) = sum_{k = r mod n} i^k J_k(z), z = 2 |t| / 3,
-    and |J_k(z)| <= (z / 2)^k / k! <= 2^-k for k >= e z (DLMF 10.14.4).  So
-    on any odd cycle of half-length h >= K(t) = max(60, ceil(e z)) it is
-    the line's i^r J_r(z) at offsets |r| <= h to 2^(1 - K) <= 1.7e-18, and
-    below that beyond.  Each time takes the shortest length m of
-    SHORT_CYCLES with 2 K + 1 <= m <= n / 2, if any; its offsets 0..h are
-    copied from the m-cycle's and mirrored, the rest are 0, and P_t is
-    exactly even.  The choice depends on (n, t) alone, so a batch is its
-    single calls bit for bit; n < 250 never takes it.  A batch with any
-    time outside the cone runs the length-n transform on all its times
-    and overwrites the rows inside.  There the phases are mirrored back to
-    n columns for np.fft.ifft, and P_t is even in the offset to rounding.
-    A row costs O(n + t log t) inside the cone and O(n log n) outside it.
+    Each time runs on the cycle `light_cone` picks; on n P_t is even only to
+    rounding.  A row costs O(n + t log t) inside the cone, O(n log n) outside.
     """
     try:
         times = np.asarray(times, dtype=float).ravel()
@@ -109,35 +130,18 @@ def probability_profiles(n, times) -> np.ndarray:
     if not np.isfinite(times).all():
         raise ValueError(f"walk times must be finite, got {times[~np.isfinite(times)][0]}")
     check_odd_order(n)
-    n = int(n)
 
     def transform(m, ts):
-        """The coin (len(ts), 2) and |a|^2 on the m-cycle (len(ts), m)."""
+        """The coin times |a|^2 on the m-cycle; shape (len(ts), 2, m)."""
         # in place: one phase-sized array fewer per call
         phases = 1j * np.outer(ts, cycle_rates(m))
         np.exp(phases, out=phases)
         cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1))
         np.square(cycle, out=cycle)
-        return 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5]), cycle
+        coin = 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5])
+        return coin[:, :, None] * cycle[:, None, :]
 
-    # time k runs on SHORT_CYCLES[which[k]], the first length m <= n / 2
-    # whose reach covers |t|, or on n where which[k] == rungs; if any time
-    # is outside the cone, the length-n transform runs on the whole batch
-    # and the rows inside are overwritten
-    rungs = SHORT_CYCLES.searchsorted(n // 2, side="right")
-    which = np.searchsorted(SHORT_REACH[:rungs], np.abs(times))
-    far = which == rungs
-    if far.any():
-        coin, cycle = transform(n, times)
-    else:
-        coin, cycle = np.empty((len(times), 2)), np.empty((len(times), n))
-    for k in set(which[~far].tolist()):
-        rows, m = which == k, int(SHORT_CYCLES[k])
-        coin[rows], part = transform(m, times[rows])
-        h = m // 2
-        # offsets 0..h of the short cycle, 0 beyond, mirrored
-        cycle[rows] = np.concatenate([part[:, : h + 1], np.zeros((len(part), n - 2 * h - 1)), part[:, h:0:-1]], axis=1)
-    return coin[:, :, None] * cycle[:, None, :]
+    return light_cone(int(n), times, transform)
 
 
 def probability_row(n, i, t) -> np.ndarray:
@@ -152,15 +156,8 @@ def probability_matrix(n, t) -> np.ndarray:
 
 
 def real_phase_average(x, T):
-    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0.
-    Two block-sized arrays, x T and the result, which the divide fills in
-    place; `np.sinc` would allocate about four."""
-    xT = np.asarray(x, dtype=float) * float(T)
-    nonzero = xT != 0
-    out = np.sin(xT)
-    np.divide(out, xT, out=out, where=nonzero)
-    out[~nonzero] = 1.0
-    return out
+    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0."""
+    return np.sinc(x * (T / np.pi))
 
 
 @dataclass
@@ -200,7 +197,6 @@ def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode factors (a, b) of horizon T: with phi = (2T/3) cos(2 pi mu / n)
     and psi = phi + 2T/3, sin(xT) w w' / (2T) of a same- or cross-branch
     pair (mu, mu') is column mu of a[0] or a[1] dotted with column mu' of b."""
-    check_horizon(T)
     mu, w = folded_modes(n)
     phases = (2.0 * T / 3.0) * (mode_cosines(n)[mu] + np.array([[0.0], [1.0]]))
     sin, cos = np.sin(phases), np.cos(phases)
@@ -235,8 +231,17 @@ def folded_gap_blocks(n):
 
 def averaged_profiles(n, Ts) -> np.ndarray:
     """All distinct time-averaged entries at many horizons; shape
-    (len(Ts), 2, n), from about n^2 / 2 real kernel values per horizon, in
-    O(len(Ts) n + BLOCK) memory.
+    (len(Ts), 2, n), each T checked before it becomes a float.  `light_cone`
+    runs `averaged_kernel` on the cycle that holds T's cone, or n: O(m^2) on m."""
+    check_odd_order(n)
+    for T in Ts:
+        check_horizon(T)
+    return light_cone(int(n), np.asarray(Ts, dtype=float), averaged_kernel)
+
+
+def averaged_kernel(n, Ts) -> np.ndarray:
+    """`averaged_profiles` on the n-cycle prism at checked float horizons:
+    about n^2 / 2 real kernel values per horizon, O(len(Ts) n + BLOCK) memory.
 
     The average is real: a mode pair and its mirror (m, m') -> (-m, -m')
     carry conjugate phases, so only the real kernel sin(xT) / (xT) enters.
@@ -248,17 +253,15 @@ def averaged_profiles(n, Ts) -> np.ndarray:
 
     Each block of rows takes its gaps x from `folded_gap_blocks`.  Per
     horizon, sin(xT) w w' / (2T) is a rank-2 product of `mode_phases`
-    factors divided by x; the pairs with |x| T < 1 (all, if most) take
-    w w' / 2 sin(xT) / (xT) directly, as that quotient cancels.  The kernel block is written into a zero-padded
+    factors divided by x; the pairs with |x| T < 1 take w w' / 2
+    sin(xT) / (xT) directly, as that quotient cancels.  The kernel block is written into a zero-padded
     buffer whose rows, re-cut one entry shorter or longer, put each
     anti-diagonal or diagonal in one column: a column sum bins the block
     at mu + mu' or at mu' - mu, which folds onto |mu - mu'|.
     """
-    check_odd_order(n)
     factors = [mode_phases(n, T) for T in Ts]
     mu, w = folded_modes(n)
     size = len(mu)
-    half = 0.5 * w
     # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
     binned = np.zeros((len(Ts), 2, n))
     # buffers for the first block, the tallest: kernel row i sits at columns
@@ -280,17 +283,12 @@ def averaged_profiles(n, Ts) -> np.ndarray:
             for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
                 np.less(gap, 1.0 / T, out=small)
                 np.logical_and(small, gap > -1.0 / T, out=small)
+                np.matmul(a_rows.T, b, out=scratch)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(scratch, gap, out=kernel)
                 where = np.flatnonzero(small)
-                if 2 * where.size > small.size:
-                    np.multiply(real_phase_average(np.abs(gap), T), half[r, None], out=scratch)
-                    np.multiply(scratch, w, out=kernel)
-                else:
-                    np.matmul(a_rows.T, b, out=scratch)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        np.divide(scratch, gap, out=kernel)
-                    if where.size:
-                        i, j = np.divmod(where, size)
-                        kernel[i, j] = half[r].take(i) * w.take(j) * real_phase_average(np.abs(gap.take(where)), T)
+                i, j = np.divmod(where, size)
+                kernel[i, j] = 0.5 * w[r].take(i) * w.take(j) * real_phase_average(np.abs(gap.take(where)), T)
                 out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
                 by_diff = diffs.sum(axis=0)
                 out[: size - r.start] += by_diff[last:]

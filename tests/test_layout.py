@@ -13,6 +13,9 @@ kernel, and the neighbour rule lives only in the adjacency profile, so no
 `sliding_window_view` and `take_along_axis` appear nowhere else, and the Hankel and Toeplitz gap tables are
 views of it too, built in `walk` and `bounds` only by the one generator of
 folded gap blocks that the averaged kernel and the gap sums both loop over.
+One light-cone rule places P_t and the averaged kernel on short cycles: only
+`light_cone` reads the ladder of short cycles and their reach, and only the
+two batch forms call it.
 The averaged kernel's O(n^2) block loop and the generator's call no np.sin,
 np.cos, np.exp or np.sinc: their phases are per mode.  Nor do they reference
 np.bincount: the kernel bins by column sums over diagonal views.  The block XOR that
@@ -210,7 +213,7 @@ def test_profile_expanded_only_by_the_circulant_view():
 LOOP_BANNED = ("sin", "cos", "exp", "sinc")
 
 # the O(n^2) loops those rules cover, and the generators they run over
-BLOCK_LOOP_OWNERS = ("averaged_profiles", "folded_gap_blocks")
+BLOCK_LOOP_OWNERS = ("averaged_kernel", "folded_gap_blocks")
 BLOCK_ITERATORS = ("blocks", "folded_gap_blocks")
 
 
@@ -291,7 +294,7 @@ def test_averaged_kernel_block_loop_has_no_scatter():
 # generator expands its sine table by `circulant`, and the averaged kernel
 # and the gap sums' one sweep both loop over it
 GAP_GRID_HOME = {("walk", "folded_gap_blocks")}
-GAP_GRID_READERS = {("walk", "averaged_profiles"), ("bounds", "_gap_rows")}
+GAP_GRID_READERS = {("walk", "averaged_kernel"), ("bounds", "_gap_rows")}
 
 
 def callers(tree, name):
@@ -322,6 +325,48 @@ def test_folded_gap_grids_built_once():
         if isinstance(top, ast.FunctionDef) and block_loops(tree, top.name, ("folded_gap_blocks",))
     }
     assert readers == GAP_GRID_READERS
+
+
+# the one light-cone rule: outside their own module-level definitions the
+# short-cycle ladder and its reach are read only by `light_cone`, and only
+# the two batch forms call it
+LADDER_NAMES = ("SHORT_CYCLES", "SHORT_REACH")
+LIGHT_CONE_CALLERS = {("walk", "probability_profiles"), ("walk", "averaged_profiles")}
+
+
+def name_reads(tree, names):
+    """(line, enclosing top-level def or class, name) of each reference to
+    one of `names`, bare or as an attribute, that does not assign it."""
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load):
+                uses.append((node.lineno, owner, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.ctx, ast.Load):
+                uses.append((node.lineno, owner, node.attr))
+    return sorted(uses)
+
+
+def test_one_light_cone_rule():
+    probe = ast.parse(
+        "A = 1\nB = A + 1\ndef f(n):\n    return walk.B[n]\n"
+        "def g(n):\n    return f(n) + light_cone(n, [], f)\n"
+    )
+    assert name_reads(probe, ("A", "B")) == [(2, None, "A"), (4, "f", "B")]
+    assert callers(probe, "light_cone") == {"g"}
+    stray, readers, calling = [], set(), set()
+    for path in PACKAGE:
+        tree = parse(path)
+        for line, owner, name in name_reads(tree, LADDER_NAMES):
+            if (path.stem, owner) == ("walk", "light_cone"):
+                readers.add(name)
+            elif (path.stem, owner) != ("walk", None):
+                stray.append(f"{path.name}:{line} {name} in {owner}")
+        calling |= {(path.stem, function) for function in callers(tree, "light_cone")}
+    assert not stray
+    assert readers == set(LADDER_NAMES)
+    assert calling == LIGHT_CONE_CALLERS
 
 
 # the functions that may write the block XOR: a vertex pair becomes a cell

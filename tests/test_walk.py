@@ -273,6 +273,46 @@ def test_batch_across_the_light_cone_is_its_single_calls(n, cycle_lengths):
     assert n in cycle_lengths and walk.SHORT_CYCLES[0] in cycle_lengths
 
 
+def usable_reach(n):
+    """The short cycles that fit in n and the reach of each."""
+    usable = walk.SHORT_CYCLES[walk.SHORT_CYCLES <= n / 2]
+    return usable, walk.SHORT_REACH[: len(usable)]
+
+
+@pytest.mark.parametrize("n", [1009, 4001])
+def test_light_cone_runs_each_time_once(n):
+    # a recording `profiles` whose row for time t holds t + offset, so where
+    # each row lands on n can be read back
+    calls = []
+
+    def spy(m, ts):
+        rows = np.repeat(np.add.outer(ts, np.arange(m))[:, None, :], 2, axis=1)
+        calls.append((m, ts.copy(), rows))
+        return rows
+
+    usable, edges = usable_reach(n)
+    far = edges[-1] * np.array([1 + 1e-12, 1.01, 30.0])
+    times = np.concatenate([[0.0], edges, -edges * (1 - 1e-12), edges[:-1] * (1 + 1e-12), far])
+    out = walk.light_cone(n, times, spy)
+    # the cycle SHORT_REACH picks for each time, n past the last reach: one
+    # call per length, holding exactly its times
+    lengths = np.append(usable, n)[np.searchsorted(edges, np.abs(times))]
+    assert sorted(m for m, _, _ in calls) == sorted(set(lengths.tolist()))
+    assert set(lengths.tolist()) == set(usable.tolist()) | {n}
+    for m, ts, _ in calls:
+        assert np.array_equal(ts, far if m == n else times[lengths == m])
+    # offsets 0..h of a short cycle, 0 beyond, mirrored; a far row as it came
+    offsets = np.arange(n)
+    for t, row, m in zip(times, out, lengths):
+        expected = t + (offsets if m == n else np.minimum(offsets, n - offsets))
+        expected[m // 2 + 1 : n - m // 2] = 0.0
+        assert np.array_equal(row, [expected, expected]), t
+    # a batch with no time in the cone is the one length-n call's own array
+    calls.clear()
+    out = walk.light_cone(n, far, spy)
+    assert [m for m, _, _ in calls] == [n] and out is calls[0][2]
+
+
 def test_small_time_row_builds_no_length_n_plan():
     # a row inside the cone reads only the 125-cycle's rates, so its cost
     # does not grow with n beyond the O(n) output
@@ -413,10 +453,52 @@ def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch):
 
 
 def test_averaged_profiles_edge_grids():
-    assert walk.averaged_profiles(7, []).shape == (0, 2, 7)
+    # an empty batch reaches the length-n call with no times at any n
+    for n in (7, 1009):
+        assert walk.averaged_profiles(n, []).shape == (0, 2, n)
+        assert walk.probability_profiles(n, []).shape == (0, 2, n)
     for bad in (0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="averaging horizon"):
             walk.averaged_profiles(7, [1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("n", [1009, 4001])
+def test_short_cycle_averaged_profiles_match_length_n_kernel(n):
+    """K_T averages P_t over |t| <= T, so inside T's light cone it runs on
+    the short cycle P_t at time T would: there it matches the length-n
+    kernel and the direct double sum, reads exactly 0 beyond the cycle's
+    half-length and is exactly even.  Past the reach of the longest short
+    cycle that fits, it is the length-n kernel."""
+    usable, edges = usable_reach(n)
+    horizons = np.concatenate([[0.5, 1.0], edges * (1 - 1e-12), edges * (1 + 1e-12)])
+    got = walk.averaged_profiles(n, horizons)
+    length_n = walk.averaged_kernel(n, horizons)
+    assert np.abs(got - length_n).max() <= 1e-15
+    assert np.abs(got - oracles.direct_averaged_profiles(n, horizons)).max() <= 1e-15
+    for T, profile, reference, k in zip(horizons, got, length_n, np.searchsorted(edges, horizons)):
+        if k == len(usable):
+            assert np.array_equal(profile, reference), T
+        else:
+            h = usable[k] // 2
+            assert not profile[:, h + 1 : n - h].any(), T
+            assert np.array_equal(profile, profile[:, -np.arange(n) % n]), T
+    # the mixed batch is its single calls bit for bit
+    assert np.array_equal(got, np.stack([walk.averaged_profiles(n, [T])[0] for T in horizons]))
+
+
+def test_quantum_threshold_probe_trail_on_short_cycles(monkeypatch):
+    # the doubling starts at T = 1, so the early probes run on short cycles;
+    # the same search with every horizon on the length-n kernel finds the
+    # same T* in the same probes, at distances within 1e-14
+    n = 1001
+    report = bounds.quantum_mixing_threshold(n)
+    monkeypatch.setattr(walk, "light_cone", lambda n, times, profiles: profiles(n, times))
+    length_n = bounds.quantum_mixing_threshold(n)
+    assert report.threshold_time == length_n.threshold_time
+    assert [t for t, _ in report.distance_series] == [t for t, _ in length_n.distance_series]
+    assert sum(t <= usable_reach(n)[1][-1] for t, _ in report.distance_series) == 7
+    gaps = [abs(d - e) for (_, d), (_, e) in zip(report.distance_series, length_n.distance_series)]
+    assert max(gaps) <= 1e-14
 
 
 def test_averaged_profiles_in_small_memory():
