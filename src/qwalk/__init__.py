@@ -38,7 +38,6 @@ from .sampling import (
     SamplerConfig,
     empirical_check,
     measured_walk,
-    single_measured_step,
 )
 from .spectra import (
     classical_lower_bound,

@@ -60,7 +60,7 @@ def _measured_step(n, current, horizon, draws):
     """Move each walker in `current` by one measurement: walker k's time is
     horizon draws[k, 0], and draws[k, 1] picks a cell of its P_t profile by
     inverse CDF in cell order, clamped to 2n - 1 as a uniform times the last
-    CDF entry can round up to it.  Both public paths measure through here."""
+    CDF entry can round up to it.  Every measurement goes through here."""
     cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).reshape(-1, 2 * n), axis=1)
     drifted = ~(np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
     if drifted.any():
@@ -69,13 +69,13 @@ def _measured_step(n, current, horizon, draws):
     return cell_vertex(n, current, *np.divmod(drawn, n))
 
 
-def single_measured_step(n, current, horizon, rng) -> int:
-    """One measured step: draw t ~ U[0, horizon] and then a uniform, and
-    move `current` by the cell of the P_t profile that it picks."""
-    check_odd_order(n)
-    check_vertex(n, current)
-    check_horizon(horizon)
-    return int(_measured_step(n, current, horizon, rng.random((1, 2)))[0])
+def _walk(config, draws):
+    """Endpoints of len(draws) walkers from `config.start_vertex`: at step s
+    walker k is measured on the (time fraction, uniform) pair draws[k, s]."""
+    current = np.full(len(draws), config.start_vertex, dtype=np.int64)
+    for step in draws.transpose(1, 0, 2):
+        current = _measured_step(config.n, current, config.horizon, step)
+    return current
 
 
 def measured_walk(config: SamplerConfig, trial=0) -> int:
@@ -84,11 +84,8 @@ def measured_walk(config: SamplerConfig, trial=0) -> int:
     Deterministic in (config.seed, trial); `empirical_check` reproduces it
     trial by trial.
     """
-    rng = trial_rng(config.seed, trial, config.steps)
-    vertex = config.start_vertex
-    for _ in range(config.steps):
-        vertex = single_measured_step(config.n, vertex, config.horizon, rng)
-    return vertex
+    draws = trial_rng(config.seed, trial, config.steps).random((1, config.steps, 2))
+    return int(_walk(config, draws)[0])
 
 
 @dataclass
@@ -121,18 +118,14 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
     run: trial k owns the 2 steps doubles from draw 2 steps k, a (time
     fraction, inverse-CDF uniform) pair per step, so each chunk reads its
     trials' segments in one call and the histogram does not depend on
-    BLOCK.  Each step moves the chunk's walkers through the measurement
-    that `single_measured_step` makes, on the same draws, so the batch
-    reproduces `measured_walk(config, trial)`, which jumps to its segment,
-    exactly for every trial.
+    BLOCK.  Each chunk runs the walker loop `_walk` that
+    `measured_walk(config, trial)` runs on its own segment, on the same
+    draws, so the batch reproduces it exactly for every trial.
     """
     n = config.n
     counts = np.zeros(2 * n, dtype=np.int64)
     rng = trial_rng(config.seed, 0, config.steps)
     for chunk in blocks(config.trials, 2 * max(n, config.steps)):
         draws = rng.random((chunk.stop - chunk.start, config.steps, 2))
-        current = np.full(len(draws), config.start_vertex, dtype=np.int64)
-        for step in draws.transpose(1, 0, 2):
-            current = _measured_step(n, current, config.horizon, step)
-        counts += np.bincount(current, minlength=2 * n)
+        counts += np.bincount(_walk(config, draws), minlength=2 * n)
     return SampleHistogram(counts, config.trials)

@@ -257,8 +257,11 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     sin(xT) / (xT) directly, as that quotient cancels.  The kernel block is written into a zero-padded
     buffer whose rows, re-cut one entry shorter or longer, put each
     anti-diagonal or diagonal in one column: a column sum bins the block
-    at mu + mu' or at mu' - mu, which folds onto |mu - mu'|.
+    at mu + mu' or at mu' - mu, which folds onto |mu - mu'|.  An empty batch
+    sweeps no block.
     """
+    if not len(Ts):
+        return np.zeros((0, 2, n))
     factors = [mode_phases(n, T) for T in Ts]
     mu, w = folded_modes(n)
     size = len(mu)

@@ -20,8 +20,9 @@ The averaged kernel's O(n^2) block loop and the generator's call no np.sin,
 np.cos, np.exp or np.sinc: their phases are per mode.  Nor do they reference
 np.bincount: the kernel bins by column sums over diagonal views.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
-in `dihedral`, and the sampler builds its inverse CDF only in the one
-measured step that its single and batched walks share.  The literal
+in `dihedral`, and the sampler builds its inverse CDF only in its one
+measured step, which only its one walker loop calls; the scalar walk and
+the batched checker both run that loop and nothing else does.  The literal
 enumeration of the gap sum is a reference the tests compare against: the
 package defines and exports it, and nothing in it calls it.
 """
@@ -401,8 +402,8 @@ def test_block_xor_written_only_in_dihedral():
     assert homes == XOR_HOMES
 
 
-# the one function in the sampler that may build an inverse CDF: both the
-# single step and the batched checker measure through it
+# the one function in the sampler that may build an inverse CDF: every
+# measured step goes through it
 CUMSUM_HOME = "_measured_step"
 
 
@@ -427,6 +428,24 @@ def test_inverse_cdf_written_once_in_sampler():
     assert cumsum_uses(probe) == [(3, "f"), (4, None)]
     uses = cumsum_uses(parse(ROOT / "src" / "qwalk" / "sampling.py"))
     assert uses and {owner for _, owner in uses} == {CUMSUM_HOME}
+
+
+# the sampler's one walker loop: outside their definitions the measured
+# step is read only by `_walk`, and `_walk` only by the two public paths
+WALKER_LOOP_READERS = {
+    "_measured_step": {("sampling", "_walk")},
+    "_walk": {("sampling", "measured_walk"), ("sampling", "empirical_check")},
+}
+
+
+def test_one_walker_loop_in_sampler():
+    probe = ast.parse("def f(x):\n    return _walk(x)\ng = sampling._walk\n")
+    assert name_reads(probe, ("_walk",)) == [(2, "f", "_walk"), (3, None, "_walk")]
+    readers = {name: set() for name in WALKER_LOOP_READERS}
+    for path in PACKAGE:
+        for _, owner, name in name_reads(parse(path), tuple(WALKER_LOOP_READERS)):
+            readers[name].add((path.stem, owner))
+    assert readers == WALKER_LOOP_READERS
 
 
 # the (2n)^2 enumeration of the gap sum: defined in bounds, exported by

@@ -3,8 +3,9 @@
 A run reads one PCG64(SeedSequence(seed)) stream: trial k owns the
 2 steps doubles from draw 2 steps k.  The batched runner reads the stream
 in trial order and the scalar walk jumps to its trial's segment with
-`advance`, so the two agree trial by trial.  Their histograms are tested
-against the exact law of the measured walk.
+`advance`; both run one walker loop on those draws, so the two agree
+trial by trial.  Their histograms are tested against the exact law of the
+measured walk.
 """
 
 import tracemalloc
@@ -40,9 +41,9 @@ def test_config_validation():
 def test_nan_row_trips_row_sum_guard(monkeypatch):
     # both paths draw from the P_t profile, so a NaN profile must trip them
     monkeypatch.setattr(sampling, "probability_profiles", lambda n, ts: np.full((len(ts), 2, n), np.nan))
-    with pytest.raises(RuntimeError, match="sums to"):
-        sampling.single_measured_step(5, 0, 10.0, sampling.trial_rng(0, 0, 1))
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=2, trials=3, seed=0)
+    with pytest.raises(RuntimeError, match="sums to"):
+        sampling.measured_walk(config)
     with pytest.raises(RuntimeError, match="drifted"):
         sampling.empirical_check(config)
 
@@ -92,17 +93,19 @@ def test_zero_steps_returns_start():
 
 def test_tiny_horizon_keeps_walker_in_place():
     # at t <= 1e-12 the stay-put probability is 1 up to 1e-24
-    rng = sampling.trial_rng(0, 0, 20)
-    for _ in range(20):
-        assert sampling.single_measured_step(5, 3, 1e-12, rng) == 3
+    config = sampling.SamplerConfig(n=5, start_vertex=3, horizon=1e-12, steps=20, trials=1, seed=0)
+    assert sampling.measured_walk(config) == 3
 
 
 def test_batched_check_reproduces_scalar_walk(monkeypatch):
     # BLOCK 10 n walks the 12 trials in chunks of 5, 5 and 2, and the
-    # folded P_t must give both paths the same bits at every n
-    for n in (5, 7, 21, 101):
+    # folded P_t must give both paths the same bits at every n.  At
+    # n = 1009 every time of T = 30 runs on the 125-cycle, T = 1e3 mixes
+    # times inside the light cone with times outside it, and every time of
+    # T = 1e12 runs at length n
+    for n in (5, 7, 21, 101, 1009):
         monkeypatch.setattr(dihedral, "BLOCK", 10 * n)
-        for horizon in (30.0, 1e3):
+        for horizon in (30.0, 1e3, 1e12):
             config = sampling.SamplerConfig(n=n, start_vertex=0, horizon=horizon, steps=4, trials=12, seed=42)
             hist = sampling.empirical_check(config)
             scalar_counts = np.zeros(2 * n, dtype=int)

@@ -452,11 +452,23 @@ def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch):
     assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, horizons))) <= 1e-15
 
 
-def test_averaged_profiles_edge_grids():
-    # an empty batch reaches the length-n call with no times at any n
+def test_averaged_profiles_edge_grids(monkeypatch):
+    # an empty batch reaches the length-n call with no times at any n, and
+    # the kernel sweeps no gap block for it
+    swept = []
+    sweep = walk.folded_gap_blocks
+
+    def counting(n):
+        for block in sweep(n):
+            swept.append(block[0])
+            yield block
+
+    monkeypatch.setattr(walk, "folded_gap_blocks", counting)
     for n in (7, 1009):
         assert walk.averaged_profiles(n, []).shape == (0, 2, n)
         assert walk.probability_profiles(n, []).shape == (0, 2, n)
+    assert swept == []
+    assert walk.averaged_profiles(7, [1.0]).shape == (1, 2, 7) and swept
     for bad in (0.0, -3.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="averaging horizon"):
             walk.averaged_profiles(7, [1.0, bad, 2.0])
@@ -642,7 +654,8 @@ def test_rejected_horizon_message_is_bounded():
 
 def test_probability_times_must_be_finite():
     # every P_t path goes through probability_profiles, which rejects a
-    # non-finite time instead of returning a NaN row
+    # non-finite time instead of returning a NaN row; the sampler rejects a
+    # non-finite horizon when it is configured
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             walk.probability_row(5, 0, bad)
@@ -651,7 +664,7 @@ def test_probability_times_must_be_finite():
         with pytest.raises(ValueError, match="finite"):
             walk.probability_profiles(5, [1.0, bad, 2.0])
         with pytest.raises(ValueError, match="finite"):
-            sampling.single_measured_step(5, 0, bad, sampling.trial_rng(0, 0, 1))
+            sampling.SamplerConfig(n=5, start_vertex=0, horizon=bad, steps=1, trials=1, seed=0)
     # P_-t = P_t, so negative times stay accepted
     assert np.allclose(walk.probability_row(5, 3, -2.5), walk.probability_row(5, 3, 2.5), atol=1e-15)
 
