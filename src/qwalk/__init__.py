@@ -12,11 +12,10 @@ from .bounds import (
     ConjectureRow,
     DecomposedSum,
     QuadrantSums,
-    WithinBranchSums,
     bounds_report,
     budget_report,
     budget_time,
-    case5_sums,
+    case5_sum,
     conjecture_check,
     conjecture_f,
     decomposed_sum,

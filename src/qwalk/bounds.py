@@ -102,18 +102,17 @@ class DecomposedSum:
 
     m = 0 is the unique fixed point of the fold m <-> n - m, so in the
     restricted sums its row and column carry weight 1/2 (all other modes
-    represent two indices).  With those weights,
-    8 cross + 4 within_c1 + 4 within_c2 equals the brute-force sum.  The
-    branches differ by 2/3 mode by mode, so within_c1 = within_c2.
+    represent two indices).  With those weights, 8 (cross + within) equals
+    the brute-force sum: the branches differ by 2/3 mode by mode, so one
+    within-branch sum stands for both.
     """
 
     cross: float
-    within_c1: float
-    within_c2: float
+    within: float
 
     @property
     def total(self) -> float:
-        return 8.0 * self.cross + 4.0 * self.within_c1 + 4.0 * self.within_c2
+        return 8.0 * (self.cross + self.within)
 
 
 @functools.lru_cache(maxsize=1)
@@ -140,8 +139,7 @@ def decomposed_sum(n) -> DecomposedSum:
     less row 0, and the cross one is sum_j w_j (R_j - 1/(2|lp_j - lm_0|))."""
     low, high, within = _gap_rows(n)
     lp, lm, mult = _branch_values(n)
-    weighted = math.fsum(within[1:])
-    return DecomposedSum(math.fsum(mult / 2.0 * (low + high - 0.5 / np.abs(lp - lm[0]))), weighted, weighted)
+    return DecomposedSum(math.fsum(mult / 2.0 * (low + high - 0.5 / np.abs(lp - lm[0]))), math.fsum(within[1:]))
 
 
 @dataclass(frozen=True)
@@ -188,21 +186,14 @@ def su_caps(n) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class WithinBranchSums:
-    """Unweighted within-branch gap sums over distinct representatives."""
-
-    sum_c1: float
-    sum_c2: float
-
-
-def case5_sums(n) -> WithinBranchSums:
-    within = math.fsum(_gap_rows(n)[2])
-    return WithinBranchSums(within, within)
+def case5_sum(n) -> float:
+    """Unweighted within-branch gap sum over distinct representatives; the
+    same number for either branch."""
+    return math.fsum(_gap_rows(n)[2])
 
 
 def within_branch_cap(n) -> float:
-    """((8 n / pi) ln n)^2 caps each within-branch sum."""
+    """((8 n / pi) ln n)^2 caps the within-branch sum."""
     check_odd_order(n)
     return (8.0 * n / math.pi * math.log(n)) ** 2
 
@@ -334,13 +325,11 @@ class BudgetReport:
 def budget_report(n) -> BudgetReport:
     horizon = budget_time(n)
     su = su_sums(n)
-    within = case5_sums(n)
+    within = case5_sum(n)
     f_value = conjecture_f(n)
     scale = 1.0 / (n * horizon)
-    measured = scale * (8.0 * su.total + 4.0 * (within.sum_c1 + within.sum_c2))
-    conjectured = scale * (
-        8.0 * (su.su1 + su.su2 + 1.5 * f_value + su.su4) + 4.0 * (within.sum_c1 + within.sum_c2)
-    )
+    measured = scale * 8.0 * (su.total + within)
+    conjectured = scale * 8.0 * (su.su1 + su.su2 + 1.5 * f_value + su.su4 + within)
     caps = su_caps(n)
     cap5, _ = conjecture_caps(n)
     analytic = scale * (8.0 * (caps["su1"] + caps["su2"] + cap5 + caps["su4"]) + 8.0 * within_branch_cap(n))
@@ -383,12 +372,12 @@ def quantum_mixing_threshold(n, epsilon=DEFAULT_EPSILON) -> MixingReport:
 @dataclass
 class BoundsReport:
     """The sums behind the quantum bound at one n, plus the pass/fail map
-    of their closed-form caps."""
+    of their closed-form caps; case5 is the one unweighted within-branch sum."""
 
     n: int
     decomposition: DecomposedSum
     su: QuadrantSums
-    case5: WithinBranchSums
+    case5: float
     bound_flags: dict
 
     @property
@@ -402,14 +391,12 @@ class BoundsReport:
 
 
 def bounds_report(n) -> BoundsReport:
-    dec, su, within = decomposed_sum(n), su_sums(n), case5_sums(n)
+    dec, su, within = decomposed_sum(n), su_sums(n), case5_sum(n)
     caps = su_caps(n)
-    cap_within = within_branch_cap(n)
     flags = {
         "su1_cap": su.su1 <= caps["su1"],
         "su2_cap": su.su2 <= caps["su2"],
         "su4_cap": su.su4 <= caps["su4"],
-        "case5_c1_cap": within.sum_c1 <= cap_within,
-        "case5_c2_cap": within.sum_c2 <= cap_within,
+        "case5_cap": within <= within_branch_cap(n),
     }
     return BoundsReport(int(n), dec, su, within, flags)

@@ -273,11 +273,11 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     width = size + 2 * height - 1
     flat = np.zeros(height * (width + 1))
     kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]
-    scratch, small = np.empty((height, size)), np.empty((height, size), bool)
+    small = np.empty((height, size), bool)
     for r, gaps in folded_gap_blocks(n):
         rows, last = r.stop - r.start, r.stop - 1
         # only the last block can be shorter; it uses the first rows
-        scratch, small, kernel = scratch[:rows], small[:rows], kernel[:rows]
+        small, kernel = small[:rows], kernel[:rows]
         # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
         # one entry longer, mu' - mu = k - last
         sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
@@ -286,9 +286,9 @@ def averaged_kernel(n, Ts) -> np.ndarray:
             for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
                 np.less(gap, 1.0 / T, out=small)
                 np.logical_and(small, gap > -1.0 / T, out=small)
-                np.matmul(a_rows.T, b, out=scratch)
+                np.matmul(a_rows.T, b, out=kernel)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(scratch, gap, out=kernel)
+                    np.divide(kernel, gap, out=kernel)
                 where = np.flatnonzero(small)
                 i, j = np.divmod(where, size)
                 kernel[i, j] = 0.5 * w[r].take(i) * w.take(j) * real_phase_average(np.abs(gap.take(where)), T)

@@ -69,10 +69,7 @@ def test_criterion_04_quadrant_and_within_branch_caps():
             assert su.su1 <= caps["su1"], n
             assert su.su2 <= caps["su2"], n
             assert su.su4 <= caps["su4"], n
-            within = bounds.case5_sums(n)
-            cap = bounds.within_branch_cap(n)
-            assert within.sum_c1 <= cap, n
-            assert within.sum_c2 <= cap, n
+            assert bounds.case5_sum(n) <= bounds.within_branch_cap(n), n
 
     criterion(4, "closed-form caps over n in [5, 1001]", 300.0, body)
 

@@ -126,7 +126,7 @@ def test_decomposition_identity(n):
     brute = bounds.eigengap_inverse_sum_bruteforce(n)
     dec = bounds.decomposed_sum(n)
     assert dec.total == pytest.approx(brute, rel=1e-12)
-    assert dec.cross > 0 and dec.within_c1 > 0 and dec.within_c2 > 0
+    assert dec.cross > 0 and dec.within > 0
 
 
 def test_cross_sum_forms_agree():
@@ -162,7 +162,7 @@ def test_gap_sums_against_30_digits():
     # subtracting eigenvalues by 3.7e-14, so either form fails here
     su = bounds.su_sums(1001)
     assert [su.su1, su.su2, su.su3, su.su4] == pytest.approx(quadrant_sums_mpmath(1001), rel=1e-12)
-    assert bounds.case5_sums(401).sum_c1 == pytest.approx(within_sum_mpmath(401), rel=1e-15)
+    assert bounds.case5_sum(401) == pytest.approx(within_sum_mpmath(401), rel=1e-15)
 
 
 def test_su3_raw_is_unscaled_quadrant():
@@ -183,14 +183,10 @@ def test_su_caps_sample():
 
 def test_within_branch_caps_sample():
     for n in (5, 21, 101, 501):
-        within = bounds.case5_sums(n)
-        cap = bounds.within_branch_cap(n)
-        assert within.sum_c1 <= cap
-        assert within.sum_c2 <= cap
-        # the weighted within sums can only shrink
-        dec = bounds.decomposed_sum(n)
-        assert dec.within_c1 <= within.sum_c1
-        assert dec.within_c2 <= within.sum_c2
+        within = bounds.case5_sum(n)
+        assert within <= bounds.within_branch_cap(n)
+        # the weighted within sum can only shrink
+        assert bounds.decomposed_sum(n).within <= within
 
 
 def test_cross_branch_gap_guard():
@@ -220,8 +216,9 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     modes = np.arange(len(mult))
     dec = bounds.decomposed_sum(n)
     assert dec.cross == pytest.approx(full_grid_gap_sum(lp, lm, weight), rel=1e-12)
-    assert dec.within_c1 == pytest.approx(full_grid_gap_sum(lp, lp, weight, labels=modes), rel=1e-12)
-    assert dec.within_c2 == pytest.approx(full_grid_gap_sum(lm, lm, weight, labels=modes), rel=1e-12)
+    # one within sum stands for both branches: check it against each grid
+    for branch in (lp, lm):
+        assert dec.within == pytest.approx(full_grid_gap_sum(branch, branch, weight, labels=modes), rel=1e-12)
     # the blocked row sums, split at column q, and the views of them; the
     # weighted within sum is the unweighted one less row 0, and row 0
     # shares its block with few or none of the other rows here
@@ -235,8 +232,8 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     assert within == pytest.approx((1.0 / same).sum(axis=1), rel=1e-12)
     su = bounds.su_sums(n)
     assert su.total == pytest.approx(full_grid_gap_sum(lp, lm), rel=1e-12)
-    unweighted = full_grid_gap_sum(lp, lp, labels=modes)
-    assert bounds.case5_sums(n).sum_c1 == bounds.case5_sums(n).sum_c2 == pytest.approx(unweighted, rel=1e-12)
+    for branch in (lp, lm):
+        assert bounds.case5_sum(n) == pytest.approx(full_grid_gap_sum(branch, branch, labels=modes), rel=1e-12)
     m = np.arange(n)
     fold = np.minimum(m, n - m)
     lam = spectra.full_spectrum(n)
@@ -409,11 +406,12 @@ def test_bounds_report_all_flags():
         "su1_cap",
         "su2_cap",
         "su4_cap",
-        "case5_c1_cap",
-        "case5_c2_cap",
+        "case5_cap",
     }
     payload = report.to_dict()
     assert payload["all_passed"] is True
+    assert set(payload["decomposition"]) == {"cross", "within", "total"}
+    assert isinstance(payload["case5"], float)
     assert payload["decomposition"]["total"] == pytest.approx(report.decomposition.total, rel=1e-9)
     assert "total_sum" not in payload
 
