@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qwalk import cli
+from qwalk import bounds, cli, dihedral, walk
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -60,6 +60,19 @@ CASES = {
         "figure-1b", "--n", "9", "--to", "12", "--T-max", "1e4", "--t-max", "30", "--points", "9", "--format", "svg",
     ],
     "speedup-csv": ["speedup", "--n-list", "5,9"],
+    # n >= 250, where P_t and the averaged kernel run on short cycles and
+    # the folded gap grid spans several blocks
+    "walk-cone": ["walk", "--n", "4001", "--from", "1", "--to", "3", "--t-max", "400", "--steps", "16"],
+    "walk-prime-far": ["walk", "--n", "4007", "--from", "1", "--to", "4008", "--t-max", "4000", "--steps", "4"],
+    "figure-1b-large": [
+        "figure-1b", "--n", "4001", "--to", "3", "--T-max", "1e4", "--t-max", "30", "--points", "9",
+    ],
+    "bounds-2001": ["bounds", "--n", "2001"],
+    "sample-1009": [
+        "sample", "--n", "1009", "--T", "100", "--T-prime", "4", "--trials", "200", "--seed", "3", "--format", "json",
+    ],
+    "conjecture-2011": ["conjecture", "--n-max", "2011", "--residue", "1"],
+    "average-301": ["average", "--n", "301", "--T", "30", "--format", "json"],
 }
 
 NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
@@ -111,6 +124,57 @@ def test_golden_output(name):
     assert code == 0
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert mismatches(expected, out) == []
+
+
+def recorded_paths(monkeypatch, block):
+    """Run every case at dihedral.BLOCK = block under recording wrappers:
+    (kind, m, n) for each profile batch `light_cone` hands out, kind "P_t"
+    or "K_T", and (caller, blocks) for each sweep of `folded_gap_blocks`,
+    caller "kernel" or "bounds"."""
+    monkeypatch.setattr(dihedral, "BLOCK", block)
+    cones, sweeps = [], []
+    light_cone = walk.light_cone
+
+    def recording_cone(n, times, profiles):
+        kind = "K_T" if profiles is walk.averaged_kernel else "P_t"
+
+        def recording(m, ts):
+            cones.append((kind, m, n))
+            return profiles(m, ts)
+
+        return light_cone(n, times, recording)
+
+    def recording_sweep(caller, sweep):
+        def run(n):
+            count = 0
+            for block in sweep(n):
+                count += 1
+                yield block
+            sweeps.append((caller, count))
+
+        return run
+
+    monkeypatch.setattr(walk, "light_cone", recording_cone)
+    monkeypatch.setattr(walk, "folded_gap_blocks", recording_sweep("kernel", walk.folded_gap_blocks))
+    monkeypatch.setattr(bounds, "folded_gap_blocks", recording_sweep("bounds", bounds.folded_gap_blocks))
+    # `_gap_rows` keeps the last n's rows, so a cached n would sweep nothing
+    bounds._gap_rows.cache_clear()
+    for name, argv in CASES.items():
+        assert run_case(argv)[0] == 0, name
+    bounds._gap_rows.cache_clear()
+    return cones, sweeps
+
+
+@pytest.mark.parametrize("block", [2**16, 2**18])
+def test_cases_reach_short_cycles_and_blocked_sweeps(monkeypatch, block):
+    # P_t and the averaged kernel each run on a short cycle in some case,
+    # and the kernel and the gap sums each sweep more than one block, so
+    # the frozen outputs pin the fast paths and not only the n <= 101 ones
+    cones, sweeps = recorded_paths(monkeypatch, block)
+    for kind in ("P_t", "K_T"):
+        assert any(k == kind and m < n for k, m, n in cones), kind
+    for caller in ("kernel", "bounds"):
+        assert any(c == caller and count > 1 for c, count in sweeps), caller
 
 
 def test_numeric_tolerance_is_enforced():
