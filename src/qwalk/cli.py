@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -154,11 +155,20 @@ def _svg_plot(series, title, x_label, y_label, log_x=False, log_y=False) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _dense_table(n, values, fmt=_fmt) -> Output:
+    """The 2n x 2n matrix of a (2, n) profile as csv.  Every entry is one of
+    the 2n profile values, so each is formatted once, and each row is
+    gathered from the formatted profile as it is written: the dense matrix
+    is never built."""
+    cells = np.array([fmt(v) for v in values.ravel().tolist()], dtype=object).reshape(2, n)
+    header = [str(vertex_to_label(k)) for k in range(2 * n)]
+    return Output(header, (",".join(dihedral.pair_values_row(n, cells, i)) for i in range(2 * n)))
+
+
 def _cmd_graph(args) -> Output:
     n = args.n
     if args.format == "matrix-csv":
-        header = [str(vertex_to_label(k)) for k in range(2 * n)]
-        return Output(header, dihedral.semi_cayley_adjacency(n).tolist())
+        return _dense_table(n, dihedral.adjacency_profile(n))
     flip, offset = np.nonzero(dihedral.adjacency_profile(n))
     i = np.arange(2 * n)[:, None]
     dst = dihedral.cell_vertex(n, i, flip, offset)
@@ -208,11 +218,7 @@ def _cmd_average(args) -> Output:
     n = args.n
     avg = walk.averaged_matrix(n, args.T)
     if args.full_matrix:
-        # every dense entry is one of the 2n profile values: format each
-        # once and expand the strings
-        cells = np.array([_fmt(_clamp_tiny_negative(v)) for v in avg.values.ravel().tolist()], dtype=object)
-        rows = dihedral.pair_values_dense(n, cells.reshape(2, n)).tolist()
-        return Output([str(vertex_to_label(k)) for k in range(2 * n)], (",".join(row) for row in rows))
+        return _dense_table(n, avg.values, lambda v: _fmt(_clamp_tiny_negative(v)))
     same, cross = ([_clamp_tiny_negative(v) for v in values] for values in avg.values.tolist())
     payload = {
         "n": n,
@@ -516,21 +522,21 @@ def main(argv=None) -> int:
             dihedral.check_odd_order(args.n)
         output = args.handler(args)
         if args.format == "svg":
-            text = _svg_plot(**output.plot)
+            lines = [_svg_plot(**output.plot)]
         elif args.format == "json":
             if output.payload is None:
                 raise ValueError(f"{args.command} has no json output with these options")
-            text = json.dumps({**output.payload, "config": _config_dict(args)}, indent=2) + "\n"
+            lines = [json.dumps({**output.payload, "config": _config_dict(args)}, indent=2) + "\n"]
         else:
-            lines = [_provenance(args), ",".join(output.header)]
-            lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in output.rows)
-            text = "\n".join(lines) + "\n"
+            # csv is written a line at a time, as the rows are made
+            rows = (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in output.rows)
+            lines = (line + "\n" for line in itertools.chain([_provenance(args), ",".join(output.header)], rows))
         if args.out:
             with open(args.out, "w") as handle:
-                handle.write(text)
+                handle.writelines(lines)
             print(f"wrote {args.out}", file=sys.stderr)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(lines)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,18 +13,22 @@ oracle for the relabeling.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# entries a chunked loop handles at once (2 MiB per float array)
-BLOCK = 2**18
+# entries a chunked loop handles at once: 512 KiB per float array, so a
+# block's few working arrays stay near a core's L2 cache
+BLOCK = 2**16
 
 
-def blocks(count, width) -> list[slice]:
+def blocks(count, width) -> Iterator[slice]:
     """Slices that cut range(count) into runs of max(1, BLOCK // width), so
-    each run of `width`-wide rows holds about BLOCK entries."""
+    each run of `width`-wide rows holds about BLOCK entries; made one at a
+    time, so a long range costs no memory."""
     step = max(1, BLOCK // width)
-    return [slice(first, min(first + step, count)) for first in range(0, count, step)]
+    return (slice(first, min(first + step, count)) for first in range(0, count, step))
 
 
 def check_odd_order(n) -> None:

@@ -56,26 +56,51 @@ def trial_rng(seed, trial, steps) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(2 * steps * trial))
 
 
-def _measured_step(n, current, horizon, draws):
-    """Move each walker in `current` by one measurement: walker k's time is
-    horizon draws[k, 0], and draws[k, 1] picks a cell of its P_t profile by
-    inverse CDF in cell order, clamped to 2n - 1 as a uniform times the last
-    CDF entry can round up to it.  Every measurement goes through here."""
+def _measured_step(n, horizon, draws) -> np.ndarray:
+    """The (flip, offset) cells of len(draws) measurements: measurement k
+    runs for time horizon draws[k, 0], and draws[k, 1] picks a cell of its
+    P_t profile by inverse CDF in cell order, clamped to 2n - 1 as a uniform
+    times the last CDF entry can round up to it.  The walk is a translation
+    of Z_2 x Z_n, so the cell does not depend on where the walker stands.
+    Every measurement goes through here."""
     cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).reshape(-1, 2 * n), axis=1)
     drifted = ~(np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
     if drifted.any():
         raise RuntimeError(f"a probability profile sums to {cdf[drifted, -1][0]}, drifted away from 1")
     drawn = np.minimum((cdf <= (draws[:, 1] * cdf[:, -1])[:, None]).sum(axis=1), 2 * n - 1)
-    return cell_vertex(n, current, *np.divmod(drawn, n))
+    return np.stack(np.divmod(drawn, n), axis=1)
 
 
-def _walk(config, draws):
-    """Endpoints of len(draws) walkers from `config.start_vertex`: at step s
-    walker k is measured on the (time fraction, uniform) pair draws[k, s]."""
-    current = np.full(len(draws), config.start_vertex, dtype=np.int64)
-    for step in draws.transpose(1, 0, 2):
-        current = _measured_step(config.n, current, config.horizon, step)
-    return current
+def _walk(config, rng, trials) -> np.ndarray:
+    """Endpoint counts over the 2n vertices of `trials` walks from
+    `config.start_vertex` that read `rng` in order: walk k's step s is
+    measured on the (time fraction, uniform) pair at draw 2 (steps k + s).
+
+    The pairs are read as one flat stream, in runs of about BLOCK / (2n)
+    that may cross from one walk into the next, so memory is O(n + BLOCK)
+    for any steps and trials.  A walk ends at its start moved by the sum
+    of its cells, flips mod 2 and offsets mod n; `carry` holds the sum of
+    the walk a run leaves unfinished."""
+    n, steps = config.n, config.steps
+    counts = np.zeros(2 * n, dtype=np.int64)
+    if not steps:
+        counts[config.start_vertex] = trials
+        return counts
+    carry = 0
+    for run in blocks(steps * trials, 2 * n):
+        cells = _measured_step(n, config.horizon, rng.random((run.stop - run.start, 2)))
+        # one segment per walk the run touches: a walk starts at each
+        # multiple of steps, and a run that starts inside a walk finishes it
+        head = -run.start % steps
+        starts = np.arange(head, len(cells), steps)
+        if head:
+            starts = np.concatenate([[0], starts])
+        sums = np.add.reduceat(cells, starts, axis=0)
+        sums[0] += carry
+        sums, carry = (sums[:-1], sums[-1] % (2, n)) if run.stop % steps else (sums, 0)
+        ends = cell_vertex(n, config.start_vertex, sums[:, 0] % 2, sums[:, 1] % n)
+        counts += np.bincount(ends, minlength=2 * n)
+    return counts
 
 
 def measured_walk(config: SamplerConfig, trial=0) -> int:
@@ -84,8 +109,7 @@ def measured_walk(config: SamplerConfig, trial=0) -> int:
     Deterministic in (config.seed, trial); `empirical_check` reproduces it
     trial by trial.
     """
-    draws = trial_rng(config.seed, trial, config.steps).random((1, config.steps, 2))
-    return int(_walk(config, draws)[0])
+    return int(_walk(config, trial_rng(config.seed, trial, config.steps), 1).argmax())
 
 
 @dataclass
@@ -113,19 +137,13 @@ class SampleHistogram:
 def empirical_check(config: SamplerConfig) -> SampleHistogram:
     """Histogram of the endpoints of `config.trials` independent walks.
 
-    Trials go in chunks of about BLOCK / (2 max(n, steps)), so memory is
-    O(n + steps + BLOCK) for any trial count.  One generator serves the
-    run: trial k owns the 2 steps doubles from draw 2 steps k, a (time
-    fraction, inverse-CDF uniform) pair per step, so each chunk reads its
-    trials' segments in one call and the histogram does not depend on
-    BLOCK.  Each chunk runs the walker loop `_walk` that
-    `measured_walk(config, trial)` runs on its own segment, on the same
-    draws, so the batch reproduces it exactly for every trial.
+    One generator serves the run: trial k owns the 2 steps doubles from
+    draw 2 steps k, a (time fraction, inverse-CDF uniform) pair per step.
+    The walker loop `_walk` reads them in order as one flat stream, in runs
+    of about BLOCK / (2n) pairs, so memory is O(n + BLOCK) for any steps
+    and trials, and the histogram does not depend on BLOCK.
+    `measured_walk(config, trial)` runs the same loop on its own segment,
+    on the same draws, so the batch reproduces it exactly for every trial.
     """
-    n = config.n
-    counts = np.zeros(2 * n, dtype=np.int64)
-    rng = trial_rng(config.seed, 0, config.steps)
-    for chunk in blocks(config.trials, 2 * max(n, config.steps)):
-        draws = rng.random((chunk.stop - chunk.start, config.steps, 2))
-        counts += np.bincount(_walk(config, draws), minlength=2 * n)
+    counts = _walk(config, trial_rng(config.seed, 0, config.steps), config.trials)
     return SampleHistogram(counts, config.trials)

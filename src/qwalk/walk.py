@@ -221,7 +221,7 @@ def folded_gap_blocks(n):
     # toeplitz[mu, mu'] = sine[mu - mu']
     table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
     hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
-    buffer = np.empty((2, blocks(size, size)[0].stop, size))
+    buffer = np.empty((2, next(blocks(size, size)).stop, size))
     for r in blocks(size, size):
         gaps = buffer[:, : r.stop - r.start]
         np.multiply(hankel[r], toeplitz[r], out=gaps[0])
@@ -269,7 +269,7 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     binned = np.zeros((len(Ts), 2, n))
     # buffers for the first block, the tallest: kernel row i sits at columns
     # height - 1 .. height + size - 2 of row i of the zero-padded `flat`
-    height = blocks(size, size)[0].stop
+    height = next(blocks(size, size)).stop
     width = size + 2 * height - 1
     flat = np.zeros(height * (width + 1))
     kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]

@@ -1,10 +1,11 @@
 """Command-line surface: formats, labels, exit codes, provenance.
 
-Everything runs in-process through main(argv) except two subprocess
+Everything runs in-process through main(argv) except three subprocess
 checks: the `qwalk` console script declared in pyproject.toml is loaded
-and run the way an installed wrapper runs it, and, only where the
-package is installed, the real `qwalk` script is run from the
-interpreter's scripts directory.
+and run the way an installed wrapper runs it; only where the package is
+installed, the real `qwalk` script is run from the interpreter's scripts
+directory; and the dense matrix's peak memory is read from a child of its
+own.
 """
 
 import importlib.metadata
@@ -200,6 +201,28 @@ def test_average_full_matrix_matches_per_entry_format(capsys, monkeypatch, dust)
     assert [cli._fmt(v) for v in values] == ["5", "5", "true", "false", "", "0.5", "0.25"]
     assert ("-2e-09" in out) == dust
     assert "-3e-17" not in out and "-5e-10" not in out
+
+
+def test_dense_matrix_streams_in_small_memory():
+    """`average --full-matrix` writes its 2n rows as it gathers them, so at
+    n = 1001 the child's peak stays within 10 MiB of its own peak after
+    importing the CLI (4 MiB measured), where building the dense matrix and
+    its 88 MB of text first rose 286 MiB.  The child reports its own
+    ru_maxrss, so no other process counts."""
+    child = (
+        "import resource, sys\n"
+        "from qwalk import cli\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = cli.main(['average', '--n', '1001', '--T', '1e4', '--full-matrix'])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, base, peak, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120
+    )
+    code, base, peak = map(int, result.stderr.split())
+    assert code == 0
+    assert peak - base <= 10 * 1024, (base, peak)
 
 
 def test_average_json(capsys):

@@ -2,13 +2,15 @@
 
 A run reads one PCG64(SeedSequence(seed)) stream: trial k owns the
 2 steps doubles from draw 2 steps k.  The batched runner reads the stream
-in trial order and the scalar walk jumps to its trial's segment with
-`advance`; both run one walker loop on those draws, so the two agree
-trial by trial.  Their histograms are tested against the exact law of the
-measured walk.
+in trial order, in runs of (time fraction, uniform) pairs that may cross
+from one trial into the next, and the scalar walk jumps to its trial's
+segment with `advance`; both run one walker loop on those draws, so the
+two agree trial by trial.  Their histograms are tested against the exact
+law of the measured walk.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,8 +89,11 @@ def test_measured_walk_rejects_a_bad_trial(trial):
 
 
 def test_zero_steps_returns_start():
-    config = sampling.SamplerConfig(n=5, start_vertex=7, horizon=50.0, steps=0, trials=1, seed=5)
+    # no pair is drawn, so no run is cut: every trial ends where it starts
+    config = sampling.SamplerConfig(n=5, start_vertex=7, horizon=50.0, steps=0, trials=3, seed=5)
     assert sampling.measured_walk(config) == 7
+    assert sampling.measured_walk(config, trial=2) == 7
+    assert np.array_equal(sampling.empirical_check(config).counts, np.eye(10, dtype=int)[7] * 3)
 
 
 def test_tiny_horizon_keeps_walker_in_place():
@@ -98,8 +103,9 @@ def test_tiny_horizon_keeps_walker_in_place():
 
 
 def test_batched_check_reproduces_scalar_walk(monkeypatch):
-    # BLOCK 10 n walks the 12 trials in chunks of 5, 5 and 2, and the
-    # folded P_t must give both paths the same bits at every n.  At
+    # BLOCK 10 n reads the 48 pairs in runs of 5, so most runs end inside
+    # a trial, and the folded P_t must give both paths the same bits at
+    # every n.  At
     # n = 1009 every time of T = 30 runs on the 125-cycle, T = 1e3 mixes
     # times inside the light cone with times outside it, and every time of
     # T = 1e12 runs at length n
@@ -117,8 +123,9 @@ def test_batched_check_reproduces_scalar_walk(monkeypatch):
 
 @pytest.mark.parametrize("buffer", [24, 72])
 def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
-    # 12 trials of 4 steps at n = 5: BLOCK 24 walks them in chunks of 2
-    # trials, BLOCK 72 in chunks of 7 and then 5
+    # 12 trials of 4 steps at n = 5: BLOCK 24 reads their 48 pairs in runs
+    # of 2, half a trial each, and BLOCK 72 in runs of 7, which end at
+    # every step of a trial in turn
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
     expected = sampling.empirical_check(config).counts
     monkeypatch.setattr(dihedral, "BLOCK", buffer)
@@ -126,7 +133,7 @@ def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
 
 
 def test_batched_check_builds_one_generator(monkeypatch):
-    # BLOCK 24 walks the 12 trials in 6 chunks, all from one stream
+    # BLOCK 24 reads the 12 trials in 24 runs, all from one stream
     calls = []
     real = sampling.trial_rng
 
@@ -141,18 +148,63 @@ def test_batched_check_builds_one_generator(monkeypatch):
     assert len(calls) == 1
 
 
-def test_batched_check_in_small_memory():
-    """Trials are walked in chunks: O(n + steps + BLOCK) memory, not the
-    O(trials n) of rows for every trial at once (255 MiB here)."""
-    config = sampling.SamplerConfig(n=1001, start_vertex=0, horizon=100.0, steps=2, trials=3000, seed=0)
+def traced_peak(call):
     tracemalloc.start()
     try:
-        hist = sampling.empirical_check(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_batched_check_in_small_memory():
+    """Pairs are walked in runs of about BLOCK / (2n): O(n + BLOCK) memory,
+    not the O(trials n) of rows for every trial at once (255 MiB here).
+    The peak measured 2.8 MiB when P_t's per-length tables are built
+    inside the trace and 1.0 MiB once they exist; the bound allows 1.2 MiB
+    more than the first."""
+    config = sampling.SamplerConfig(n=1001, start_vertex=0, horizon=100.0, steps=2, trials=3000, seed=0)
+    hist, peak = traced_peak(lambda: sampling.empirical_check(config))
     assert hist.counts.sum() == 3000
-    assert peak <= 32 * 2**20
+    assert peak <= 4 * 2**20
+
+
+def test_long_walk_in_small_memory(monkeypatch):
+    """A walk's draws are read in runs too, so its memory does not grow
+    with steps: 5 * 10^4 steps drew 800 kB at once when a trial's segment
+    was one array.  At BLOCK = 2^10 a run is 73 pairs at n = 7, and the
+    peak measured 43 kB at 5 * 10^4 and at 2 * 10^5 steps."""
+    monkeypatch.setattr(dihedral, "BLOCK", 2**10)
+    config = sampling.SamplerConfig(n=7, start_vertex=0, horizon=300.0, steps=50000, trials=2, seed=1)
+    vertex, peak = traced_peak(lambda: sampling.measured_walk(config, trial=1))
+    assert 0 <= vertex < 14
+    assert peak <= 256 * 2**10
+
+
+def test_results_do_not_depend_on_block(monkeypatch):
+    # the same doubles in the same order: a 2000-step walk read in 1 run or
+    # in 28, and 3 trials of 700 steps read in 1 run or in 29 that cross
+    # trial boundaries, give the same bits
+    walk_config = sampling.SamplerConfig(n=7, start_vertex=3, horizon=300.0, steps=2000, trials=1, seed=8)
+    check_config = sampling.SamplerConfig(n=7, start_vertex=5, horizon=40.0, steps=700, trials=3, seed=9)
+    expected = sampling.measured_walk(walk_config), sampling.empirical_check(check_config).counts
+    monkeypatch.setattr(dihedral, "BLOCK", 2**10)
+    assert sampling.measured_walk(walk_config) == expected[0]
+    assert np.array_equal(sampling.empirical_check(check_config).counts, expected[1])
+
+
+def test_runs_straddling_trials_match_scalar_walk_trial_by_trial(monkeypatch):
+    # runs of 3 pairs against trials of 4 steps: a run ends inside a trial,
+    # at its end, or takes the tail of one trial and the head of the next.
+    # The first k trials' histogram less the first k - 1 trials' is trial
+    # k - 1's endpoint alone
+    monkeypatch.setattr(dihedral, "BLOCK", 3 * 2 * 7)
+    config = sampling.SamplerConfig(n=7, start_vertex=4, horizon=60.0, steps=4, trials=1, seed=21)
+    previous = np.zeros(14, dtype=int)
+    for trials in range(1, 13):
+        counts = sampling.empirical_check(replace(config, trials=trials)).counts
+        assert np.array_equal(counts - previous, np.eye(14, dtype=int)[sampling.measured_walk(config, trials - 1)])
+        previous = counts
 
 
 def test_histogram_statistics():

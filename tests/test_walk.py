@@ -791,18 +791,19 @@ def test_averaged_contraction_follows_bessel_model(n, bound):
 )
 def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
     # the kernel's buffers are allocated once for all blocks, and nothing is
-    # n^2: the gap pair of `folded_gap_blocks` (4 MiB, two BLOCK = 2^18
+    # n^2: the gap pair of `folded_gap_blocks` (1 MiB, two BLOCK = 2^16
     # float arrays) and the zero-padded `flat` the kernel is written into,
-    # 5.7 MiB on the 1001-cycle, 4.4 MiB on the 1323-cycle that holds
-    # T = 300's light cone and 2.3 MiB on the 4001-cycle; one more 2 MiB
-    # block, such as a separate matmul product, breaks the 11 MiB bound
+    # 0.75 MiB on the 1001-cycle, 0.64 MiB on the 1323-cycle that holds
+    # T = 300's light cone and 0.50 MiB on the 4001-cycle.  The peaks
+    # measured 2.06, 2.06 and 2.12 MiB; two more 0.5 MiB blocks, such as a
+    # separate matmul product and its quotient, break the 3 MiB bound
     tracemalloc.start()
     try:
         avg = walk.averaged_matrix(n, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11 * 2**20
+    assert peak < 3 * 2**20
     assert avg.distance_to_limit() <= bounds.decomposed_sum(n).total / (n * horizon)
 
 
