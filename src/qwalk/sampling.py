@@ -60,9 +60,9 @@ def _measured_step(n, horizon, draws) -> np.ndarray:
     """The (flip, offset) cells of len(draws) measurements: measurement k
     runs for time horizon draws[k, 0], and draws[k, 1] picks a cell of its
     P_t profile by inverse CDF in cell order, clamped to 2n - 1 as a uniform
-    times the last CDF entry can round up to it.  The walk is a translation
-    of Z_2 x Z_n, so the cell does not depend on where the walker stands.
-    Every measurement goes through here."""
+    times the last CDF entry can round up to it.  P_t is invariant under the
+    translations of Z_n x Z_2, so the cell does not depend on where the
+    walker stands.  Every measurement goes through here."""
     cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).reshape(-1, 2 * n), axis=1)
     drifted = ~(np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
     if drifted.any():
@@ -76,9 +76,13 @@ def _walk(config, rng, trials) -> np.ndarray:
     `config.start_vertex` that read `rng` in order: walk k's step s is
     measured on the (time fraction, uniform) pair at draw 2 (steps k + s).
 
-    The pairs are read as one flat stream, in runs of about BLOCK / (2n)
-    that may cross from one walk into the next, so memory is O(n + BLOCK)
-    for any steps and trials.  A walk ends at its start moved by the sum
+    The pairs are read as one flat stream, BLOCK doubles at a time, and
+    measured in runs of about BLOCK / (4n) pairs that may cross from one
+    walk into the next, so memory is O(n + BLOCK) for any steps and trials.
+    A run's P_t arrays are then half the size of the draws: glibc's malloc
+    sizes what it keeps by the largest block freed, so it keeps their pages
+    from run to run, where runs as large as the draws were returned and
+    faulted in again each time.  A walk ends at its start moved by the sum
     of its cells, flips mod 2 and offsets mod n; `carry` holds the sum of
     the walk a run leaves unfinished."""
     n, steps = config.n, config.steps
@@ -87,19 +91,22 @@ def _walk(config, rng, trials) -> np.ndarray:
         counts[config.start_vertex] = trials
         return counts
     carry = 0
-    for run in blocks(steps * trials, 2 * n):
-        cells = _measured_step(n, config.horizon, rng.random((run.stop - run.start, 2)))
-        # one segment per walk the run touches: a walk starts at each
-        # multiple of steps, and a run that starts inside a walk finishes it
-        head = -run.start % steps
-        starts = np.arange(head, len(cells), steps)
-        if head:
-            starts = np.concatenate([[0], starts])
-        sums = np.add.reduceat(cells, starts, axis=0)
-        sums[0] += carry
-        sums, carry = (sums[:-1], sums[-1] % (2, n)) if run.stop % steps else (sums, 0)
-        ends = cell_vertex(n, config.start_vertex, sums[:, 0] % 2, sums[:, 1] % n)
-        counts += np.bincount(ends, minlength=2 * n)
+    for piece in blocks(steps * trials, 2):
+        draws = rng.random((piece.stop - piece.start, 2))
+        for run in blocks(len(draws), 4 * n):
+            cells = _measured_step(n, config.horizon, draws[run])
+            first, stop = piece.start + run.start, piece.start + run.stop
+            # one segment per walk the run touches: a walk starts at each
+            # multiple of steps, and a run that starts inside a walk finishes it
+            head = -first % steps
+            starts = np.arange(head, len(cells), steps)
+            if head:
+                starts = np.concatenate([[0], starts])
+            sums = np.add.reduceat(cells, starts, axis=0)
+            sums[0] += carry
+            sums, carry = (sums[:-1], sums[-1] % (2, n)) if stop % steps else (sums, 0)
+            ends = cell_vertex(n, config.start_vertex, sums[:, 0] % 2, sums[:, 1] % n)
+            counts += np.bincount(ends, minlength=2 * n)
     return counts
 
 
@@ -140,7 +147,7 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
     One generator serves the run: trial k owns the 2 steps doubles from
     draw 2 steps k, a (time fraction, inverse-CDF uniform) pair per step.
     The walker loop `_walk` reads them in order as one flat stream, in runs
-    of about BLOCK / (2n) pairs, so memory is O(n + BLOCK) for any steps
+    of about BLOCK / (4n) pairs, so memory is O(n + BLOCK) for any steps
     and trials, and the histogram does not depend on BLOCK.
     `measured_walk(config, trial)` runs the same loop on its own segment,
     on the same draws, so the batch reproduces it exactly for every trial.

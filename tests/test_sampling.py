@@ -103,14 +103,13 @@ def test_tiny_horizon_keeps_walker_in_place():
 
 
 def test_batched_check_reproduces_scalar_walk(monkeypatch):
-    # BLOCK 10 n reads the 48 pairs in runs of 5, so most runs end inside
-    # a trial, and the folded P_t must give both paths the same bits at
-    # every n.  At
-    # n = 1009 every time of T = 30 runs on the 125-cycle, T = 1e3 mixes
-    # times inside the light cone with times outside it, and every time of
-    # T = 1e12 runs at length n
+    # BLOCK 12 n measures the 48 pairs in runs of 3, so most runs end
+    # inside a trial, and the folded P_t must give both paths the same bits
+    # at every n.  At n = 1009 every time of T = 30 runs on the 125-cycle,
+    # T = 1e3 mixes times inside the light cone with times outside it, and
+    # every time of T = 1e12 runs at length n
     for n in (5, 7, 21, 101, 1009):
-        monkeypatch.setattr(dihedral, "BLOCK", 10 * n)
+        monkeypatch.setattr(dihedral, "BLOCK", 12 * n)
         for horizon in (30.0, 1e3, 1e12):
             config = sampling.SamplerConfig(n=n, start_vertex=0, horizon=horizon, steps=4, trials=12, seed=42)
             hist = sampling.empirical_check(config)
@@ -123,9 +122,10 @@ def test_batched_check_reproduces_scalar_walk(monkeypatch):
 
 @pytest.mark.parametrize("buffer", [24, 72])
 def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
-    # 12 trials of 4 steps at n = 5: BLOCK 24 reads their 48 pairs in runs
-    # of 2, half a trial each, and BLOCK 72 in runs of 7, which end at
-    # every step of a trial in turn
+    # 12 trials of 4 steps at n = 5: BLOCK 24 reads their 48 pairs 12 at a
+    # time and measures them one by one, and BLOCK 72 reads them 36 at a
+    # time and measures them in runs of 3, which end at every step of a
+    # trial in turn
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=30.0, steps=4, trials=12, seed=42)
     expected = sampling.empirical_check(config).counts
     monkeypatch.setattr(dihedral, "BLOCK", buffer)
@@ -133,7 +133,7 @@ def test_batched_check_crosses_draw_blocks(monkeypatch, buffer):
 
 
 def test_batched_check_builds_one_generator(monkeypatch):
-    # BLOCK 24 reads the 12 trials in 24 runs, all from one stream
+    # BLOCK 24 reads the 12 trials' pairs 12 at a time, all from one stream
     calls = []
     real = sampling.trial_rng
 
@@ -158,22 +158,23 @@ def traced_peak(call):
 
 
 def test_batched_check_in_small_memory():
-    """Pairs are walked in runs of about BLOCK / (2n): O(n + BLOCK) memory,
+    """Pairs are walked in runs of about BLOCK / (4n): O(n + BLOCK) memory,
     not the O(trials n) of rows for every trial at once (255 MiB here).
-    The peak measured 2.8 MiB when P_t's per-length tables are built
-    inside the trace and 1.0 MiB once they exist; the bound allows 1.2 MiB
+    The peak measured 1.6 MiB when P_t's per-length tables are built
+    inside the trace and 0.7 MiB once they exist; the bound allows 0.9 MiB
     more than the first."""
     config = sampling.SamplerConfig(n=1001, start_vertex=0, horizon=100.0, steps=2, trials=3000, seed=0)
     hist, peak = traced_peak(lambda: sampling.empirical_check(config))
     assert hist.counts.sum() == 3000
-    assert peak <= 4 * 2**20
+    assert peak <= 2.5 * 2**20
 
 
 def test_long_walk_in_small_memory(monkeypatch):
     """A walk's draws are read in runs too, so its memory does not grow
     with steps: 5 * 10^4 steps drew 800 kB at once when a trial's segment
-    was one array.  At BLOCK = 2^10 a run is 73 pairs at n = 7, and the
-    peak measured 43 kB at 5 * 10^4 and at 2 * 10^5 steps."""
+    was one array.  At BLOCK = 2^10 the stream is read 512 pairs at a time
+    and measured 36 at a time at n = 7, and the peak measured 33 kB at
+    5 * 10^4 and at 2 * 10^5 steps."""
     monkeypatch.setattr(dihedral, "BLOCK", 2**10)
     config = sampling.SamplerConfig(n=7, start_vertex=0, horizon=300.0, steps=50000, trials=2, seed=1)
     vertex, peak = traced_peak(lambda: sampling.measured_walk(config, trial=1))
@@ -182,9 +183,9 @@ def test_long_walk_in_small_memory(monkeypatch):
 
 
 def test_results_do_not_depend_on_block(monkeypatch):
-    # the same doubles in the same order: a 2000-step walk read in 1 run or
-    # in 28, and 3 trials of 700 steps read in 1 run or in 29 that cross
-    # trial boundaries, give the same bits
+    # the same doubles in the same order: a 2000-step walk measured in 1
+    # run or in 58, and 3 trials of 700 steps in 1 run or in 62, two of
+    # which cross a trial boundary, give the same bits
     walk_config = sampling.SamplerConfig(n=7, start_vertex=3, horizon=300.0, steps=2000, trials=1, seed=8)
     check_config = sampling.SamplerConfig(n=7, start_vertex=5, horizon=40.0, steps=700, trials=3, seed=9)
     expected = sampling.measured_walk(walk_config), sampling.empirical_check(check_config).counts
@@ -198,7 +199,7 @@ def test_runs_straddling_trials_match_scalar_walk_trial_by_trial(monkeypatch):
     # at its end, or takes the tail of one trial and the head of the next.
     # The first k trials' histogram less the first k - 1 trials' is trial
     # k - 1's endpoint alone
-    monkeypatch.setattr(dihedral, "BLOCK", 3 * 2 * 7)
+    monkeypatch.setattr(dihedral, "BLOCK", 3 * 4 * 7)
     config = sampling.SamplerConfig(n=7, start_vertex=4, horizon=60.0, steps=4, trials=1, seed=21)
     previous = np.zeros(14, dtype=int)
     for trials in range(1, 13):
