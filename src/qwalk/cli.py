@@ -162,7 +162,7 @@ def _dense_table(n, values, fmt=_fmt) -> Output:
     is never built."""
     cells = np.array([fmt(v) for v in values.ravel().tolist()], dtype=object).reshape(2, n)
     header = [str(vertex_to_label(k)) for k in range(2 * n)]
-    return Output(header, (",".join(dihedral.pair_values_row(n, cells, i)) for i in range(2 * n)))
+    return Output(header, (",".join(dihedral.pair_values_row(n, cells, i).tolist()) for i in range(2 * n)))
 
 
 def _cmd_graph(args) -> Output:
