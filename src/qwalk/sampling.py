@@ -79,10 +79,10 @@ def _walk(config, rng, trials) -> np.ndarray:
     The pairs are read as one flat stream, BLOCK doubles at a time, and
     measured in runs of about BLOCK / (4n) pairs that may cross from one
     walk into the next, so memory is O(n + BLOCK) for any steps and trials.
-    A run's P_t arrays are then half the size of the draws: glibc's malloc
-    sizes what it keeps by the largest block freed, so it keeps their pages
-    from run to run, where runs as large as the draws were returned and
-    faulted in again each time.  A walk ends at its start moved by the sum
+    A full run's P_t arrays are then half the size of a full block of
+    draws: glibc's malloc sizes what it keeps by the largest block freed,
+    so it keeps their pages from run to run, where runs as large as the
+    draws were returned and faulted in again each time.  A walk ends at its start moved by the sum
     of its cells, flips mod 2 and offsets mod n; `carry` holds the sum of
     the walk a run leaves unfinished."""
     n, steps = config.n, config.steps
