@@ -206,8 +206,8 @@ def test_average_full_matrix_matches_per_entry_format(capsys, monkeypatch, dust)
 def test_dense_matrix_streams_in_small_memory():
     """`average --full-matrix` writes its 2n rows as it gathers them, so at
     n = 1001 the child's peak stays within 10 MiB of its own peak after
-    importing the CLI (4 MiB measured), where building the dense matrix and
-    its 88 MB of text first rose 286 MiB.  The child reports its own
+    importing the CLI (3 MiB measured), where building the dense matrix and
+    its 88 MB of text first rose 284 MiB.  The child reports its own
     ru_maxrss, so no other process counts."""
     child = (
         "import resource, sys\n"
