@@ -40,7 +40,6 @@ from .sampling import (
 )
 from .spectra import (
     classical_lower_bound,
-    eigenvalue,
     eigenvalues,
     full_spectrum,
     second_largest_eigenvalue,

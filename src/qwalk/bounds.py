@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import MixingReport, bracket_search
 from .dihedral import blocks, check_odd_order
-from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_modes, full_spectrum, mode_cosines
+from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_eigenvalues, folded_modes, full_spectrum, mode_cosines
 from .walk import averaged_matrix, check_horizon, folded_gap_blocks
 
 # largest n at which the benchmark's gap-sum check enumerates the (2n)^2 grid
@@ -37,13 +37,6 @@ BUDGET_MIN_N = 100
 
 # relative width at which quantum_mixing_threshold stops bisecting
 THRESHOLD_REL_TOL = 1e-3
-
-
-def _branch_values(n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both branches at the folded modes (full_spectrum lists + then -), and their multiplicities."""
-    mu, mult = folded_modes(n)
-    lam = full_spectrum(n)
-    return lam[mu], lam[n + mu], mult
 
 
 def _inv_gap_rows(a, b, shift=0.0, labels=None) -> np.ndarray:
@@ -67,7 +60,7 @@ def cross_branch_gap_check(n) -> float:
     Each symmetric-branch value is compared with its two neighbours in the
     sorted antisymmetric branch, so no n x n grid is built.
     """
-    lp, lm, _ = _branch_values(n)
+    lp, lm = folded_eigenvalues(n)
     lm = np.sort(lm)
     pos = np.clip(np.searchsorted(lm, lp), 1, len(lm) - 1)
     gap = float(np.minimum(np.abs(lp - lm[pos - 1]), np.abs(lp - lm[pos])).min())
@@ -138,7 +131,7 @@ def decomposed_sum(n) -> DecomposedSum:
     """Only mode 0 weighs 1/2: the weighted within sum is the unweighted one
     less row 0, and the cross one is sum_j w_j (R_j - 1/(2|lp_j - lm_0|))."""
     low, high, within = _gap_rows(n)
-    lp, lm, mult = _branch_values(n)
+    (lp, lm), (_, mult) = folded_eigenvalues(n), folded_modes(n)
     return DecomposedSum(math.fsum(mult / 2.0 * (low + high - 0.5 / np.abs(lp - lm[0]))), math.fsum(within[1:]))
 
 

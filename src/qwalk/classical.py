@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dihedral import blocks, check_odd_order, circulant, cosine_profiles
-from .spectra import DEFAULT_EPSILON, MINUS, PLUS, check_mixing_epsilon, eigenvalues, folded_modes
+from .spectra import DEFAULT_EPSILON, check_mixing_epsilon, folded_eigenvalues, folded_modes
 
 
 def check_step_count(t) -> None:
@@ -37,8 +37,8 @@ def classical_profiles(n, ts) -> np.ndarray:
         raise ValueError(f"step counts must be integers, got dtype {ts.dtype}")
     if ts.size and ts.min() < 0:
         raise ValueError("step counts must be nonnegative")
-    mu, w = folded_modes(n)
-    plus, minus = (w * eigenvalues(n, branch)[mu] ** ts[:, None] for branch in (PLUS, MINUS))
+    _, w = folded_modes(n)
+    plus, minus = (w * lam ** ts[:, None] for lam in folded_eigenvalues(n))
     return cosine_profiles(plus, minus, n) / (2 * n)
 
 

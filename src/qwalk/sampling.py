@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import check_step_count
+from .classical import check_step_count, half_uniform_distances
 from .dihedral import blocks, cell_vertex, check_odd_order, check_vertex
 from .walk import ROW_SUM_TOL, check_horizon, probability_profiles
 
@@ -82,9 +82,9 @@ def _walk(config, rng, trials) -> np.ndarray:
     A full run's P_t arrays are then half the size of a full block of
     draws: glibc's malloc sizes what it keeps by the largest block freed,
     so it keeps their pages from run to run, where runs as large as the
-    draws were returned and faulted in again each time.  A walk ends at its start moved by the sum
-    of its cells, flips mod 2 and offsets mod n; `carry` holds the sum of
-    the walk a run leaves unfinished."""
+    draws were returned and faulted in again each time.  A walk ends at
+    its start moved by the sum of its cells, flips mod 2 and offsets mod n;
+    `carry` holds the sum of the walk a run leaves unfinished."""
     n, steps = config.n, config.steps
     counts = np.zeros(2 * n, dtype=np.int64)
     if not steps:
@@ -132,8 +132,8 @@ class SampleHistogram:
 
     @property
     def tv_to_uniform(self) -> float:
-        size = self.counts.shape[0]
-        return 0.5 * float(np.abs(self.frequencies - 1.0 / size).sum())
+        n = self.counts.shape[0] // 2
+        return float(half_uniform_distances(n, self.frequencies.reshape(2, n)))
 
     @property
     def stderr_envelope(self) -> float:

@@ -22,11 +22,6 @@ MINUS = -1
 DEFAULT_EPSILON = 1.0 / (2.0 * math.e)
 
 
-def check_mode(n, m) -> None:
-    if not isinstance(m, (int, np.integer)) or not 0 <= m < n:
-        raise ValueError(f"mode index {m!r} out of range [0, {n})")
-
-
 def check_branch(branch) -> None:
     if branch not in (PLUS, MINUS):
         raise ValueError(f"branch must be +1 or -1, got {branch!r}")
@@ -36,12 +31,6 @@ def mode_cosines(n) -> np.ndarray:
     """cos(2 pi m / n) for m in [0, n), the grid the whole spectrum is built from."""
     check_odd_order(n)
     return np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def eigenvalue(n, m, branch) -> float:
-    check_odd_order(n)
-    check_mode(n, m)
-    return float(eigenvalues(n, branch)[m])
 
 
 def eigenvalues(n, branch) -> np.ndarray:
@@ -61,6 +50,12 @@ def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(half + 1), mult
 
 
+def folded_eigenvalues(n) -> np.ndarray:
+    """Both branches at the folded modes mu = 0..(n-1)/2, lambda+ then lambda-."""
+    mu, _ = folded_modes(n)
+    return np.array([eigenvalues(n, PLUS)[mu], eigenvalues(n, MINUS)[mu]])
+
+
 def full_spectrum(n) -> np.ndarray:
     """All 2n eigenvalues, block-symmetric branch first."""
     return np.concatenate([eigenvalues(n, PLUS), eigenvalues(n, MINUS)])
@@ -73,7 +68,7 @@ def second_largest_eigenvalue(n) -> float:
     at n = 3 that mode drops to 0 and the antisymmetric branch's constant
     1/3 takes over.
     """
-    return max(eigenvalue(n, 1, PLUS), eigenvalue(n, 0, MINUS))
+    return float(max(eigenvalues(n, PLUS)[1], eigenvalues(n, MINUS)[0]))
 
 
 def check_epsilon(epsilon) -> None:

@@ -30,7 +30,7 @@ from .dihedral import (
     pair_values_dense,
     pair_values_row,
 )
-from .spectra import MINUS, PLUS, eigenvalues, folded_modes, mode_cosines
+from .spectra import folded_eigenvalues, folded_modes, mode_cosines
 
 # acceptable drift of a probability row's total away from 1
 ROW_SUM_TOL = 1e-9
@@ -100,8 +100,8 @@ def light_cone(n, times, profiles) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def cycle_rates(n):
-    """The folded rates (2/3) cos(2 pi mu / n) of `probability_profiles`,
-    built once per n and read-only."""
+    """The folded rates (2/3) cos(2 pi mu / n) of `probability_profiles`
+    and `mode_phases`, built once per n and read-only."""
     mu, _ = folded_modes(n)
     rates = (2.0 / 3.0) * mode_cosines(n)[mu]
     rates.flags.writeable = False
@@ -194,11 +194,12 @@ class AveragedWalkMatrix:
 
 
 def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode factors (a, b) of horizon T: with phi = (2T/3) cos(2 pi mu / n)
-    and psi = phi + 2T/3, sin(xT) w w' / (2T) of a same- or cross-branch
-    pair (mu, mu') is column mu of a[0] or a[1] dotted with column mu' of b."""
-    mu, w = folded_modes(n)
-    phases = (2.0 * T / 3.0) * (mode_cosines(n)[mu] + np.array([[0.0], [1.0]]))
+    """Per-mode factors (a, b) of horizon T: with phi = T times the rate
+    (2/3) cos(2 pi mu / n) of `cycle_rates` and psi = phi + 2T/3,
+    sin(xT) w w' / (2T) of a same- or cross-branch pair (mu, mu') is
+    column mu of a[0] or a[1] dotted with column mu' of b."""
+    _, w = folded_modes(n)
+    phases = T * (cycle_rates(n) + np.array([[0.0], [2.0 / 3.0]]))
     sin, cos = np.sin(phases), np.cos(phases)
     a = (0.5 * w / T) * np.stack([sin, -cos], axis=1)
     return a, w * np.stack([cos[0], sin[0]])
@@ -212,7 +213,7 @@ def folded_gap_blocks(n):
     the cross-branch gap lambda+_mu - lambda-_mu'."""
     mu, _ = folded_modes(n)
     size = len(mu)
-    plus, minus = eigenvalues(n, PLUS)[:size], eigenvalues(n, MINUS)[:size]
+    plus, minus = folded_eigenvalues(n)
     # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
     sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
     # the same-branch gap's factors are windows of one circulant view,

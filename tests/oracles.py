@@ -54,7 +54,6 @@ from qwalk.spectra import (
     PLUS,
     check_branch,
     check_epsilon,
-    check_mode,
     eigenvalues,
     folded_modes,
     full_spectrum,
@@ -192,6 +191,11 @@ def phi_inverse(n, i) -> DihedralElement:
     if i < n:
         return DihedralElement(n, int(i), 0)
     return DihedralElement(n, (n - (int(i) - n)) % n, 1)
+
+
+def check_mode(n, m) -> None:
+    if not isinstance(m, (int, np.integer)) or not 0 <= m < n:
+        raise ValueError(f"mode index {m!r} out of range [0, {n})")
 
 
 def eigenvector_component(n, m, branch, i) -> complex:

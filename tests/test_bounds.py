@@ -131,7 +131,7 @@ def test_decomposition_identity(n):
 
 def test_cross_sum_forms_agree():
     for n in (5, 11, 33):
-        lp, lm, _ = bounds._branch_values(n)
+        lp, lm = spectra.folded_eigenvalues(n)
         plain = math.fsum(bounds._inv_gap_rows(lp, lm))
         cosine = oracles.cross_sum_cosine_form(n)
         assert cosine == pytest.approx(plain, rel=1e-12)
@@ -163,6 +163,14 @@ def test_gap_sums_against_30_digits():
     su = bounds.su_sums(1001)
     assert [su.su1, su.su2, su.su3, su.su4] == pytest.approx(quadrant_sums_mpmath(1001), rel=1e-12)
     assert bounds.case5_sum(401) == pytest.approx(within_sum_mpmath(401), rel=1e-15)
+    # near-resonant n: some gaps |cos_j - cos_k + 1| are tiny, and both
+    # double forms carry an error of about eps / gap.  At n = 1075 su3 is
+    # off by 3.36e-9 (99.6% of the cross sum, which is off by 3.35e-9) and
+    # 3/2 su3_raw by 1.09e-9; the other quadrants by at most 5e-15
+    su = bounds.su_sums(1075)
+    reference = quadrant_sums_mpmath(1075)
+    assert [su.su1, su.su2, su.su3, su.su4] == pytest.approx(reference, rel=1e-8)
+    assert 1.5 * bounds.su3_raw(1075) == pytest.approx(reference[2], rel=1e-8)
 
 
 def test_su3_raw_is_unscaled_quadrant():
@@ -170,6 +178,9 @@ def test_su3_raw_is_unscaled_quadrant():
         su = bounds.su_sums(n)
         assert 1.5 * bounds.su3_raw(n) == pytest.approx(su.su3, rel=1e-12)
     assert bounds.su3_raw(5) == pytest.approx(9.708203932499366, rel=1e-12)
+    # the two forms differ by 2.27e-9 at n = 1075, the widest of the odd n
+    # in [5, 2011]; each is off the 30-digit sum by about 1e-9 there
+    assert 1.5 * bounds.su3_raw(1075) == pytest.approx(bounds.su_sums(1075).su3, rel=1e-8)
 
 
 def test_su_caps_sample():
@@ -211,7 +222,8 @@ def full_grid_gap_sum(a, b, weight=None, shift=0.0, labels=None):
 def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     # a 50-entry block splits every grid here into several blocks
     monkeypatch.setattr(dihedral, "BLOCK", 50)
-    lp, lm, mult = bounds._branch_values(n)
+    lp, lm = spectra.folded_eigenvalues(n)
+    _, mult = spectra.folded_modes(n)
     weight = mult / 2.0
     modes = np.arange(len(mult))
     dec = bounds.decomposed_sum(n)

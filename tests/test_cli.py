@@ -4,8 +4,9 @@ Everything runs in-process through main(argv) except three subprocess
 checks: the `qwalk` console script declared in pyproject.toml is loaded
 and run the way an installed wrapper runs it; only where the package is
 installed, the real `qwalk` script is run from the interpreter's scripts
-directory; and the dense matrix's peak memory is read from a child of its
-own.
+directory, and its output on the large frozen cases is compared with the
+golden files; and the dense matrix's peak memory is read from a child of
+its own.
 """
 
 import importlib.metadata
@@ -23,6 +24,8 @@ import numpy as np
 import pytest
 
 from qwalk import bounds, classical, cli, dihedral, sampling, spectra, walk
+
+import test_golden
 
 
 def run_cli(capsys, argv):
@@ -96,7 +99,7 @@ def test_spectrum_csv(capsys):
     for row in rows:
         m = int(row[1])
         branch = spectra.PLUS if row[2] == "+" else spectra.MINUS
-        assert float(row[3]) == pytest.approx(spectra.eigenvalue(5, m, branch), rel=1e-12)
+        assert float(row[3]) == pytest.approx(spectra.eigenvalues(5, branch)[m], rel=1e-12)
 
 
 def test_spectrum_json(capsys):
@@ -723,11 +726,19 @@ def test_installed_entry_point():
 INSTALLED_SCRIPT = shutil.which("qwalk", path=sysconfig.get_path("scripts"))
 
 
+# the frozen cases at n >= 301, where P_t and the averaged kernel run on
+# short cycles and the gap grids span several blocks
+LARGE_GOLDEN_CASES = (
+    "walk-cone", "walk-prime-far", "figure-1b-large", "bounds-2001", "sample-1009", "conjecture-2011", "average-301",
+)
+
+
 @pytest.mark.skipif(
     INSTALLED_SCRIPT is None,
     reason="no qwalk script in this interpreter's scripts directory (package not installed)",
 )
-def test_installed_script_on_path():
+@pytest.mark.parametrize("case", LARGE_GOLDEN_CASES)
+def test_installed_script_on_path(case):
     script = subprocess.run([INSTALLED_SCRIPT, "--help"], capture_output=True, text=True, timeout=60)
     assert script.returncode == 0
     assert "usage: qwalk" in script.stdout
@@ -736,4 +747,11 @@ def test_installed_script_on_path():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["exact"]["diagonal"] == "5/18"
+    # the installed script prints what the frozen output holds, not only exit 0
+    result = subprocess.run(
+        [INSTALLED_SCRIPT, *test_golden.CASES[case]], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0
+    expected = (test_golden.GOLDEN_DIR / f"{case}.txt").read_text()
+    assert test_golden.mismatches(expected, result.stdout) == []
 

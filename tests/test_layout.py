@@ -24,7 +24,11 @@ in `dihedral`, and the sampler builds its inverse CDF only in its one
 measured step, which only its one walker loop calls; the scalar walk and
 the batched checker both run that loop and nothing else does.  The literal
 enumeration of the gap sum is a reference the tests compare against: the
-package defines and exports it, and nothing in it calls it.
+package defines and exports it, and nothing in it calls it.  Each spectral
+table has one home: outside `spectra` no module reads the per-branch
+eigenvalues (the folded spectrum is `folded_eigenvalues`), and the mode
+cosines are read there only by the phase rates and the conjecture's cosine
+form.
 """
 
 import ast
@@ -479,3 +483,28 @@ def test_gap_sum_enumeration_called_nowhere_in_package():
     assert [kind for _, kind in found.pop("bounds.py")] == ["def"]
     assert [kind for _, kind in found.pop("__init__.py")] == ["import"]
     assert not any(found.values()), found
+
+
+# one home per spectral table: outside `spectra` no module reads the
+# per-branch `eigenvalues`, as the folded spectrum is `folded_eigenvalues`,
+# and the mode-cosine grid is read only by the phase rates P_t and the
+# averaged kernel share and by the conjecture's cosine form of su3
+SPECTRAL_NAMES = ("eigenvalues", "mode_cosines")
+MODE_COSINE_READERS = {("walk", "cycle_rates"), ("bounds", "su3_raw")}
+
+
+def test_spectral_tables_read_from_one_home():
+    probe = ast.parse("def f(n):\n    return eigenvalues(n, 1)[0]\ng = spectra.mode_cosines(5)\n")
+    assert name_reads(probe, SPECTRAL_NAMES) == [(2, "f", "eigenvalues"), (3, None, "mode_cosines")]
+    stray, cosine_readers = [], set()
+    for path in PACKAGE:
+        if path.stem == "spectra":
+            continue
+        for line, owner, name in name_reads(parse(path), SPECTRAL_NAMES):
+            if name == "mode_cosines" and (path.stem, owner) in MODE_COSINE_READERS:
+                cosine_readers.add((path.stem, owner))
+            else:
+                stray.append(f"{path.name}:{line} {name} in {owner}")
+    assert not stray
+    assert cosine_readers == MODE_COSINE_READERS
+    assert "folded_eigenvalues" in callers(parse(ROOT / "src" / "qwalk" / "spectra.py"), "eigenvalues")

@@ -38,7 +38,7 @@ def test_eigenvectors_are_eigenvectors(n):
     for branch in (spectra.PLUS, spectra.MINUS):
         for m in range(n):
             vec = oracles.eigenvector(n, m, branch)
-            lam = spectra.eigenvalue(n, m, branch)
+            lam = spectra.eigenvalues(n, branch)[m]
             assert np.linalg.norm(mat @ vec - lam * vec) < 1e-10
 
 
@@ -63,15 +63,15 @@ def test_eigenvector_components():
 
 @pytest.mark.parametrize("n", [3, 5, 21, 101, 2001])
 def test_eigenvalues_read_the_mode_cosine_grid(n):
-    # both branches and every single eigenvalue come from mode_cosines,
-    # bit for bit
+    # both branches, and their folded rows, come from mode_cosines, bit for bit
     cos = spectra.mode_cosines(n)
     assert cos.shape == (n,) and cos[0] == 1.0
-    for branch in (spectra.PLUS, spectra.MINUS):
+    folded = spectra.folded_eigenvalues(n)
+    assert folded.shape == (2, (n + 1) // 2)
+    for branch, row in zip((spectra.PLUS, spectra.MINUS), folded):
         values = spectra.eigenvalues(n, branch)
         assert np.array_equal(values, (2 * cos + branch) / 3)
-        for m in {0, 1, n // 2, n - 1}:
-            assert spectra.eigenvalue(n, m, branch) == values[m]
+        assert np.array_equal(row, values[: (n + 1) // 2])
 
 
 def test_trace_identities():
@@ -130,10 +130,10 @@ def test_epsilon_domain():
 
 def test_branch_and_mode_validation():
     with pytest.raises(ValueError):
-        spectra.eigenvalue(5, 5, spectra.PLUS)
+        oracles.eigenvector(5, 5, spectra.PLUS)
     with pytest.raises(ValueError):
-        spectra.eigenvalue(5, -1, spectra.PLUS)
+        oracles.eigenvector(5, -1, spectra.PLUS)
     with pytest.raises(ValueError):
-        spectra.eigenvalue(5, 0, 2)
+        spectra.eigenvalues(5, 2)
     with pytest.raises(ValueError):
         spectra.eigenvalues(4, spectra.PLUS)
