@@ -33,11 +33,12 @@ def mode_cosines(n) -> np.ndarray:
     return np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def eigenvalues(n, branch) -> np.ndarray:
-    """The n eigenvalues (2 cos(2 pi m / n) + branch) / 3 of one branch."""
+def eigenvalues(n, branch, cosines=None) -> np.ndarray:
+    """The eigenvalues (2 cos(2 pi m / n) + branch) / 3 of one branch: all
+    n of them, or those of the modes whose `mode_cosines(n)` are given."""
     check_odd_order(n)
     check_branch(branch)
-    return (2.0 * mode_cosines(n) + branch) / 3.0
+    return (2.0 * (mode_cosines(n) if cosines is None else cosines) + branch) / 3.0
 
 
 def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +54,8 @@ def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:
 def folded_eigenvalues(n) -> np.ndarray:
     """Both branches at the folded modes mu = 0..(n-1)/2, lambda+ then lambda-."""
     mu, _ = folded_modes(n)
-    return np.array([eigenvalues(n, PLUS)[mu], eigenvalues(n, MINUS)[mu]])
+    cosines = mode_cosines(n)[mu]
+    return np.array([eigenvalues(n, PLUS, cosines), eigenvalues(n, MINUS, cosines)])
 
 
 def full_spectrum(n) -> np.ndarray:

@@ -116,9 +116,14 @@ def probability_profiles(n, times) -> np.ndarray:
     walk times a two-state coin.  With a = ifft(e^{2 i t cos(2 pi m / n) / 3})
     the same-block amplitude is cos(t / 3) a and the other-block one
     i sin(t / 3) a: one inverse DFT per time of the (n + 1) / 2 phases
-    x_mu on the folded modes (mirror modes m, n - m share a cosine), whose
-    rates `cycle_rates` caches per n.  The coin is read from mode 0's phase
-    e^{2 i t / 3}: cos^2, sin^2(t / 3) = (1 +- cos(2 t / 3)) / 2.
+    e^{i x_mu} on the folded modes (mirror modes m, n - m share a cosine),
+    whose rates `cycle_rates` caches per n.  Each phase takes one tan, of
+    the exactly halved angle: (1 - u^2 + 2iu) / (1 + u^2) with
+    u = tan(x / 2), within 2.2e-16 of np.exp(1j x), finite as no double is
+    near enough an odd multiple of pi / 2 for u^2 to overflow.  numpy 2.x
+    has a SIMD float64 tan but computes complex exp in scalar libm.  The
+    coin is read from mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) =
+    (1 +- cos(2 t / 3)) / 2.
 
     Each time runs on the cycle `light_cone` picks; on n P_t is even only to
     rounding.  A row costs O(n + t log t) inside the cone, O(n log n) outside.
@@ -133,12 +138,27 @@ def probability_profiles(n, times) -> np.ndarray:
 
     def transform(m, ts):
         """The coin times |a|^2 on the m-cycle; shape (len(ts), 2, m)."""
-        # in place: one phase-sized array fewer per call
-        phases = 1j * np.outer(ts, cycle_rates(m))
-        np.exp(phases, out=phases)
-        cycle = np.abs(np.fft.ifft(np.concatenate([phases, phases[:, :0:-1]], axis=1), axis=1))
+        # the folded half of one length-m buffer, mirrored into the rest;
+        # u and w = 1 + u^2 go before the transform, the buffer before |a|,
+        # so at most two phase-sized complex arrays are alive at once
+        h = m // 2
+        phases = np.empty((len(ts), m), dtype=complex)
+        cos, sin = phases.real[:, : h + 1], phases.imag[:, : h + 1]
+        u = np.multiply.outer(ts, 0.5 * cycle_rates(m))
+        np.tan(u, out=u)
+        w = np.square(u)
+        np.subtract(1.0, w, out=cos)
+        w += 1.0
+        cos /= w
+        u *= 2.0
+        np.divide(u, w, out=sin)
+        coin = 0.5 + np.multiply.outer(cos[:, 0], [0.5, -0.5])
+        del u, w, cos, sin
+        phases[:, h + 1 :] = phases[:, h:0:-1]
+        cycle = np.fft.ifft(phases, axis=1)
+        del phases
+        cycle = np.abs(cycle)
         np.square(cycle, out=cycle)
-        coin = 0.5 + np.multiply.outer(phases[:, 0].real, [0.5, -0.5])
         return coin[:, :, None] * cycle[:, None, :]
 
     return light_cone(int(n), times, transform)

@@ -169,6 +169,30 @@ def test_batched_check_in_small_memory():
     assert peak <= 2.5 * 2**20
 
 
+@pytest.mark.parametrize("n", [7, 1001])
+def test_measured_step_holds_one_phase_buffer(n):
+    """One run of k = BLOCK / (4n) measurements peaks no higher than the
+    inverse DFT's input and output, two (k, n) complex arrays, plus one
+    (k, (n + 1) / 2) float array and four doubles per measurement for the
+    step's short vectors (times, light-cone picks, coin).  The phases are
+    built in the DFT's input buffer from two (k, (n + 1) / 2) float arrays,
+    u = tan(x / 2) and 1 + u^2, and both are freed before the transform.
+    Measured: 604 kB at n = 7 against a bound of 674 kB, and 516 kB at
+    n = 1001 against 577 kB.  Over the bound: the exp form, which also held
+    the folded complex phases (754 and 644 kB), and a build that keeps one
+    float array (679 and 580 kB) or both (754 and 644 kB) through the
+    transform.  The times at n = 1001 lie outside every usable short
+    cycle's reach, so `light_cone` runs them all on n and allocates no
+    stack of its own."""
+    k = dihedral.BLOCK // (4 * n)
+    draws = np.random.default_rng(n).random((k, 2))
+    draws[:, 0] = 0.5 + draws[:, 0] / 2
+    sampling._measured_step(n, 1e3, draws)
+    cells, peak = traced_peak(lambda: sampling._measured_step(n, 1e3, draws))
+    assert cells.shape == (k, 2)
+    assert peak <= 2 * 16 * k * n + 8 * k * (n // 2 + 1) + 32 * k
+
+
 def test_long_walk_in_small_memory(monkeypatch):
     """A walk's draws are read in runs too, so its memory does not grow
     with steps: 5 * 10^4 steps drew 800 kB at once when a trial's segment

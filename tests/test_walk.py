@@ -157,6 +157,37 @@ def test_large_prime_profiles_match_wrapped_bessel(n):
     assert np.abs(profiles - oracles.wrapped_bessel_profiles(n, times)).max() <= 2e-15
 
 
+def near_pole_times(n):
+    """Times t whose half-angle t rate / 2, as `probability_profiles` forms
+    it, is the double nearest an odd multiple of pi/2 for the first, second
+    and last folded rate, each with |tan| of it at least 1e15."""
+    half_rates = 0.5 * walk.cycle_rates(n)
+    times = []
+    for rate in half_rates[[0, 1, -1]]:
+        for pole in (np.pi / 2, 3 * np.pi / 2):
+            start = pole / rate
+            candidates = start + np.spacing(start) * np.arange(-64, 65)
+            u = np.abs(np.tan(candidates * rate))
+            assert u.max() >= 1e15
+            times.append(candidates[u.argmax()])
+    return times
+
+
+@pytest.mark.parametrize("n", [3, 7, 21, 101])
+def test_half_angle_phases_match_exp_oracle(n):
+    # P_t's phases come from one tan each, e^{ix} = (1 - u^2 + 2iu) / (1 + u^2)
+    # with u = tan(x / 2); the oracle takes np.exp(1j x) of the same x.  Near
+    # a pole of tan, |u| is about 1e16 and u^2 about 1e32, far below overflow.
+    # The largest difference measured over these times was 6.7e-16.
+    times = [0.0, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e300] + near_pole_times(n)
+    profiles = walk.probability_profiles(n, times)
+    assert np.isfinite(profiles).all()
+    assert np.abs(profiles - oracles.fft_probability_profiles(n, times)).max() <= 2e-15
+    assert np.abs(profiles.sum(axis=(1, 2)) - 1.0).max() <= walk.ROW_SUM_TOL
+    # u = 0 at t = 0: every phase is exactly 1, as np.exp gives
+    assert np.array_equal(profiles[0], oracles.fft_probability_profiles(n, [0.0])[0])
+
+
 @pytest.fixture
 def cycle_lengths(monkeypatch):
     """The cycle lengths `probability_profiles` reads rates for, in order."""
