@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import dihedral
 from .dihedral import (
     blocks,
     check_odd_order,
@@ -209,8 +210,7 @@ class AveragedWalkMatrix:
         Columns of both matrices are value-permutations of the same (2, n)
         profiles, so that norm is the profile deviation summed once.
         """
-        pi = limiting_distribution(self.n)
-        return float(np.abs(self.values - pi.values()).sum())
+        return float(np.abs(self.values - limit_profile(self.n)).sum())
 
 
 def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +218,37 @@ def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
     (2/3) cos(2 pi mu / n) of `cycle_rates` and psi = phi + 2T/3,
     sin(xT) w w' / (2T) of a same- or cross-branch pair (mu, mu') is
     column mu of a[0] or a[1] dotted with column mu' of b."""
-    _, w = folded_modes(n)
+    *_, w = gap_tables(n)
     phases = T * (cycle_rates(n) + np.array([[0.0], [2.0 / 3.0]]))
-    sin, cos = np.sin(phases), np.cos(phases)
-    a = (0.5 * w / T) * np.stack([sin, -cos], axis=1)
-    return a, w * np.stack([cos[0], sin[0]])
+    # a[k] = (sin, -cos) of phases[k], scaled by w / (2T); b = w (cos phi, sin phi)
+    a = np.empty((2, 2, len(w)))
+    np.sin(phases, out=a[:, 0])
+    np.cos(phases, out=a[:, 1])
+    b = w * a[0, ::-1]
+    a *= 0.5 * w / T
+    np.negative(a[:, 1], out=a[:, 1])
+    return a, b
+
+
+@functools.lru_cache(maxsize=32)
+def gap_tables(n):
+    """The O(n) tables of the folded (mu, mu') gap grid, built once per n and
+    read-only: (hankel, toeplitz, spectrum, w).  hankel * toeplitz is the
+    same-branch gap -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n), both
+    views of one circulant of a sine table; spectrum is `folded_eigenvalues`,
+    lambda+ then lambda-, each decreasing in mu; w the fold weights."""
+    mu, w = folded_modes(n)
+    size = len(mu)
+    spectrum = folded_eigenvalues(n)
+    # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
+    sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
+    # table[r, c] = t[(c - r) mod 2n] with t = (-sine[:size], -(4/3) |sine|,
+    # -sine[size:]): hankel[mu, mu'] = -(4/3) |sine[mu + mu']| and
+    # toeplitz[mu, mu'] = sine[mu - mu']
+    table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
+    hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
+    spectrum.flags.writeable = w.flags.writeable = False
+    return hankel, toeplitz, spectrum, w
 
 
 def folded_gap_blocks(n):
@@ -230,24 +256,134 @@ def folded_gap_blocks(n):
     in one (2, rows, size) buffer that the next block overwrites.  gaps[0] is
     the same-branch gap -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n):
     0 on the diagonal only, at full relative precision near it.  gaps[1] is
-    the cross-branch gap lambda+_mu - lambda-_mu'."""
-    mu, _ = folded_modes(n)
-    size = len(mu)
-    plus, minus = folded_eigenvalues(n)
-    # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
-    sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
-    # the same-branch gap's factors are windows of one circulant view,
-    # table[r, c] = t[(c - r) mod 2n] with t = (-sine[:size], -(4/3) |sine|,
-    # -sine[size:]): hankel[mu, mu'] = -(4/3) |sine[mu + mu']| and
-    # toeplitz[mu, mu'] = sine[mu - mu']
-    table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
-    hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
+    the cross-branch gap lambda+_mu - lambda-_mu'.  The tables are
+    `gap_tables`."""
+    hankel, toeplitz, (plus, minus), _ = gap_tables(n)
+    size = len(plus)
     buffer = np.empty((2, next(blocks(size, size)).stop, size))
     for r in blocks(size, size):
         gaps = buffer[:, : r.stop - r.start]
         np.multiply(hankel[r], toeplitz[r], out=gaps[0])
-        np.subtract(plus[r, None], minus, out=gaps[1])
+        np.copyto(gaps[1], plus[r, None])
+        gaps[1] -= minus
         yield r, gaps
+
+
+def small_gap_pairs(n, Ts, width):
+    """For each block of `folded_gap_blocks`, each horizon T of Ts and each
+    branch, in that order, the pairs whose gap x as that generator computes
+    it has -1/T < x < 1/T: a tuple of (where, value) pieces, where = i *
+    width + mu' for the pair's row i within its block, and value = w w' / 2
+    sin(xT) / (xT).
+
+    Both branches of `gap_tables`' spectrum decrease in mu, so along a row
+    both gaps increase in mu'.  One searchsorted per branch, over every
+    horizon and row at once, finds the mu' whose eigenvalue lies within 1/T
+    of lambda+_mu.  Widened by one entry on each side, that range holds
+    every pair the computed gap admits: rounding moves a gap by far less
+    than the spacing of the spectrum, (4/3) sin^2(pi / n) > 5 / n^2 at the
+    least.  The candidates
+    are filtered by that same gap and bound, so the pairs and values are a
+    full-grid mask's bit for bit.  They are expanded lazily, in runs of at
+    most BLOCK / 16 candidates: whole (block, horizon, branch) units, or the
+    rows of one larger unit, at least one row at a time.  So memory is
+    O(len(Ts) n + BLOCK).
+    """
+    hankel, toeplitz, spectrum, w = gap_tables(n)
+    plus, minus = spectrum
+    size, horizons = len(w), len(Ts)
+    height = next(blocks(size, size)).stop
+    Ts = np.asarray(Ts, dtype=float)
+    bound = 1.0 / Ts
+    # one group per (block, horizon, row in block); the last block is padded
+    # to full height with copies of the last row, which keep no candidates
+    rows = np.arange(-(-size // height) * height).reshape(-1, 1, height)
+    np.minimum(rows, size - 1, out=rows)
+    query = np.multiply.outer([-1.0, 1.0], bound)[:, None, :, None] - plus[rows]
+    # per field, branch and group: the first candidate mu', the candidate
+    # count, the row and the horizon.  The candidates are the mu' whose
+    # -lambda_mu' lies within 1/T of -lambda+_mu, and one more on each side
+    groups = np.empty((4, 2) + query.shape[1:], dtype=np.intp)
+    for branch, key in enumerate(-spectrum):
+        groups[:2, branch] = key.searchsorted(query)
+    first, count, row, horizon = groups
+    first -= 1
+    np.maximum(first, 0, out=first)
+    count += 1
+    np.minimum(count, size, out=count)
+    count -= first
+    count[:, -1, :, size - (len(rows) - 1) * height :] = 0
+    row[...] = rows
+    horizon[...] = np.arange(horizons)[:, None]
+    groups = groups.reshape(4, 2, -1)
+    del query
+    cap = dihedral.BLOCK // 16
+
+    def runs(sizes):
+        """(start, stop) runs of consecutive entries of at most cap in all,
+        or of one entry."""
+        ends = sizes.cumsum()
+        start = 0
+        while start < len(sizes):
+            stop = max(start + 1, int(ends.searchsorted(ends[start] - sizes[start] + cap, side="right")))
+            yield start, stop
+            start = stop
+
+    def expand(parts):
+        """(where, value, edges) of the groups parts[0] of branch 0, then
+        parts[1] of branch 1: group k keeps pairs edges[k] .. edges[k + 1] - 1."""
+        first, sizes, row, horizon = np.concatenate([groups[:, 0, parts[0]], groups[:, 1, parts[1]]], axis=1)
+        edges = np.zeros(len(sizes) + 1, dtype=sizes.dtype)
+        sizes.cumsum(out=edges[1:])
+        col = (first - edges[:-1]).repeat(sizes)
+        col += np.arange(len(col))
+        row = row.repeat(sizes)
+        cut = edges[parts[0].stop - parts[0].start]
+        gap = np.empty(len(col))
+        np.multiply(hankel[row[:cut], col[:cut]], toeplitz[row[:cut], col[:cut]], out=gap[:cut])
+        np.subtract(plus[row[cut:]], minus[col[cut:]], out=gap[cut:])
+        # -1/T < gap < 1/T, against one bound per group
+        inside = bound[horizon].repeat(sizes)
+        keep = gap < inside
+        keep &= gap > np.negative(inside, out=inside)
+        del inside
+        taken = keep.nonzero()[0]
+        # kept pairs before each group edge
+        edges = taken.searchsorted(edges)
+        gap = np.abs(gap[taken])
+        row, col = row[taken], col[taken]
+        del taken, keep
+        value = w[row]
+        value *= 0.5
+        value *= w[col]
+        # where, in place of row: the row within its block times width, plus mu'
+        np.remainder(row, height, out=row)
+        row *= width
+        row += col
+        value *= real_phase_average(gap, Ts[horizon].repeat(edges[1:] - edges[:-1]))
+        return row, value, edges
+
+    # candidates per branch and (block, horizon) unit, and in the kernel's
+    # order, (block, horizon, branch)
+    units = groups[1].reshape(2, -1, height).sum(axis=2)
+    for start, stop in runs(units.T.ravel()):
+        # the run's units: branch 0's (block, horizon) low[0] .. high[0] - 1, then branch 1's
+        low, high = [(start + 1 - b) // 2 for b in (0, 1)], [(stop + 1 - b) // 2 for b in (0, 1)]
+        if stop > start + 1 or units[start % 2, start // 2] <= cap:
+            where, value, edges = expand([slice(low[b] * height, high[b] * height) for b in (0, 1)])
+            edges = edges[::height].tolist()
+            for unit in range(start, stop):
+                k = unit // 2 - low[unit % 2] + (high[0] - low[0]) * (unit % 2)
+                yield ((where[edges[k] : edges[k + 1]], value[edges[k] : edges[k + 1]]),)
+        else:
+            # one unit of more than cap candidates, expanded a run of rows at a time
+            branch, top = start % 2, start // 2 * height
+            parts = [slice(0, 0)] * 2
+            pieces = []
+            for head, tail in runs(groups[1, branch, top : top + height]):
+                parts[branch] = slice(top + head, top + tail)
+                pieces.append(expand(parts)[:2])
+            yield tuple(pieces)
 
 
 def averaged_profiles(n, Ts) -> np.ndarray:
@@ -275,48 +411,49 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     Each block of rows takes its gaps x from `folded_gap_blocks`.  Per
     horizon, sin(xT) w w' / (2T) is a rank-2 product of `mode_phases`
     factors divided by x; the pairs with |x| T < 1 take w w' / 2
-    sin(xT) / (xT) directly, as that quotient cancels.  The kernel block is written into a zero-padded
-    buffer whose rows, re-cut one entry shorter or longer, put each
-    anti-diagonal or diagonal in one column: a column sum bins the block
-    at mu + mu' or at mu' - mu, which folds onto |mu - mu'|.  An empty batch
-    sweeps no block.
+    sin(xT) / (xT) directly, as that quotient cancels.  `small_gap_pairs`
+    finds those pairs for the whole batch from the sorted spectrum and
+    computes their values once; a block writes them over its quotients.
+    The kernel block is written into a zero-padded buffer whose rows,
+    re-cut one entry shorter or longer, put each anti-diagonal or diagonal
+    in one column: a column sum bins the block at mu + mu' or at mu' - mu,
+    which folds onto |mu - mu'|.  An empty batch sweeps no block.
     """
     if not len(Ts):
         return np.zeros((0, 2, n))
     factors = [mode_phases(n, T) for T in Ts]
-    mu, w = folded_modes(n)
-    size = len(mu)
+    size = (n + 1) // 2
     # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
     binned = np.zeros((len(Ts), 2, n))
     # buffers for the first block, the tallest: kernel row i sits at columns
-    # height - 1 .. height + size - 2 of row i of the zero-padded `flat`
+    # height - 1 .. height + size - 2 of row i of the zero-padded `flat`,
+    # so kernel[i, j] is lead[i * width + j]
     height = next(blocks(size, size)).stop
     width = size + 2 * height - 1
     flat = np.zeros(height * (width + 1))
     kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]
-    small = np.empty((height, size), bool)
-    for r, gaps in folded_gap_blocks(n):
-        rows, last = r.stop - r.start, r.stop - 1
-        # only the last block can be shorter; it uses the first rows
-        small, kernel = small[:rows], kernel[:rows]
-        # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
-        # one entry longer, mu' - mu = k - last
-        sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
-        diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
-        for T, (a, b), pair in zip(Ts, factors, binned):
-            for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
-                np.less(gap, 1.0 / T, out=small)
-                np.logical_and(small, gap > -1.0 / T, out=small)
-                np.matmul(a_rows.T, b, out=kernel)
-                with np.errstate(divide="ignore", invalid="ignore"):
+    lead = flat[height - 1 :]
+    small = small_gap_pairs(n, Ts, width)
+    # the quotients at gap 0 are overwritten by the small pairs' values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, gaps in folded_gap_blocks(n):
+            rows, last = r.stop - r.start, r.stop - 1
+            # only the last block can be shorter; it uses the first rows
+            kernel = kernel[:rows]
+            # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
+            # one entry longer, mu' - mu = k - last
+            sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
+            diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
+            for (a, b), pair in zip(factors, binned):
+                for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
+                    np.matmul(a_rows.T, b, out=kernel)
                     np.divide(kernel, gap, out=kernel)
-                where = np.flatnonzero(small)
-                i, j = np.divmod(where, size)
-                kernel[i, j] = 0.5 * w[r].take(i) * w.take(j) * real_phase_average(np.abs(gap.take(where)), T)
-                out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
-                by_diff = diffs.sum(axis=0)
-                out[: size - r.start] += by_diff[last:]
-                out[last:0:-1] += by_diff[:last]
+                    for where, value in next(small):
+                        lead[where] = value
+                    out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
+                    by_diff = diffs.sum(axis=0)
+                    out[: size - r.start] += by_diff[last:]
+                    out[last:0:-1] += by_diff[:last]
     vals = cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
     # every row of the dense matrix holds each distinct value once
     drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)
@@ -373,6 +510,14 @@ def limiting_distribution(n) -> LimitingDistribution:
         Fraction(1, 2 * n) + Fraction(n - 1, 2 * n * n),
         Fraction(1, 2 * n) - Fraction(1, 2 * n * n),
     )
+
+
+@functools.lru_cache(maxsize=32)
+def limit_profile(n) -> np.ndarray:
+    """`limiting_distribution(n).values()`, built once per n and read-only."""
+    values = limiting_distribution(n).values()
+    values.flags.writeable = False
+    return values
 
 
 def distance_to_limit(n, T) -> float:

@@ -11,14 +11,18 @@ transform that finishes every real profile and by the complex P_t
 kernel, and the neighbour rule lives only in the adjacency profile, so no
 `np.eye` or `np.roll` rebuilds it.  A profile is expanded to a matrix only by the circulant view:
 `sliding_window_view` and `take_along_axis` appear nowhere else, and the Hankel and Toeplitz gap tables are
-views of it too, built in `walk` and `bounds` only by the one generator of
-folded gap blocks that the averaged kernel and the gap sums both loop over.
+views of it too, built in `walk` and `bounds` only by the one cached table
+builder that the generator of folded gap blocks reads, and the averaged
+kernel and the gap sums both loop over that generator.
 One light-cone rule places P_t and the averaged kernel on short cycles: only
 `light_cone` reads the ladder of short cycles and their reach, and only the
 two batch forms call it.
 The averaged kernel's O(n^2) block loop and the generator's call no np.sin,
 np.cos, np.exp or np.sinc: their phases are per mode.  Nor do they reference
-np.bincount: the kernel bins by column sums over diagonal views.  The block XOR that
+np.bincount: the kernel bins by column sums over diagonal views.  Nor does
+the kernel's loop compare or mask: its small-gap pairs are found once per
+batch from the sorted spectrum, so it references no np.less, np.greater,
+np.logical_and, np.flatnonzero or np.nonzero and has no < or > operator.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
 in `dihedral`, and the sampler builds its inverse CDF only in its one
 measured step, which only its one walker loop calls; the scalar walk and
@@ -295,10 +299,46 @@ def test_averaged_kernel_block_loop_has_no_scatter():
         assert [ref for ref in numpy_references(loop) if ref[1] == "bincount"] == []
 
 
+# what the kernel's block loop must not reference: its small-gap pairs come
+# precomputed, with their positions, from one search per batch
+LOOP_MASKS = ("less", "greater", "logical_and", "flatnonzero", "nonzero")
+
+
+def comparisons(loop):
+    """(line, operator) of each <, <=, > or >= in the loop's body."""
+    orders = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    return [
+        (node.lineno, type(op).__name__)
+        for statement in loop.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Compare)
+        for op in node.ops
+        if isinstance(op, orders)
+    ]
+
+
+def test_averaged_kernel_block_loop_has_no_mask():
+    probe = ast.parse(
+        "import numpy as np\ndef f(n, T):\n    for r, gaps in folded_gap_blocks(n):\n"
+        "        small = np.logical_and(gaps < 1 / T, np.greater(gaps, -1 / T))\n"
+        "        i = np.flatnonzero(small)\n"
+    )
+    (loop,) = block_loops(probe, "f")
+    assert [ref for ref in numpy_references(loop) if ref[1] in LOOP_MASKS] == [
+        (4, "logical_and"), (4, "greater"), (5, "flatnonzero")
+    ]
+    assert comparisons(loop) == [(4, "Lt")]
+    (loop,) = block_loops(parse(ROOT / "src" / "qwalk" / "walk.py"), "averaged_kernel")
+    assert any(name == "matmul" for _, name in numpy_references(loop))
+    assert [ref for ref in numpy_references(loop) if ref[1] in LOOP_MASKS] == []
+    assert comparisons(loop) == []
+
+
 # the folded gap grids are built once: in `walk` and `bounds` only the
-# generator expands its sine table by `circulant`, and the averaged kernel
-# and the gap sums' one sweep both loop over it
-GAP_GRID_HOME = {("walk", "folded_gap_blocks")}
+# cached table builder expands its sine table by `circulant`, and the
+# averaged kernel and the gap sums' one sweep both loop over the generator
+# that reads it
+GAP_GRID_HOME = {("walk", "gap_tables")}
 GAP_GRID_READERS = {("walk", "averaged_kernel"), ("bounds", "_gap_rows")}
 
 

@@ -483,6 +483,79 @@ def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch):
     assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, horizons))) <= 1e-15
 
 
+def mask_pairs(n, horizons, width):
+    """The small pairs the way a full-grid mask takes them: per block of
+    `folded_gap_blocks`, horizon and branch, (where, value) of the pairs
+    with -1/T < gap < 1/T in row-major order, where = i * width + mu' and
+    value = w w' / 2 sin(gap T) / (gap T)."""
+    _, w = spectra.folded_modes(n)
+    for r, gaps in walk.folded_gap_blocks(n):
+        for horizon in horizons:
+            for gap in gaps:
+                i, j = np.nonzero((gap < 1.0 / horizon) & (gap > -1.0 / horizon))
+                value = 0.5 * w[r][i] * w[j] * walk.real_phase_average(np.abs(gap[i, j]), horizon)
+                yield i * width + j, value
+
+
+def boundary_horizons(n, bases=(0.3, 40.0)):
+    """For each branch and base horizon T0, the gap g whose |g| lies nearest
+    1/T0: the largest horizon T at which -1/T < g < 1/T holds, and its two
+    float neighbours, so that g is small at the first two and not at the
+    last."""
+    grids = [[], []]
+    for _, gaps in walk.folded_gap_blocks(n):
+        for grid, gap in zip(grids, gaps):
+            grid.append(np.abs(gap[gap != 0]))
+    horizons = []
+    for grid in grids:
+        grid = np.concatenate(grid)
+        for base in bases:
+            gap = grid[np.argmin(np.abs(grid - 1.0 / base))]
+            edge = 1.0 / gap
+            while not gap < 1.0 / edge:
+                edge = np.nextafter(edge, 0.0)
+            while gap < 1.0 / np.nextafter(edge, np.inf):
+                edge = np.nextafter(edge, np.inf)
+            triple = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+            small = [np.count_nonzero(grid < 1.0 / horizon) for horizon in triple]
+            assert small[0] >= small[1] > small[2]
+            horizons += triple
+    return horizons
+
+
+def assert_small_pairs_match_mask(n, horizons):
+    size = (n + 1) // 2
+    width = size + 2 * next(dihedral.blocks(size, size)).stop - 1
+    taken = walk.small_gap_pairs(n, horizons, width)
+    for where, value in mask_pairs(n, horizons, width):
+        pieces = next(taken)
+        got = np.concatenate([piece[0] for piece in pieces])
+        order = np.argsort(got)
+        assert np.array_equal(got[order], where)
+        assert np.array_equal(np.concatenate([piece[1] for piece in pieces])[order], value)
+    assert next(taken, None) is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 21, 101, 249, 251, 1009, 4001])
+def test_small_gap_pairs_match_full_grid_mask(n):
+    # the pairs found from the sorted spectrum are the full-grid mask's, pair
+    # for pair and bit for bit, on both branches: from horizons where every
+    # pair is small to ones where only the diagonal is, and at horizons that
+    # put one gap on the edge of -1/T < gap < 1/T and just either side
+    horizons = [0.05, 0.5, 1.0, 3.7, 364.8, 1e3, 1e6, 1e12] + boundary_horizons(n)
+    if n == 4001:
+        horizons = [0.05, 364.8, 1e12] + boundary_horizons(n, (40.0,))
+    assert_small_pairs_match_mask(n, horizons)
+
+
+@pytest.mark.parametrize("n", [21, 101])
+def test_small_gap_pairs_match_mask_in_short_runs(n, monkeypatch):
+    # BLOCK 200 expands at most 12 candidates at a time: runs end inside a
+    # block, between the horizons of one block, and inside one unit's rows
+    monkeypatch.setattr(dihedral, "BLOCK", 200)
+    assert_small_pairs_match_mask(n, [0.05, 1.0, 3.7, 40.0, 1e12] + boundary_horizons(n))
+
+
 def test_averaged_profiles_edge_grids(monkeypatch):
     # an empty batch reaches the length-n call with no times at any n, and
     # the kernel sweeps no gap block for it
@@ -817,17 +890,25 @@ def test_averaged_contraction_follows_bessel_model(n, bound):
 
 @pytest.mark.parametrize(
     ("n", "horizon"),
-    [(1001, bounds.budget_time(1001)), (4001, bounds.budget_time(4001)), (4001, 300.0)],
-    ids=["1001", "4001", "4001-T300"],
+    [
+        (1001, bounds.budget_time(1001)),
+        (4001, bounds.budget_time(4001)),
+        (4001, 300.0),
+        (4001, 364.8 * (1 + 1e-9)),
+    ],
+    ids=["1001", "4001", "4001-T300", "4001-cone-edge"],
 )
 def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
     # the kernel's buffers are allocated once for all blocks, and nothing is
     # n^2: the gap pair of `folded_gap_blocks` (1 MiB, two BLOCK = 2^16
     # float arrays) and the zero-padded `flat` the kernel is written into,
     # 0.75 MiB on the 1001-cycle, 0.64 MiB on the 1323-cycle that holds
-    # T = 300's light cone and 0.50 MiB on the 4001-cycle.  The peaks
-    # measured 2.06, 2.06 and 2.12 MiB; two more 0.5 MiB blocks, such as a
-    # separate matmul product and its quotient, break the 3 MiB bound
+    # T = 300's light cone and 0.50 MiB on the 4001-cycle.  Just past the
+    # 1323-cycle's reach the 4001-cycle takes its smallest T, where the most
+    # pairs are small (35 649); they are expanded BLOCK / 16 candidates at a
+    # time.  In fresh processes the peaks measured 2.07, 2.30, 2.13 and
+    # 2.35 MiB; two more 0.5 MiB blocks, such as a separate matmul product
+    # and its quotient, break the 3 MiB bound
     tracemalloc.start()
     try:
         avg = walk.averaged_matrix(n, horizon)
@@ -836,6 +917,21 @@ def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
         tracemalloc.stop()
     assert peak < 3 * 2**20
     assert avg.distance_to_limit() <= bounds.decomposed_sum(n).total / (n * horizon)
+
+
+def test_averaged_kernel_with_every_pair_small_in_small_memory():
+    # at T = 0.5 on the 4001-cycle all 8 million pairs of both branches are
+    # small; each block's are expanded a run of rows at a time, so the peak
+    # stays near one block of kernel values and positions (3.3 MiB measured,
+    # 6.4 MiB for a per-block mask)
+    tracemalloc.start()
+    try:
+        profile = walk.averaged_kernel(4001, [0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.abs(profile - walk.averaged_profiles(4001, [0.5])).max() <= 1e-15
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
