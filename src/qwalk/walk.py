@@ -213,20 +213,21 @@ class AveragedWalkMatrix:
         return float(np.abs(self.values - limit_profile(self.n)).sum())
 
 
-def mode_phases(n, T) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode factors (a, b) of horizon T: with phi = T times the rate
-    (2/3) cos(2 pi mu / n) of `cycle_rates` and psi = phi + 2T/3,
-    sin(xT) w w' / (2T) of a same- or cross-branch pair (mu, mu') is
-    column mu of a[0] or a[1] dotted with column mu' of b."""
+def mode_phases(n, Ts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode factors a, b, (len(Ts), 2, 2, size) and (len(Ts), 2, size):
+    with phi = T (2/3) cos(2 pi mu / n) from `cycle_rates` and psi = phi +
+    2T/3, sin(xT) w w' / (2T) of a same- or cross-branch pair (mu, mu') at
+    Ts[h] is column mu of a[h, 0] or a[h, 1] dotted with column mu' of b[h]."""
     *_, w = gap_tables(n)
-    phases = T * (cycle_rates(n) + np.array([[0.0], [2.0 / 3.0]]))
-    # a[k] = (sin, -cos) of phases[k], scaled by w / (2T); b = w (cos phi, sin phi)
-    a = np.empty((2, 2, len(w)))
-    np.sin(phases, out=a[:, 0])
-    np.cos(phases, out=a[:, 1])
-    b = w * a[0, ::-1]
-    a *= 0.5 * w / T
-    np.negative(a[:, 1], out=a[:, 1])
+    Ts = np.asarray(Ts, dtype=float).reshape(-1, 1, 1)
+    phases = Ts * (cycle_rates(n) + np.array([[0.0], [2.0 / 3.0]]))
+    # a[:, k] = (sin, -cos) of phases[:, k], scaled by w / (2T); b = w (cos phi, sin phi)
+    a = np.empty((len(Ts), 2, 2, len(w)))
+    np.sin(phases, out=a[:, :, 0])
+    np.cos(phases, out=a[:, :, 1])
+    b = w * a[:, 0, ::-1]
+    a *= (0.5 * w) / Ts[..., None]
+    np.negative(a[:, :, 1], out=a[:, :, 1])
     return a, b
 
 
@@ -280,14 +281,13 @@ def small_gap_pairs(n, Ts, width):
     both gaps increase in mu'.  One searchsorted per branch, over every
     horizon and row at once, finds the mu' whose eigenvalue lies within 1/T
     of lambda+_mu.  Widened by one entry on each side, that range holds
-    every pair the computed gap admits: rounding moves a gap by far less
-    than the spacing of the spectrum, (4/3) sin^2(pi / n) > 5 / n^2 at the
-    least.  The candidates
-    are filtered by that same gap and bound, so the pairs and values are a
-    full-grid mask's bit for bit.  They are expanded lazily, in runs of at
-    most BLOCK / 16 candidates: whole (block, horizon, branch) units, or the
-    rows of one larger unit, at least one row at a time.  So memory is
-    O(len(Ts) n + BLOCK).
+    every pair the computed gap admits, as rounding moves a gap far less
+    than the spectrum's least spacing (4/3) sin^2(pi / n) > 5 / n^2.  Each
+    row's range is one group; the groups form one stream in the kernel's
+    order (block, horizon, branch, row in block), cut into runs of at most
+    BLOCK / 16 candidates or of one row, at most (n + 1) / 2, so memory is
+    O(len(Ts) n + BLOCK).  A run filters its candidates by a full-grid
+    mask's gap and bound, bit for bit.
     """
     hankel, toeplitz, spectrum, w = gap_tables(n)
     plus, minus = spectrum
@@ -295,95 +295,54 @@ def small_gap_pairs(n, Ts, width):
     height = next(blocks(size, size)).stop
     Ts = np.asarray(Ts, dtype=float)
     bound = 1.0 / Ts
-    # one group per (block, horizon, row in block); the last block is padded
-    # to full height with copies of the last row, which keep no candidates
-    rows = np.arange(-(-size // height) * height).reshape(-1, 1, height)
-    np.minimum(rows, size - 1, out=rows)
+    # per group, its first candidate mu' and its count: the mu' whose
+    # -lambda_mu' lies within 1/T of -lambda+_mu, and one more on each side.
+    # The last block is padded to full height with rows that keep none
+    rows = np.minimum(np.arange(-(-size // height) * height), size - 1).reshape(-1, 1, height)
     query = np.multiply.outer([-1.0, 1.0], bound)[:, None, :, None] - plus[rows]
-    # per field, branch and group: the first candidate mu', the candidate
-    # count, the row and the horizon.  The candidates are the mu' whose
-    # -lambda_mu' lies within 1/T of -lambda+_mu, and one more on each side
-    groups = np.empty((4, 2) + query.shape[1:], dtype=np.intp)
+    first, count = table = np.empty((2, len(rows), horizons, 2, height), dtype=np.intp)
     for branch, key in enumerate(-spectrum):
-        groups[:2, branch] = key.searchsorted(query)
-    first, count, row, horizon = groups
-    first -= 1
-    np.maximum(first, 0, out=first)
-    count += 1
-    np.minimum(count, size, out=count)
-    count -= first
-    count[:, -1, :, size - (len(rows) - 1) * height :] = 0
-    row[...] = rows
-    horizon[...] = np.arange(horizons)[:, None]
-    groups = groups.reshape(4, 2, -1)
+        table[:, :, :, branch] = key.searchsorted(query)
     del query
-    cap = dihedral.BLOCK // 16
-
-    def runs(sizes):
-        """(start, stop) runs of consecutive entries of at most cap in all,
-        or of one entry."""
-        ends = sizes.cumsum()
-        start = 0
-        while start < len(sizes):
-            stop = max(start + 1, int(ends.searchsorted(ends[start] - sizes[start] + cap, side="right")))
-            yield start, stop
-            start = stop
-
-    def expand(parts):
-        """(where, value, edges) of the groups parts[0] of branch 0, then
-        parts[1] of branch 1: group k keeps pairs edges[k] .. edges[k + 1] - 1."""
-        first, sizes, row, horizon = np.concatenate([groups[:, 0, parts[0]], groups[:, 1, parts[1]]], axis=1)
-        edges = np.zeros(len(sizes) + 1, dtype=sizes.dtype)
-        sizes.cumsum(out=edges[1:])
+    np.minimum(count + 1, size, out=count)
+    count -= np.maximum(first - 1, 0, out=first)
+    count[-1, :, :, size - (len(rows) - 1) * height :] = 0
+    table = table.reshape(2, -1)
+    ahead = np.concatenate(([0], table[1].cumsum()))
+    cap, pair, pending, stop = dihedral.BLOCK // 16, 2 * height, [], 0
+    while stop < table.shape[1]:
+        # the run: groups start .. stop - 1 in its (block, horizon) pairs low ..
+        # high - 1, branch 0's groups first, the groups outside the run emptied
+        start, stop = stop, max(stop + 1, int(ahead.searchsorted(ahead[stop] + cap, side="right")) - 1)
+        low, high = start // pair, -(-stop // pair)
+        span = table[:, low * pair : high * pair].copy()
+        span[1, : start - low * pair] = span[1, stop - low * pair :] = 0
+        first, sizes = span.reshape(2, -1, 2, height).swapaxes(1, 2).reshape(2, -1)
+        edges = np.concatenate(([0], sizes.cumsum()))
         col = (first - edges[:-1]).repeat(sizes)
         col += np.arange(len(col))
-        row = row.repeat(sizes)
-        cut = edges[parts[0].stop - parts[0].start]
-        gap = np.empty(len(col))
+        pairs = np.arange(low, high)
+        row = np.concatenate((rows[pairs // horizons],) * 2, axis=None).repeat(sizes)
+        cut, gap = edges[len(sizes) // 2], np.empty(len(col))
         np.multiply(hankel[row[:cut], col[:cut]], toeplitz[row[:cut], col[:cut]], out=gap[:cut])
         np.subtract(plus[row[cut:]], minus[col[cut:]], out=gap[cut:])
-        # -1/T < gap < 1/T, against one bound per group
-        inside = bound[horizon].repeat(sizes)
-        keep = gap < inside
-        keep &= gap > np.negative(inside, out=inside)
-        del inside
-        taken = keep.nonzero()[0]
-        # kept pairs before each group edge
-        edges = taken.searchsorted(edges)
-        gap = np.abs(gap[taken])
-        row, col = row[taken], col[taken]
-        del taken, keep
-        value = w[row]
-        value *= 0.5
-        value *= w[col]
-        # where, in place of row: the row within its block times width, plus mu'
-        np.remainder(row, height, out=row)
-        row *= width
-        row += col
-        value *= real_phase_average(gap, Ts[horizon].repeat(edges[1:] - edges[:-1]))
-        return row, value, edges
-
-    # candidates per branch and (block, horizon) unit, and in the kernel's
-    # order, (block, horizon, branch)
-    units = groups[1].reshape(2, -1, height).sum(axis=2)
-    for start, stop in runs(units.T.ravel()):
-        # the run's units: branch 0's (block, horizon) low[0] .. high[0] - 1, then branch 1's
-        low, high = [(start + 1 - b) // 2 for b in (0, 1)], [(stop + 1 - b) // 2 for b in (0, 1)]
-        if stop > start + 1 or units[start % 2, start // 2] <= cap:
-            where, value, edges = expand([slice(low[b] * height, high[b] * height) for b in (0, 1)])
-            edges = edges[::height].tolist()
-            for unit in range(start, stop):
-                k = unit // 2 - low[unit % 2] + (high[0] - low[0]) * (unit % 2)
-                yield ((where[edges[k] : edges[k + 1]], value[edges[k] : edges[k + 1]]),)
-        else:
-            # one unit of more than cap candidates, expanded a run of rows at a time
-            branch, top = start % 2, start // 2 * height
-            parts = [slice(0, 0)] * 2
-            pieces = []
-            for head, tail in runs(groups[1, branch, top : top + height]):
-                parts[branch] = slice(top + head, top + tail)
-                pieces.append(expand(parts)[:2])
-            yield tuple(pieces)
+        # |gap| < 1/T, one bound per (branch, pair) unit; kept pairs before each unit
+        units, horizon = edges[::height], np.concatenate((pairs, pairs)) % horizons
+        np.abs(gap, out=gap)
+        taken = (gap < bound[horizon].repeat(units[1:] - units[:-1])).nonzero()[0]
+        units = taken.searchsorted(units)
+        gap, row, col = gap[taken], row[taken], col[taken]
+        value = 0.5 * w[row] * w[col]
+        value *= real_phase_average(gap, Ts[horizon].repeat(units[1:] - units[:-1]))
+        where = row % height * width + col
+        units = units.tolist()
+        # each unit in the kernel's order, done in the run that holds its last row
+        for unit in range(start // height, (stop - 1) // height + 1):
+            k = unit % 2 * (high - low) + unit // 2 - low
+            pending.append((where[units[k] : units[k + 1]], value[units[k] : units[k + 1]]))
+            if (unit + 1) * height <= stop:
+                yield tuple(pending)
+                pending = []
 
 
 def averaged_profiles(n, Ts) -> np.ndarray:
@@ -412,8 +371,9 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     horizon, sin(xT) w w' / (2T) is a rank-2 product of `mode_phases`
     factors divided by x; the pairs with |x| T < 1 take w w' / 2
     sin(xT) / (xT) directly, as that quotient cancels.  `small_gap_pairs`
-    finds those pairs for the whole batch from the sorted spectrum and
-    computes their values once; a block writes them over its quotients.
+    finds those pairs and their values for the whole batch from the sorted
+    spectrum, as one stream in the kernel's order; a block writes them over
+    its quotients.
     The kernel block is written into a zero-padded buffer whose rows,
     re-cut one entry shorter or longer, put each anti-diagonal or diagonal
     in one column: a column sum bins the block at mu + mu' or at mu' - mu,
@@ -421,7 +381,7 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     """
     if not len(Ts):
         return np.zeros((0, 2, n))
-    factors = [mode_phases(n, T) for T in Ts]
+    factors = mode_phases(n, Ts)
     size = (n + 1) // 2
     # binned[h, 0] collects horizon h's same-branch kernel values, [h, 1] cross-branch
     binned = np.zeros((len(Ts), 2, n))
@@ -444,7 +404,7 @@ def averaged_kernel(n, Ts) -> np.ndarray:
             # one entry longer, mu' - mu = k - last
             sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
             diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
-            for (a, b), pair in zip(factors, binned):
+            for a, b, pair in zip(*factors, binned):
                 for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
                     np.matmul(a_rows.T, b, out=kernel)
                     np.divide(kernel, gap, out=kernel)

@@ -548,10 +548,11 @@ def test_small_gap_pairs_match_full_grid_mask(n):
     assert_small_pairs_match_mask(n, horizons)
 
 
-@pytest.mark.parametrize("n", [21, 101])
+@pytest.mark.parametrize("n", [21, 61, 101])
 def test_small_gap_pairs_match_mask_in_short_runs(n, monkeypatch):
     # BLOCK 200 expands at most 12 candidates at a time: runs end inside a
-    # block, between the horizons of one block, and inside one unit's rows
+    # block, between the horizons of one block, and inside one unit's rows;
+    # at n = 61 the 31 rows form blocks of 6, so the last block is padded
     monkeypatch.setattr(dihedral, "BLOCK", 200)
     assert_small_pairs_match_mask(n, [0.05, 1.0, 3.7, 40.0, 1e12] + boundary_horizons(n))
 
@@ -777,8 +778,12 @@ def test_nan_residue_trips_imaginary_guard(monkeypatch):
     # averaged_matrix assembles a real profile, so its guard is the profile
     # sum; a NaN kernel must trip it, on the angle-addition path through the
     # per-mode phases as well as on the direct small-phase path
+    def nan_phases(n, Ts):
+        size = (n + 1) // 2
+        return np.full((len(Ts), 2, 2, size), np.nan), np.full((len(Ts), 2, size), np.nan)
+
     with monkeypatch.context() as patch:
-        patch.setattr(walk, "mode_phases", lambda n, T: (np.full((2, 2, (n + 1) // 2), np.nan), np.full((2, (n + 1) // 2), np.nan)))
+        patch.setattr(walk, "mode_phases", nan_phases)
         with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
             walk.averaged_matrix(5, 10.0)
     monkeypatch.setattr(walk, "real_phase_average", lambda x, T: np.full(np.shape(x), np.nan))
@@ -905,10 +910,11 @@ def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
     # 0.75 MiB on the 1001-cycle, 0.64 MiB on the 1323-cycle that holds
     # T = 300's light cone and 0.50 MiB on the 4001-cycle.  Just past the
     # 1323-cycle's reach the 4001-cycle takes its smallest T, where the most
-    # pairs are small (35 649); they are expanded BLOCK / 16 candidates at a
-    # time.  In fresh processes the peaks measured 2.07, 2.30, 2.13 and
-    # 2.35 MiB; two more 0.5 MiB blocks, such as a separate matmul product
-    # and its quotient, break the 3 MiB bound
+    # pairs are small (35 649); their candidates come from one stream of row
+    # groups, expanded in runs of at most BLOCK / 16.  In fresh processes
+    # the peaks measured 2.12, 2.30, 2.17 and 2.38 MiB; two more 0.5 MiB
+    # blocks, such as a separate matmul product and its quotient, break the
+    # 3 MiB bound
     tracemalloc.start()
     try:
         avg = walk.averaged_matrix(n, horizon)
@@ -921,9 +927,9 @@ def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
 
 def test_averaged_kernel_with_every_pair_small_in_small_memory():
     # at T = 0.5 on the 4001-cycle all 8 million pairs of both branches are
-    # small; each block's are expanded a run of rows at a time, so the peak
-    # stays near one block of kernel values and positions (3.3 MiB measured,
-    # 6.4 MiB for a per-block mask)
+    # small; the stream of row groups is cut into runs of two rows, 4002
+    # candidates, so the peak stays near one block of kernel values and
+    # positions (3.3 MiB measured, 6.4 MiB for a per-block mask)
     tracemalloc.start()
     try:
         profile = walk.averaged_kernel(4001, [0.5])
