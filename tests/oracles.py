@@ -13,8 +13,10 @@ something `qwalk` computes another way:
   which shares no transform with the package;
 - the prime factors of a cycle length and whether np.fft transforms it
   without Bluestein's algorithm, for the short-cycle ladder of P_t;
-- the direct O(n^2) double sum of the time-averaged kernel, and its
-  folded sum with sin(xT) / (xT) evaluated directly at every mode pair;
+- the direct O(n^2) double sum of the time-averaged kernel, its
+  folded sum with sin(xT) / (xT) evaluated directly at every mode pair,
+  and, at large n, the Gauss-Legendre quadrature of P_t over [0, T],
+  which shares no gap, mode phase or kernel code with the package;
 - the exact law of the measured walk, the k-th power of the averaged
   kernel taken through its branch characters, for the sampler;
 - the wrapped arcsine model D(c) of the averaged kernel's distance to
@@ -41,6 +43,7 @@ from scipy.special import j0, jv
 
 from qwalk.classical import check_step_count, classical_profile, profile_column_distance
 from qwalk.dihedral import (
+    blocks,
     check_odd_order,
     check_vertex,
     cosine_profiles,
@@ -59,7 +62,7 @@ from qwalk.spectra import (
     full_spectrum,
     mode_cosines,
 )
-from qwalk.walk import averaged_matrix, check_horizon
+from qwalk.walk import averaged_matrix, check_horizon, probability_profiles
 
 ORACLE_SIZE_CAP = 512
 
@@ -385,6 +388,25 @@ def direct_averaged_profiles(n, Ts) -> np.ndarray:
             k = (np.sinc(gap * (T / np.pi)) * weight).ravel()
             out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
     return cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
+
+
+def quadrature_averaged_profiles(n, T) -> np.ndarray:
+    """`qwalk.walk.averaged_profiles` at one horizon, shape (2, n), as the
+    mean of `qwalk.walk.probability_profiles` over [0, T] by Gauss-Legendre
+    with ceil(T) + 60 nodes, taken in chunks of about BLOCK entries.
+
+    P_t is a trigonometric polynomial in t whose frequencies, the
+    eigenvalue differences, are at most 2 in size: on the rule's [-1, 1]
+    each term is e^{i c x} with |c| <= T, which ceil(T) + 60 nodes
+    integrate to rounding.
+    """
+    check_horizon(T)
+    nodes, weights = np.polynomial.legendre.leggauss(math.ceil(T) + 60)
+    times = 0.5 * T * (nodes + 1.0)
+    total = np.zeros((2, n))
+    for r in blocks(len(times), 2 * n):
+        total += np.tensordot(weights[r], probability_profiles(n, times[r]), axes=1)
+    return 0.5 * total
 
 
 def measured_law(n, T, steps, start) -> np.ndarray:

@@ -451,6 +451,16 @@ def test_averaged_profiles_match_direct_kernel(n, horizon):
     assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon]))) <= 1e-15
 
 
+@pytest.mark.parametrize(("n", "horizon"), [(1001, 2002.0), (1075, 2150.0)])
+def test_averaged_profiles_match_quadrature_at_large_n(n, horizon):
+    # at T = 2n, where the threshold search probes, against Gauss-Legendre
+    # quadrature of P_t, which shares no gap, mode phase or binning code with
+    # the kernel; n = 1075 has near-resonant cross-branch pairs.  Measured
+    # 4.4e-14 and 7.5e-14
+    got = walk.averaged_profiles(n, [horizon])[0]
+    assert np.max(np.abs(got - oracles.quadrature_averaged_profiles(n, horizon))) <= 2e-13
+
+
 def seam_horizons(n):
     """Horizons that put the pair with the smallest nonzero same-branch gap
     just below and just above |x| T = 1, where the kernel switches from the
