@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dihedral
 from .dihedral import (
     blocks,
     check_odd_order,
@@ -177,7 +176,8 @@ def probability_matrix(n, t) -> np.ndarray:
 
 
 def real_phase_average(x, T):
-    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0."""
+    """(1/T) integral_0^T cos(x t) dt = sin(x T) / (x T), exactly 1 at x = 0;
+    x and T broadcast, so the resonant pairs take every horizon at once."""
     return np.sinc(x * (T / np.pi))
 
 
@@ -270,79 +270,26 @@ def folded_gap_blocks(n):
         yield r, gaps
 
 
-def small_gap_pairs(n, Ts, width):
-    """For each block of `folded_gap_blocks`, each horizon T of Ts and each
-    branch, in that order, the pairs whose gap x as that generator computes
-    it has -1/T < x < 1/T: a tuple of (where, value) pieces, where = i *
-    width + mu' for the pair's row i within its block, and value = w w' / 2
-    sin(xT) / (xT).
-
-    Both branches of `gap_tables`' spectrum decrease in mu, so along a row
-    both gaps increase in mu'.  One searchsorted per branch, over every
-    horizon and row at once, finds the mu' whose eigenvalue lies within 1/T
-    of lambda+_mu.  Widened by one entry on each side, that range holds
-    every pair the computed gap admits, as rounding moves a gap far less
-    than the spectrum's least spacing (4/3) sin^2(pi / n) > 5 / n^2.  Each
-    row's range is one group; the groups form one stream in the kernel's
-    order (block, horizon, branch, row in block), cut into runs of at most
-    BLOCK / 16 candidates or of one row, at most (n + 1) / 2, so memory is
-    O(len(Ts) n + BLOCK).  A run filters its candidates by a full-grid
-    mask's gap and bound, bit for bit.
-    """
-    hankel, toeplitz, spectrum, w = gap_tables(n)
-    plus, minus = spectrum
-    size, horizons = len(w), len(Ts)
-    height = next(blocks(size, size)).stop
-    Ts = np.asarray(Ts, dtype=float)
-    bound = 1.0 / Ts
-    # per group, its first candidate mu' and its count: the mu' whose
-    # -lambda_mu' lies within 1/T of -lambda+_mu, and one more on each side.
-    # The last block is padded to full height with rows that keep none
-    rows = np.minimum(np.arange(-(-size // height) * height), size - 1).reshape(-1, 1, height)
-    query = np.multiply.outer([-1.0, 1.0], bound)[:, None, :, None] - plus[rows]
-    first, count = table = np.empty((2, len(rows), horizons, 2, height), dtype=np.intp)
-    for branch, key in enumerate(-spectrum):
-        table[:, :, :, branch] = key.searchsorted(query)
-    del query
-    np.minimum(count + 1, size, out=count)
-    count -= np.maximum(first - 1, 0, out=first)
-    count[-1, :, :, size - (len(rows) - 1) * height :] = 0
-    table = table.reshape(2, -1)
-    ahead = np.concatenate(([0], table[1].cumsum()))
-    cap, pair, pending, stop = dihedral.BLOCK // 16, 2 * height, [], 0
-    while stop < table.shape[1]:
-        # the run: groups start .. stop - 1 in its (block, horizon) pairs low ..
-        # high - 1, branch 0's groups first, the groups outside the run emptied
-        start, stop = stop, max(stop + 1, int(ahead.searchsorted(ahead[stop] + cap, side="right")) - 1)
-        low, high = start // pair, -(-stop // pair)
-        span = table[:, low * pair : high * pair].copy()
-        span[1, : start - low * pair] = span[1, stop - low * pair :] = 0
-        first, sizes = span.reshape(2, -1, 2, height).swapaxes(1, 2).reshape(2, -1)
-        edges = np.concatenate(([0], sizes.cumsum()))
-        col = (first - edges[:-1]).repeat(sizes)
-        col += np.arange(len(col))
-        pairs = np.arange(low, high)
-        row = np.concatenate((rows[pairs // horizons],) * 2, axis=None).repeat(sizes)
-        cut, gap = edges[len(sizes) // 2], np.empty(len(col))
-        np.multiply(hankel[row[:cut], col[:cut]], toeplitz[row[:cut], col[:cut]], out=gap[:cut])
-        np.subtract(plus[row[cut:]], minus[col[cut:]], out=gap[cut:])
-        # |gap| < 1/T, one bound per (branch, pair) unit; kept pairs before each unit
-        units, horizon = edges[::height], np.concatenate((pairs, pairs)) % horizons
-        np.abs(gap, out=gap)
-        taken = (gap < bound[horizon].repeat(units[1:] - units[:-1])).nonzero()[0]
-        units = taken.searchsorted(units)
-        gap, row, col = gap[taken], row[taken], col[taken]
-        value = 0.5 * w[row] * w[col]
-        value *= real_phase_average(gap, Ts[horizon].repeat(units[1:] - units[:-1]))
-        where = row % height * width + col
-        units = units.tolist()
-        # each unit in the kernel's order, done in the run that holds its last row
-        for unit in range(start // height, (stop - 1) // height + 1):
-            k = unit % 2 * (high - low) + unit // 2 - low
-            pending.append((where[units[k] : units[k + 1]], value[units[k] : units[k + 1]]))
-            if (unit + 1) * height <= stop:
-                yield tuple(pending)
-                pending = []
+@functools.lru_cache(maxsize=32)
+def resonant_pairs(n):
+    """The folded cross-branch pairs whose gap x = lambda+_mu - lambda-_mu',
+    as `folded_gap_blocks` computes it, has |x| < 1/n^2: (rows, cols, gaps)
+    in row order, built once per n and read-only.  lambda- decreases in mu',
+    so one searchsorted puts lambda+_mu between lambda-_(j-1) and lambda-_j,
+    the only candidates: the spectrum's spacing (4/3) sin^2(pi / n) exceeds
+    5 / n^2.  At most 2 rows per odd n <= 4001 hold one."""
+    *_, (plus, minus), _ = gap_tables(n)
+    size = len(plus)
+    rows = np.arange(size).repeat(2)
+    cols = ((-minus).searchsorted(-plus)[:, None] + [-1, 0]).ravel()
+    inside = (cols >= 0) & (cols < size)
+    rows, cols = rows[inside], cols[inside]
+    gaps = plus[rows] - minus[cols]
+    near = np.abs(gaps) < 1.0 / n**2
+    table = rows[near], cols[near], gaps[near]
+    for part in table:
+        part.flags.writeable = False
+    return table
 
 
 def averaged_profiles(n, Ts) -> np.ndarray:
@@ -369,11 +316,13 @@ def averaged_kernel(n, Ts) -> np.ndarray:
 
     Each block of rows takes its gaps x from `folded_gap_blocks`.  Per
     horizon, sin(xT) w w' / (2T) is a rank-2 product of `mode_phases`
-    factors divided by x; the pairs with |x| T < 1 take w w' / 2
-    sin(xT) / (xT) directly, as that quotient cancels.  `small_gap_pairs`
-    finds those pairs and their values for the whole batch from the sorted
-    spectrum, as one stream in the kernel's order; a block writes them over
-    its quotients.
+    factors divided by x.  That quotient holds to rounding wherever x is not
+    tiny: a nonzero same-branch gap exceeds 5 / n^2.  So only two kinds of
+    pair take their value directly: the same-branch diagonal, x = 0, whose
+    value is w^2 / 2 at every T, and the at most 2 rows of `resonant_pairs`,
+    which take w w' / 2 sin(xT) / (xT) for the whole batch at once.  Both
+    are split by block before the sweep; a block writes them over its
+    quotients.
     The kernel block is written into a zero-padded buffer whose rows,
     re-cut one entry shorter or longer, put each anti-diagonal or diagonal
     in one column: a column sum bins the block at mu + mu' or at mu' - mu,
@@ -393,23 +342,34 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     flat = np.zeros(height * (width + 1))
     kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]
     lead = flat[height - 1 :]
-    small = small_gap_pairs(n, Ts, width)
-    # the quotients at gap 0 are overwritten by the small pairs' values
+    # per block, the positions in `lead` and the values of its diagonal,
+    # w^2 / 2, and of its resonant pairs, (len(Ts), pairs)
+    mu, w = np.arange(size), gap_tables(n)[3]
+    i, j, x = resonant_pairs(n)
+    values = (0.5 * w[i] * w[j]) * real_phase_average(x, np.asarray(Ts, dtype=float)[:, None])
+    diagonal, square, where = mu % height * width + mu, 0.5 * w * w, i % height * width + j
+    starts = range(0, size, height)
+    cuts = i.searchsorted(starts).tolist() + [len(i)]
+    pieces = (
+        ((diagonal[s : s + height], square[s : s + height]), where[a:b], values[:, a:b])
+        for s, a, b in zip(starts, cuts, cuts[1:])
+    )
+    # the quotients at gap 0 and at the resonant gaps are overwritten
     with np.errstate(divide="ignore", invalid="ignore"):
         for r, gaps in folded_gap_blocks(n):
             rows, last = r.stop - r.start, r.stop - 1
+            same, at_resonant, resonant = next(pieces)
             # only the last block can be shorter; it uses the first rows
             kernel = kernel[:rows]
             # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
             # one entry longer, mu' - mu = k - last
             sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
             diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
-            for a, b, pair in zip(*factors, binned):
-                for out, gap, a_rows in zip(pair, gaps, a[:, :, r]):
+            for a, b, pair, value in zip(*factors, binned, resonant):
+                for out, gap, a_rows, (at, exact) in zip(pair, gaps, a[:, :, r], (same, (at_resonant, value))):
                     np.matmul(a_rows.T, b, out=kernel)
                     np.divide(kernel, gap, out=kernel)
-                    for where, value in next(small):
-                        lead[where] = value
+                    lead[at] = exact
                     out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
                     by_diff = diffs.sum(axis=0)
                     out[: size - r.start] += by_diff[last:]

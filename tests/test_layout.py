@@ -20,8 +20,8 @@ two batch forms call it.
 The averaged kernel's O(n^2) block loop and the generator's call no np.sin,
 np.cos, np.exp or np.sinc: their phases are per mode.  Nor do they reference
 np.bincount: the kernel bins by column sums over diagonal views.  Nor does
-the kernel's loop compare or mask: its small-gap pairs are found once per
-batch from the sorted spectrum, so it references no np.less, np.greater,
+the kernel's loop compare or mask: its diagonal and its resonant pairs, found
+once per n from the sorted spectra, come split by block, so it references no np.less, np.greater,
 np.logical_and, np.flatnonzero or np.nonzero and has no < or > operator.  The block XOR that
 maps a vertex pair to its cell and a cell back to a vertex is written only
 in `dihedral`, and the sampler builds its inverse CDF only in its one
@@ -217,8 +217,9 @@ def test_profile_expanded_only_by_the_circulant_view():
 
 
 # transcendental calls the averaged kernel's O(n^2) block loop must not make:
-# its phases are per mode, and only `real_phase_average` on the small-phase
-# pairs evaluates a kernel directly; the loop that yields its gaps makes none
+# its phases are per mode, and only `real_phase_average` on the resonant
+# pairs, once per batch before the loop, evaluates a kernel directly; the
+# loop that yields its gaps makes none
 LOOP_BANNED = ("sin", "cos", "exp", "sinc")
 
 # the O(n^2) loops those rules cover, and the generators they run over
@@ -299,8 +300,9 @@ def test_averaged_kernel_block_loop_has_no_scatter():
         assert [ref for ref in numpy_references(loop) if ref[1] == "bincount"] == []
 
 
-# what the kernel's block loop must not reference: its small-gap pairs come
-# precomputed, with their positions, from one search per batch
+# what the kernel's block loop must not reference: its diagonal and its
+# resonant pairs, from one search per n, come split by block with their
+# positions and values before the loop
 LOOP_MASKS = ("less", "greater", "logical_and", "flatnonzero", "nonzero")
 
 

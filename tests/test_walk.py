@@ -463,8 +463,8 @@ def test_averaged_profiles_match_quadrature_at_large_n(n, horizon):
 
 def seam_horizons(n):
     """Horizons that put the pair with the smallest nonzero same-branch gap
-    just below and just above |x| T = 1, where the kernel switches from the
-    direct path to angle addition, while most pairs stay above it."""
+    just below and just above |x| T = 1, while most pairs stay above it; the
+    kernel takes that pair as a quotient on both sides."""
     lam = spectra.eigenvalues(n, spectra.PLUS)[: (n + 1) // 2]
     gaps = np.abs(lam[:, None] - lam)
     gap = gaps[gaps > 0].min()
@@ -493,78 +493,49 @@ def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch):
     assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, horizons))) <= 1e-15
 
 
-def mask_pairs(n, horizons, width):
-    """The small pairs the way a full-grid mask takes them: per block of
-    `folded_gap_blocks`, horizon and branch, (where, value) of the pairs
-    with -1/T < gap < 1/T in row-major order, where = i * width + mu' and
-    value = w w' / 2 sin(gap T) / (gap T)."""
-    _, w = spectra.folded_modes(n)
-    for r, gaps in walk.folded_gap_blocks(n):
-        for horizon in horizons:
-            for gap in gaps:
-                i, j = np.nonzero((gap < 1.0 / horizon) & (gap > -1.0 / horizon))
-                value = 0.5 * w[r][i] * w[j] * walk.real_phase_average(np.abs(gap[i, j]), horizon)
-                yield i * width + j, value
+@pytest.mark.parametrize("block", [None, 200])
+@pytest.mark.parametrize("n", [3, 5, 37, 907, 1075, 2291, 4001])
+def test_resonant_pairs_match_full_grid_mask(n, block, monkeypatch):
+    # the pairs found from the sorted spectra are a full-grid mask's
+    # |gap| < 1/n^2 over the cross-branch gaps of `folded_gap_blocks`, pair
+    # for pair and bit for bit, also when BLOCK = 200 cuts the grid into
+    # blocks of at most 10 rows
+    if block is not None:
+        monkeypatch.setattr(dihedral, "BLOCK", block)
+    rows, cols, gaps = [], [], []
+    for r, (_, cross) in walk.folded_gap_blocks(n):
+        i, j = np.nonzero(np.abs(cross) < 1.0 / n**2)
+        rows.append(i + r.start)
+        cols.append(j)
+        gaps.append(cross[i, j])
+    for got, expected in zip(walk.resonant_pairs(n), (rows, cols, gaps)):
+        assert np.array_equal(got, np.concatenate(expected))
 
 
-def boundary_horizons(n, bases=(0.3, 40.0)):
-    """For each branch and base horizon T0, the gap g whose |g| lies nearest
-    1/T0: the largest horizon T at which -1/T < g < 1/T holds, and its two
-    float neighbours, so that g is small at the first two and not at the
-    last."""
-    grids = [[], []]
-    for _, gaps in walk.folded_gap_blocks(n):
-        for grid, gap in zip(grids, gaps):
-            grid.append(np.abs(gap[gap != 0]))
-    horizons = []
-    for grid in grids:
-        grid = np.concatenate(grid)
-        for base in bases:
-            gap = grid[np.argmin(np.abs(grid - 1.0 / base))]
-            edge = 1.0 / gap
-            while not gap < 1.0 / edge:
-                edge = np.nextafter(edge, 0.0)
-            while gap < 1.0 / np.nextafter(edge, np.inf):
-                edge = np.nextafter(edge, np.inf)
-            triple = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
-            small = [np.count_nonzero(grid < 1.0 / horizon) for horizon in triple]
-            assert small[0] >= small[1] > small[2]
-            horizons += triple
-    return horizons
+def test_resonant_pairs_are_few_and_read_only():
+    # every odd n <= 4001 has at most 2 resonant rows, one pair each (265 n
+    # have one and 19 have two, from n = 35 on); n = 37 has one and n = 1075
+    # two.  The cached table cannot be written
+    counts = [len(walk.resonant_pairs(n)[0]) for n in range(3, 4002, 2)]
+    assert max(counts) <= 2
+    rows, cols, gaps = walk.resonant_pairs(37)
+    assert rows.tolist() == [10] and cols.tolist() == [3] and gaps[0] == pytest.approx(-2.13e-5, rel=1e-3)
+    assert len(walk.resonant_pairs(1075)[0]) == 2
+    assert walk.resonant_pairs(37)[0] is rows
+    for part in (rows, cols, gaps):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0
 
 
-def assert_small_pairs_match_mask(n, horizons):
-    size = (n + 1) // 2
-    width = size + 2 * next(dihedral.blocks(size, size)).stop - 1
-    taken = walk.small_gap_pairs(n, horizons, width)
-    for where, value in mask_pairs(n, horizons, width):
-        pieces = next(taken)
-        got = np.concatenate([piece[0] for piece in pieces])
-        order = np.argsort(got)
-        assert np.array_equal(got[order], where)
-        assert np.array_equal(np.concatenate([piece[1] for piece in pieces])[order], value)
-    assert next(taken, None) is None
-
-
-@pytest.mark.parametrize("n", [3, 5, 7, 21, 101, 249, 251, 1009, 4001])
-def test_small_gap_pairs_match_full_grid_mask(n):
-    # the pairs found from the sorted spectrum are the full-grid mask's, pair
-    # for pair and bit for bit, on both branches: from horizons where every
-    # pair is small to ones where only the diagonal is, and at horizons that
-    # put one gap on the edge of -1/T < gap < 1/T and just either side
-    horizons = [0.05, 0.5, 1.0, 3.7, 364.8, 1e3, 1e6, 1e12] + boundary_horizons(n)
-    if n == 4001:
-        horizons = [0.05, 364.8, 1e12] + boundary_horizons(n, (40.0,))
-    assert_small_pairs_match_mask(n, horizons)
-
-
-@pytest.mark.parametrize("n", [21, 61, 101])
-def test_small_gap_pairs_match_mask_in_short_runs(n, monkeypatch):
-    # BLOCK 200 expands at most 12 candidates at a time: runs end inside a
-    # block, between the horizons of one block, and inside one unit's rows;
-    # at n = 61 the 31 rows form blocks of 6, so the last block is padded
-    monkeypatch.setattr(dihedral, "BLOCK", 200)
-    assert_small_pairs_match_mask(n, [0.05, 1.0, 3.7, 40.0, 1e12] + boundary_horizons(n))
+def test_kernel_matches_direct_kernel_at_every_small_odd_n():
+    # the quotient holds off the diagonal and the resonant pairs, at every
+    # odd n <= 301 (19 of them resonant, from n = 35) and across the horizons
+    # where all, some or none of the pairs have |x| T < 1
+    horizons = [0.05, 0.5, 7.0, 1e4, 1e12]
+    for n in range(3, 302, 2):
+        got = walk.averaged_kernel(n, horizons)
+        assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, horizons))) <= 1e-15, n
 
 
 def test_averaged_profiles_edge_grids(monkeypatch):
@@ -787,7 +758,7 @@ def test_probability_times_must_be_finite():
 def test_nan_residue_trips_imaginary_guard(monkeypatch):
     # averaged_matrix assembles a real profile, so its guard is the profile
     # sum; a NaN kernel must trip it, on the angle-addition path through the
-    # per-mode phases as well as on the direct small-phase path
+    # per-mode phases as well as on the resonant pairs' direct path
     def nan_phases(n, Ts):
         size = (n + 1) // 2
         return np.full((len(Ts), 2, 2, size), np.nan), np.full((len(Ts), 2, size), np.nan)
@@ -796,9 +767,12 @@ def test_nan_residue_trips_imaginary_guard(monkeypatch):
         patch.setattr(walk, "mode_phases", nan_phases)
         with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
             walk.averaged_matrix(5, 10.0)
-    monkeypatch.setattr(walk, "real_phase_average", lambda x, T: np.full(np.shape(x), np.nan))
+    # n = 5 has no resonant pair; n = 37 has one
+    monkeypatch.setattr(
+        walk, "real_phase_average", lambda x, T: np.full(np.broadcast_shapes(np.shape(x), np.shape(T)), np.nan)
+    )
     with pytest.raises(RuntimeError, match="profile sum drifted nan away from 1"):
-        walk.averaged_matrix(5, 10.0)
+        walk.averaged_matrix(37, 10.0)
     monkeypatch.setattr(oracles, "phase_average", lambda x, T: np.full(np.shape(x), np.nan + 1j * np.nan))
     with pytest.raises(RuntimeError, match="imaginary residue"):
         oracles.averaged_entry(5, 0, 1, 10.0)
@@ -919,12 +893,11 @@ def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
     # float arrays) and the zero-padded `flat` the kernel is written into,
     # 0.75 MiB on the 1001-cycle, 0.64 MiB on the 1323-cycle that holds
     # T = 300's light cone and 0.50 MiB on the 4001-cycle.  Just past the
-    # 1323-cycle's reach the 4001-cycle takes its smallest T, where the most
-    # pairs are small (35 649); their candidates come from one stream of row
-    # groups, expanded in runs of at most BLOCK / 16.  In fresh processes
-    # the peaks measured 2.12, 2.30, 2.17 and 2.38 MiB; two more 0.5 MiB
-    # blocks, such as a separate matmul product and its quotient, break the
-    # 3 MiB bound
+    # 1323-cycle's reach the 4001-cycle takes its smallest T; only the
+    # diagonal and the per-n resonant pairs take values off the quotient,
+    # whatever T.  In fresh processes the peaks measured 2.03, 2.17, 2.02
+    # and 2.17 MiB; two more 0.5 MiB blocks, such as a separate matmul
+    # product and its quotient, break the 3 MiB bound
     tracemalloc.start()
     try:
         avg = walk.averaged_matrix(n, horizon)
@@ -936,10 +909,10 @@ def test_averaged_matrix_budget_horizon_in_small_memory(n, horizon):
 
 
 def test_averaged_kernel_with_every_pair_small_in_small_memory():
-    # at T = 0.5 on the 4001-cycle all 8 million pairs of both branches are
-    # small; the stream of row groups is cut into runs of two rows, 4002
-    # candidates, so the peak stays near one block of kernel values and
-    # positions (3.3 MiB measured, 6.4 MiB for a per-block mask)
+    # at T = 0.5 on the 4001-cycle all 8 million pairs of both branches have
+    # |x| T < 1, and still only the diagonal and the resonant pairs take
+    # values off the quotient, so the peak is the budget horizon's (2.17 MiB
+    # measured, 6.4 MiB for a per-block mask)
     tracemalloc.start()
     try:
         profile = walk.averaged_kernel(4001, [0.5])
