@@ -68,6 +68,10 @@ CASES = {
         "figure-1b", "--n", "4001", "--to", "3", "--T-max", "1e4", "--t-max", "30", "--points", "9",
     ],
     "bounds-2001": ["bounds", "--n", "2001"],
+    # the benchmark's CLI sampler run: 256 runs of 780 pairs at small n
+    "sample-21": [
+        "sample", "--n", "21", "--T", "1e3", "--T-prime", "10", "--trials", "20000", "--seed", "5", "--format", "json",
+    ],
     "sample-1009": [
         "sample", "--n", "1009", "--T", "100", "--T-prime", "4", "--trials", "200", "--seed", "3", "--format", "json",
     ],
