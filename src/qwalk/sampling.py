@@ -63,11 +63,11 @@ def _measured_step(n, horizon, draws) -> np.ndarray:
     times the last CDF entry can round up to it.  P_t is invariant under the
     translations of Z_n x Z_2, so the cell does not depend on where the
     walker stands.  Every measurement goes through here."""
-    cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).reshape(-1, 2 * n), axis=1)
-    drifted = ~(np.abs(cdf[:, -1] - 1.0) <= ROW_SUM_TOL)
+    cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).transpose(1, 2, 0).reshape(2 * n, -1), axis=0)
+    drifted = ~(np.abs(cdf[-1] - 1.0) <= ROW_SUM_TOL)
     if drifted.any():
-        raise RuntimeError(f"a probability profile sums to {cdf[drifted, -1][0]}, drifted away from 1")
-    drawn = np.minimum((cdf <= (draws[:, 1] * cdf[:, -1])[:, None]).sum(axis=1), 2 * n - 1)
+        raise RuntimeError(f"a probability profile sums to {cdf[-1, drifted][0]}, drifted away from 1")
+    drawn = np.minimum((cdf <= draws[:, 1] * cdf[-1]).sum(axis=0), 2 * n - 1)
     return np.stack(np.divmod(drawn, n), axis=1)
 
 

@@ -137,14 +137,15 @@ def probability_profiles(n, times) -> np.ndarray:
     check_odd_order(n)
 
     def transform(m, ts):
-        """The coin times |a|^2 on the m-cycle; shape (len(ts), 2, m)."""
-        # the folded half of one length-m buffer, mirrored into the rest;
-        # u and w = 1 + u^2 go before the transform, the buffer before |a|,
-        # so at most two phase-sized complex arrays are alive at once
+        """The coin times |a|^2 on the m-cycle; shape (len(ts), 2, m), a
+        view of a C-contiguous (2, m, len(ts)) buffer."""
+        # times innermost; the folded half of one length-m buffer, mirrored
+        # into the rest; u and w = 1 + u^2 go before the transform, the buffer
+        # before |a|, so at most two phase-sized complex arrays are alive at once
         h = m // 2
-        phases = np.empty((len(ts), m), dtype=complex)
-        cos, sin = phases.real[:, : h + 1], phases.imag[:, : h + 1]
-        u = np.multiply.outer(ts, 0.5 * cycle_rates(m))
+        phases = np.empty((m, len(ts)), dtype=complex)
+        cos, sin = phases.real[: h + 1], phases.imag[: h + 1]
+        u = np.multiply.outer(0.5 * cycle_rates(m), ts)
         np.tan(u, out=u)
         w = np.square(u)
         np.subtract(1.0, w, out=cos)
@@ -152,14 +153,16 @@ def probability_profiles(n, times) -> np.ndarray:
         cos /= w
         u *= 2.0
         np.divide(u, w, out=sin)
-        coin = 0.5 + np.multiply.outer(cos[:, 0], [0.5, -0.5])
+        coin = 0.5 + np.multiply.outer([0.5, -0.5], cos[0])
         del u, w, cos, sin
-        phases[:, h + 1 :] = phases[:, h:0:-1]
-        cycle = np.fft.ifft(phases, axis=1)
+        phases[h + 1 :] = phases[h:0:-1]
+        cycle = np.fft.ifft(phases, axis=0)
         del phases
         cycle = np.abs(cycle)
         np.square(cycle, out=cycle)
-        return coin[:, :, None] * cycle[:, None, :]
+        out = np.empty((2, m, len(ts)))  # not the ifft's own layout
+        np.multiply(coin[:, None, :], cycle, out=out)
+        return out.transpose(2, 0, 1)
 
     return light_cone(int(n), times, transform)
 

@@ -193,6 +193,20 @@ def test_measured_step_holds_one_phase_buffer(n):
     assert peak <= 2 * 16 * k * n + 8 * k * (n // 2 + 1) + 32 * k
 
 
+@pytest.mark.parametrize("n", [7, 21, 101, 1001])
+def test_measured_step_is_its_per_draw_inverse_cdf(n):
+    # each draw's own 2n-cell profile summed in (flip, offset) order, counted
+    # against u times its total and clamped: the batch's CDF adds the same
+    # numbers in the same order whatever its layout (at n = 1001 some times
+    # run on short cycles)
+    draws = np.random.default_rng(n + 1).random((dihedral.BLOCK // (4 * n), 2))
+    drawn = []
+    for t, u in draws:
+        cdf = np.cumsum(walk.probability_profiles(n, [1e3 * t])[0].ravel())
+        drawn.append(min(int((cdf <= u * cdf[-1]).sum()), 2 * n - 1))
+    assert np.array_equal(sampling._measured_step(n, 1e3, draws), np.stack(np.divmod(drawn, n), axis=1))
+
+
 def test_long_walk_in_small_memory(monkeypatch):
     """A walk's draws are read in runs too, so its memory does not grow
     with steps: 5 * 10^4 steps drew 800 kB at once when a trial's segment

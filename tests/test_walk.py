@@ -304,6 +304,16 @@ def test_batch_across_the_light_cone_is_its_single_calls(n, cycle_lengths):
     assert n in cycle_lengths and walk.SHORT_CYCLES[0] in cycle_lengths
 
 
+@pytest.mark.parametrize("n", [7, 21, 101])
+def test_batch_below_the_light_cone_is_its_single_calls(n):
+    # a sampler run's batch at n < 250, where every time runs on n: each
+    # time is one column of the time-minor buffers, however many share it
+    times = np.random.default_rng(n).uniform(0.0, 1e3, dihedral.BLOCK // (4 * n))
+    batched = walk.probability_profiles(n, times)
+    assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [t])[0] for t in times]))
+    assert np.abs(batched - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
+
+
 def usable_reach(n):
     """The short cycles that fit in n and the reach of each."""
     usable = walk.SHORT_CYCLES[walk.SHORT_CYCLES <= n / 2]
