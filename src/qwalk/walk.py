@@ -109,7 +109,9 @@ def cycle_rates(n):
 
 
 def probability_profiles(n, times) -> np.ndarray:
-    """P_t profiles for many times at once; shape (len(times), 2, n).
+    """P_t profiles for many times at once; shape (len(times), 2, n): when
+    every time runs on n, a view of a time-minor (2, n, len(times)) buffer,
+    so each elementwise pass runs along the batch.
 
     The graph is the prism C_n x K_2, so the branch eigenvalues are
     (2 cos(2 pi m / n) +- 1) / 3 and the walk factorises into an n-cycle
@@ -137,8 +139,7 @@ def probability_profiles(n, times) -> np.ndarray:
     check_odd_order(n)
 
     def transform(m, ts):
-        """The coin times |a|^2 on the m-cycle; shape (len(ts), 2, m), a
-        view of a C-contiguous (2, m, len(ts)) buffer."""
+        """The coin times |a|^2 on the m-cycle, time-minor as above."""
         # times innermost; the folded half of one length-m buffer, mirrored
         # into the rest; u and w = 1 + u^2 go before the transform, the buffer
         # before |a|, so at most two phase-sized complex arrays are alive at once
@@ -160,7 +161,7 @@ def probability_profiles(n, times) -> np.ndarray:
         del phases
         cycle = np.abs(cycle)
         np.square(cycle, out=cycle)
-        out = np.empty((2, m, len(ts)))  # not the ifft's own layout
+        out = np.empty((2, m, len(ts)))  # C order whatever the ifft's layout
         np.multiply(coin[:, None, :], cycle, out=out)
         return out.transpose(2, 0, 1)
 

@@ -172,18 +172,21 @@ def test_batched_check_in_small_memory():
 @pytest.mark.parametrize("n", [7, 1001])
 def test_measured_step_holds_one_phase_buffer(n):
     """One run of k = BLOCK / (4n) measurements peaks no higher than the
-    inverse DFT's input and output, two (k, n) complex arrays, plus one
-    (k, (n + 1) / 2) float array and four doubles per measurement for the
+    inverse DFT's input and output, two (n, k) complex arrays, plus one
+    ((n + 1) / 2, k) float array and four doubles per measurement for the
     step's short vectors (times, light-cone picks, coin).  The phases are
-    built in the DFT's input buffer from two (k, (n + 1) / 2) float arrays,
-    u = tan(x / 2) and 1 + u^2, and both are freed before the transform.
+    built time-minor in the DFT's input buffer from two ((n + 1) / 2, k)
+    float arrays, u = tan(x / 2) and 1 + u^2, and both are freed before
+    the transform; the step reads the time-minor profile back as a (2n, k)
+    array without a copy and frees it as soon as its CDF is built.
     Measured: 604 kB at n = 7 against a bound of 674 kB, and 516 kB at
-    n = 1001 against 577 kB.  Over the bound: the exp form, which also held
-    the folded complex phases (754 and 644 kB), and a build that keeps one
+    n = 1001 against 577 kB.  Over the bound: the exp form, which also
+    held the folded complex phases (754 and 644 kB), a build that keeps one
     float array (679 and 580 kB) or both (754 and 644 kB) through the
-    transform.  The times at n = 1001 lie outside every usable short
-    cycle's reach, so `light_cone` runs them all on n and allocates no
-    stack of its own."""
+    transform; a step that holds the profile while it builds the CDF is
+    over at n = 1001 (612 kB; 636 kB at n = 7).  The times at n = 1001 lie
+    outside every usable short cycle's reach, so `light_cone` runs them all
+    on n and allocates no stack of its own."""
     k = dihedral.BLOCK // (4 * n)
     draws = np.random.default_rng(n).random((k, 2))
     draws[:, 0] = 0.5 + draws[:, 0] / 2
