@@ -72,6 +72,10 @@ CASES = {
     "sample-21": [
         "sample", "--n", "21", "--T", "1e3", "--T-prime", "10", "--trials", "20000", "--seed", "5", "--format", "json",
     ],
+    # runs of 162 pairs, each summed by np.cumsum, and every time on n
+    "sample-101": [
+        "sample", "--n", "101", "--T", "1e3", "--T-prime", "8", "--trials", "4000", "--seed", "2", "--format", "json",
+    ],
     "sample-1009": [
         "sample", "--n", "1009", "--T", "100", "--T-prime", "4", "--trials", "200", "--seed", "3", "--format", "json",
     ],
