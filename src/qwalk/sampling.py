@@ -15,7 +15,7 @@ import numpy as np
 
 from .classical import check_step_count, half_uniform_distances
 from .dihedral import blocks, cell_vertex, check_odd_order, check_vertex
-from .walk import ROW_SUM_TOL, check_horizon, probability_profiles
+from .walk import ROW_SUM_TOL, check_horizon, probability_factors
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,28 @@ def trial_rng(seed, trial, steps) -> np.random.Generator:
 
 def _measured_step(n, horizon, draws) -> np.ndarray:
     """The (flip, offset) cells of len(draws) measurements: measurement k
-    runs for time horizon draws[k, 0], and draws[k, 1] picks a cell of its
-    P_t profile by inverse CDF in cell order, clamped to 2n - 1 as a uniform
-    times the last CDF entry can round up to it.  P_t is invariant under the
-    translations of Z_n x Z_2, so the cell does not depend on where the
-    walker stands.  Every measurement goes through here."""
-    cdf = np.cumsum(probability_profiles(n, horizon * draws[:, 0]).transpose(1, 2, 0).reshape(2 * n, -1), axis=0)
-    drifted = ~(np.abs(cdf[-1] - 1.0) <= ROW_SUM_TOL)
+    runs for time horizon draws[k, 0], and u = draws[k, 1] picks a cell of
+    its P_t profile coin[flip] law[r] by inverse CDF in cell order: with S
+    the law's cumulative sum and total = S[n - 1] (c0 + c1), flip is
+    [c0 S[n - 1] <= u total] and offset counts the r with c_flip S[r] <=
+    u total - flip c0 S[n - 1], clamped to n - 1.  The cell does not depend
+    on where the walker stands (P_t is invariant under Z_n x Z_2), and every
+    measurement goes through here.  Runs of 256 draws or more sum S by rows."""
+    coin, law = probability_factors(n, horizon * draws[:, 0])
+    cumulative = law.T
+    if len(draws) >= 256:
+        for r in range(1, n):
+            cumulative[r] += cumulative[r - 1]
+    else:
+        cumulative = np.cumsum(cumulative, axis=0)
+    last, total = cumulative[-1] * coin[0], cumulative[-1] * (coin[0] + coin[1])
+    drifted = ~(np.abs(total - 1.0) <= ROW_SUM_TOL)
     if drifted.any():
-        raise RuntimeError(f"a probability profile sums to {cdf[-1, drifted][0]}, drifted away from 1")
-    drawn = np.minimum((cdf <= draws[:, 1] * cdf[-1]).sum(axis=0), 2 * n - 1)
-    return np.stack(np.divmod(drawn, n), axis=1)
+        raise RuntimeError(f"a probability profile sums to {total[drifted][0]}, drifted away from 1")
+    target = draws[:, 1] * total
+    flip = last <= target
+    cumulative *= np.where(flip, coin[1], coin[0])
+    return np.stack([flip, np.minimum((cumulative <= target - flip * last).sum(axis=0), n - 1)], axis=1)
 
 
 def _walk(config, rng, trials) -> np.ndarray:
@@ -79,12 +90,13 @@ def _walk(config, rng, trials) -> np.ndarray:
     The pairs are read as one flat stream, BLOCK doubles at a time, and
     measured in runs of about BLOCK / (4n) pairs that may cross from one
     walk into the next, so memory is O(n + BLOCK) for any steps and trials.
-    A full run's P_t arrays are then half the size of a full block of
-    draws: glibc's malloc sizes what it keeps by the largest block freed,
-    so it keeps their pages from run to run, where runs as large as the
-    draws were returned and faulted in again each time.  A walk ends at
-    its start moved by the sum of its cells, flips mod 2 and offsets mod n;
-    `carry` holds the sum of the walk a run leaves unfinished."""
+    A full run's phases and their transform are then half the size of a full
+    block of draws: glibc's malloc sizes what it keeps by the largest block
+    freed, so it keeps their pages from run to run, where runs as large as
+    the draws were returned and faulted in again each time.  Below n = 64 a
+    full run is wide, 256 pairs or more, for the step's row sums.  A walk
+    ends at its start moved by the sum of its cells, flips mod 2 and offsets
+    mod n; `carry` holds the sum of the walk a run leaves unfinished."""
     n, steps = config.n, config.steps
     counts = np.zeros(2 * n, dtype=np.int64)
     if not steps:
@@ -146,9 +158,8 @@ def empirical_check(config: SamplerConfig) -> SampleHistogram:
 
     One generator serves the run: trial k owns the 2 steps doubles from
     draw 2 steps k, a (time fraction, inverse-CDF uniform) pair per step.
-    The walker loop `_walk` reads them in order as one flat stream, in runs
-    of about BLOCK / (4n) pairs, so memory is O(n + BLOCK) for any steps
-    and trials, and the histogram does not depend on BLOCK.
+    The walker loop `_walk` reads them in order as one flat stream, in
+    O(n + BLOCK) memory, and the histogram does not depend on BLOCK.
     `measured_walk(config, trial)` runs the same loop on its own segment,
     on the same draws, so the batch reproduces it exactly for every trial.
     """

@@ -2,7 +2,7 @@
 
 Transition probabilities of the propagator e^{i A t / 3}, the
 finite-horizon time average and its exact limit.  The first two each have
-one batch form over times (`probability_profiles`, `averaged_profiles`)
+one batch form over times (`probability_batch`, `averaged_profiles`)
 that the single-time calls view; `light_cone` runs each of their times on
 the shortest cycle that holds its light cone.  The graph is the prism
 C_n x K_2, so the two eigenvalue families differ by exactly 2/3 mode by
@@ -65,9 +65,11 @@ SHORT_REACH = 1.5 / np.e * (SHORT_CYCLES // 2)
 SHORT_CYCLES.flags.writeable = SHORT_REACH.flags.writeable = False
 
 
-def light_cone(n, times, profiles) -> np.ndarray:
-    """`profiles(m, ts)`, a (len(ts), 2, m) stack on the m-cycle prism, run
-    once per time on the cycle its (n, t) picks; shape (len(times), 2, n).
+def light_cone(n, times, profiles):
+    """`profiles(m, ts)`, a (len(ts), ..., m) stack on the m-cycle prism, run
+    once per time on the cycle its (n, t) picks; shape (len(times), ..., n).
+    A pair (head, stack) whose head (..., len(ts)) does not depend on m,
+    such as P_t's coin, comes back as one pair, heads in time order.
 
     P_t's cycle amplitude is a_t(r) = sum_{k = r mod n} i^k J_k(z) with
     z = 2 |t| / 3, and |J_k(z)| <= (z / 2)^k / k! <= 2^-k for k >= e z
@@ -76,31 +78,39 @@ def light_cone(n, times, profiles) -> np.ndarray:
     and the rest are smaller; so does K_T, P_t's average over 0 <= t <= T,
     at K(T).  A time runs on the shortest length m of SHORT_CYCLES with
     2 K + 1 <= m <= n / 2, offsets 0..h written, mirrored and 0 beyond, or
-    else on n; a batch with no time in the cone is `profiles(n, times)`.
-    The choice depends on (n, t) alone, so a batch is its single calls bit
-    for bit; n < 250 never takes a short cycle.
+    else on n; a batch with no time in the cone is `profiles(n, times)`, and
+    so is every batch at n < 250, where no short cycle fits.  The choice
+    depends on (n, t) alone, so a batch is its single calls bit for bit.
     """
     # time k runs on SHORT_CYCLES[which[k]], or on n where which[k] == rungs
     rungs = SHORT_CYCLES.searchsorted(n // 2, side="right")
-    which = np.searchsorted(SHORT_REACH[:rungs], np.abs(times))
-    far = which == rungs
-    if far.all():
+    if not rungs:
         return profiles(n, times)
-    out = np.empty((len(times), 2, n))
-    if far.any():
-        out[far] = profiles(n, times[far])
-    for k in set(which[~far].tolist()):
-        rows, m = which == k, int(SHORT_CYCLES[k])
-        part, h = profiles(m, times[rows]), m // 2
-        out[rows, :, h + 1 : n - h] = 0.0
-        out[rows, :, : h + 1] = part[:, :, : h + 1]
-        out[rows, :, n - h :] = part[:, :, h:0:-1]
-    return out
+    which = np.searchsorted(SHORT_REACH[:rungs], np.abs(times))
+    if (which == rungs).all():
+        return profiles(n, times)
+    head = out = None
+    for k in set(which.tolist()):
+        rows, m = which == k, n if k == rungs else int(SHORT_CYCLES[k])
+        part = profiles(m, times[rows])
+        if isinstance(part, tuple):
+            top, part = part
+            head = np.empty((*top.shape[:-1], len(times))) if head is None else head
+            head[..., rows] = top
+        out = np.empty((len(times), *part.shape[1:-1], n)) if out is None else out
+        if m == n:
+            out[rows] = part
+            continue
+        h = m // 2
+        out[rows, ..., h + 1 : n - h] = 0.0
+        out[rows, ..., : h + 1] = part[..., : h + 1]
+        out[rows, ..., n - h :] = part[..., h:0:-1]
+    return out if head is None else (head, out)
 
 
 @functools.lru_cache(maxsize=32)
 def cycle_rates(n):
-    """The folded rates (2/3) cos(2 pi mu / n) of `probability_profiles`
+    """The folded rates (2/3) cos(2 pi mu / n) of `probability_batch`
     and `mode_phases`, built once per n and read-only."""
     mu, _ = folded_modes(n)
     rates = (2.0 / 3.0) * mode_cosines(n)[mu]
@@ -109,11 +119,24 @@ def cycle_rates(n):
 
 
 def probability_profiles(n, times) -> np.ndarray:
-    """P_t profiles for many times at once; shape (len(times), 2, n): when
-    every time runs on n, a view of a time-minor (2, n, len(times)) buffer,
-    so each elementwise pass runs along the batch.
+    """P_t profiles for many times at once, coin times law formed on each
+    time's cycle; shape (len(times), 2, n): when every time runs on n, a view
+    of a time-minor (2, n, len(times)) buffer, as `probability_batch` is."""
+    # the product in C order, whatever the ifft's layout
+    return probability_batch(n, times, lambda coin, law: np.multiply(coin[:, None], law, order="C").transpose(2, 0, 1))
 
-    The graph is the prism C_n x K_2, so the branch eigenvalues are
+
+def probability_factors(n, times) -> tuple[np.ndarray, np.ndarray]:
+    """P_t's factors for many times at once: the coin (2, len(times)) and the
+    cycle law (len(times), n), P_t(flip, r) = coin[flip] law[r]; when every
+    time runs on n, law.T is a time-minor buffer, read without a copy."""
+    return probability_batch(n, times, lambda coin, law: (coin, law.T))
+
+
+def probability_batch(n, times, finish):
+    """`finish(coin, law)` of the coin (2, k) and cycle law |a|^2 (m, k) on the
+    m-cycle each time runs on, placed by `light_cone`: time-minor, so each
+    elementwise pass runs along the batch.  The graph is the prism C_n x K_2, so the branch eigenvalues are
     (2 cos(2 pi m / n) +- 1) / 3 and the walk factorises into an n-cycle
     walk times a two-state coin.  With a = ifft(e^{2 i t cos(2 pi m / n) / 3})
     the same-block amplitude is cos(t / 3) a and the other-block one
@@ -122,9 +145,8 @@ def probability_profiles(n, times) -> np.ndarray:
     whose rates `cycle_rates` caches per n.  Each phase takes one tan, of
     the exactly halved angle: (1 - u^2 + 2iu) / (1 + u^2) with
     u = tan(x / 2), within 2.2e-16 of np.exp(1j x), finite as no double is
-    near enough an odd multiple of pi / 2 for u^2 to overflow.  numpy 2.x
-    has a SIMD float64 tan but computes complex exp in scalar libm.  The
-    coin is read from mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) =
+    near enough an odd multiple of pi / 2 for u^2 to overflow.  The coin is
+    read from mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) =
     (1 +- cos(2 t / 3)) / 2.
 
     Each time runs on the cycle `light_cone` picks; on n P_t is even only to
@@ -139,7 +161,6 @@ def probability_profiles(n, times) -> np.ndarray:
     check_odd_order(n)
 
     def transform(m, ts):
-        """The coin times |a|^2 on the m-cycle, time-minor as above."""
         # times innermost; the folded half of one length-m buffer, mirrored
         # into the rest; u and w = 1 + u^2 go before the transform, the buffer
         # before |a|, so at most two phase-sized complex arrays are alive at once
@@ -161,9 +182,7 @@ def probability_profiles(n, times) -> np.ndarray:
         del phases
         cycle = np.abs(cycle)
         np.square(cycle, out=cycle)
-        out = np.empty((2, m, len(ts)))  # C order whatever the ifft's layout
-        np.multiply(coin[:, None, :], cycle, out=out)
-        return out.transpose(2, 0, 1)
+        return finish(coin, cycle)
 
     return light_cone(int(n), times, transform)
 

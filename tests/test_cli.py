@@ -656,7 +656,9 @@ def test_error_exit_codes(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "/nonexistent/dir/x" in err
     # a numerical guard tripping inside a command is exit 1, with no output
-    monkeypatch.setattr(sampling, "probability_profiles", lambda n, ts: np.full((len(ts), 2, n), np.nan))
+    monkeypatch.setattr(
+        sampling, "probability_factors", lambda n, ts: (np.full((2, len(ts)), np.nan), np.full((len(ts), n), np.nan))
+    )
     code, out, err = run_cli(capsys, ["sample", "--n", "5", "--T", "10", "--T-prime", "1", "--trials", "3"])
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "drifted" in err

@@ -121,7 +121,7 @@ def test_no_private_name_read_across_modules():
 
 # the functions that may call np.fft: the shared cosine transform of every
 # real profile, and P_t, whose amplitudes are complex
-FFT_HOMES = {("dihedral", "cosine_profiles"), ("walk", "probability_profiles")}
+FFT_HOMES = {("dihedral", "cosine_profiles"), ("walk", "probability_batch")}
 
 
 def transform_and_shift_uses(tree):
@@ -378,7 +378,7 @@ def test_folded_gap_grids_built_once():
 # short-cycle ladder and its reach are read only by `light_cone`, and only
 # the two batch forms call it
 LADDER_NAMES = ("SHORT_CYCLES", "SHORT_REACH")
-LIGHT_CONE_CALLERS = {("walk", "probability_profiles"), ("walk", "averaged_profiles")}
+LIGHT_CONE_CALLERS = {("walk", "probability_batch"), ("walk", "averaged_profiles")}
 
 
 def name_reads(tree, names):

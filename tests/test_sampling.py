@@ -10,6 +10,7 @@ law of the measured walk.
 """
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,8 +42,10 @@ def test_config_validation():
 
 
 def test_nan_row_trips_row_sum_guard(monkeypatch):
-    # both paths draw from the P_t profile, so a NaN profile must trip them
-    monkeypatch.setattr(sampling, "probability_profiles", lambda n, ts: np.full((len(ts), 2, n), np.nan))
+    # both paths draw from P_t's factors, so NaN factors must trip them
+    monkeypatch.setattr(
+        sampling, "probability_factors", lambda n, ts: (np.full((2, len(ts)), np.nan), np.full((len(ts), n), np.nan))
+    )
     config = sampling.SamplerConfig(n=5, start_vertex=0, horizon=10.0, steps=2, trials=3, seed=0)
     with pytest.raises(RuntimeError, match="sums to"):
         sampling.measured_walk(config)
@@ -196,18 +199,50 @@ def test_measured_step_holds_one_phase_buffer(n):
     assert peak <= 2 * 16 * k * n + 8 * k * (n // 2 + 1) + 32 * k
 
 
-@pytest.mark.parametrize("n", [7, 21, 101, 1001])
+@pytest.mark.parametrize("n", [7, 21, 63, 65, 101, 1001])
 def test_measured_step_is_its_per_draw_inverse_cdf(n):
     # each draw's own 2n-cell profile summed in (flip, offset) order, counted
-    # against u times its total and clamped: the batch's CDF adds the same
-    # numbers in the same order whatever its layout (at n = 1001 some times
-    # run on short cycles)
+    # against u times its total and clamped.  The step never forms that
+    # profile: it scales the law's cumulative sum by the coin, so it adds
+    # other numbers, and its cells must still be these.  A full run at
+    # n = 63 sums the law row by row, at n = 65 by np.cumsum (at n = 1001
+    # some times run on short cycles)
     draws = np.random.default_rng(n + 1).random((dihedral.BLOCK // (4 * n), 2))
     drawn = []
     for t, u in draws:
         cdf = np.cumsum(walk.probability_profiles(n, [1e3 * t])[0].ravel())
         drawn.append(min(int((cdf <= u * cdf[-1]).sum()), 2 * n - 1))
     assert np.array_equal(sampling._measured_step(n, 1e3, draws), np.stack(np.divmod(drawn, n), axis=1))
+
+
+@pytest.mark.parametrize("n", [7, 21, 45])
+def test_wide_run_is_its_narrow_slices(n):
+    # a full run sums the law row by row, a slice of fewer than 256 draws by
+    # np.cumsum: the same additions in the same order, so the cells agree
+    # bit for bit, as `measured_walk` and `empirical_check` need when they
+    # cut the same draws into different runs
+    draws = np.random.default_rng(n + 2).random((dihedral.BLOCK // (4 * n), 2))
+    assert len(draws) >= 256
+    wide = sampling._measured_step(n, 1e3, draws)
+    narrow = [sampling._measured_step(n, 1e3, draws[i : i + 100]) for i in range(0, len(draws), 100)]
+    assert np.array_equal(wide, np.concatenate(narrow))
+
+
+@pytest.mark.parametrize("n", [7, 21])
+def test_measured_step_at_exact_zero_coin_weights(n):
+    # at t = 0 the other-block weight is 0, and at t = 3 pi / 2, where t / 3
+    # rounds to pi / 2 and tan gives 1.6e16, the same-block weight is 0: the
+    # draw must never land in the block of weight 0, for any u from 0 up to
+    # the largest double below 1, and must divide by neither weight
+    u = np.linspace(0.0, 1.0, 301)
+    u[-1] = np.nextafter(1.0, 0.0)
+    for horizon, flip in ((1.0, 0), (1.5 * np.pi, 1)):
+        draws = np.stack([np.full_like(u, flip), u], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (draws, draws[:10], draws[-10:]):
+                cells = sampling._measured_step(n, horizon, run)
+                assert (cells[:, 0] == flip).all() and ((0 <= cells[:, 1]) & (cells[:, 1] < n)).all()
 
 
 def test_long_walk_in_small_memory(monkeypatch):
