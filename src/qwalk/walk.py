@@ -94,9 +94,8 @@ def light_cone(n, times, profiles):
         rows, m = which == k, n if k == rungs else int(SHORT_CYCLES[k])
         part = profiles(m, times[rows])
         if isinstance(part, tuple):
-            top, part = part
-            head = np.empty((*top.shape[:-1], len(times))) if head is None else head
-            head[..., rows] = top
+            head = np.empty((*part[0].shape[:-1], len(times))) if head is None else head
+            head[..., rows], part = part
         out = np.empty((len(times), *part.shape[1:-1], n)) if out is None else out
         if m == n:
             out[rows] = part
@@ -121,8 +120,7 @@ def cycle_rates(n):
 def probability_profiles(n, times) -> np.ndarray:
     """P_t profiles for many times at once, coin times law formed on each
     time's cycle; shape (len(times), 2, n): when every time runs on n, a view
-    of a time-minor (2, n, len(times)) buffer, as `probability_batch` is."""
-    # the product in C order, whatever the ifft's layout
+    of a time-minor (2, n, len(times)) buffer, C order whatever the ifft's."""
     return probability_batch(n, times, lambda coin, law: np.multiply(coin[:, None], law, order="C").transpose(2, 0, 1))
 
 
@@ -134,9 +132,10 @@ def probability_factors(n, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def probability_batch(n, times, finish):
-    """`finish(coin, law)` of the coin (2, k) and cycle law |a|^2 (m, k) on the
-    m-cycle each time runs on, placed by `light_cone`: time-minor, so each
-    elementwise pass runs along the batch.  The graph is the prism C_n x K_2, so the branch eigenvalues are
+    """`finish(coin, law)` of the time-minor coin (2, k) and cycle law |a|^2
+    (m, k) on the m-cycle each time runs on, placed by `light_cone`.
+
+    The graph is the prism C_n x K_2, so the branch eigenvalues are
     (2 cos(2 pi m / n) +- 1) / 3 and the walk factorises into an n-cycle
     walk times a two-state coin.  With a = ifft(e^{2 i t cos(2 pi m / n) / 3})
     the same-block amplitude is cos(t / 3) a and the other-block one
@@ -145,8 +144,9 @@ def probability_batch(n, times, finish):
     whose rates `cycle_rates` caches per n.  Each phase takes one tan, of
     the exactly halved angle: (1 - u^2 + 2iu) / (1 + u^2) with
     u = tan(x / 2), within 2.2e-16 of np.exp(1j x), finite as no double is
-    near enough an odd multiple of pi / 2 for u^2 to overflow.  The coin is
-    read from mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) =
+    near enough an odd multiple of pi / 2 for u^2 to overflow.  numpy 2.x
+    has a SIMD float64 tan but computes complex exp in scalar libm.  The
+    coin is read from mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) =
     (1 +- cos(2 t / 3)) / 2.
 
     Each time runs on the cycle `light_cone` picks; on n P_t is even only to

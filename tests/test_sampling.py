@@ -180,10 +180,12 @@ def test_measured_step_holds_one_phase_buffer(n):
     step's short vectors (times, light-cone picks, coin).  The phases are
     built time-minor in the DFT's input buffer from two ((n + 1) / 2, k)
     float arrays, u = tan(x / 2) and 1 + u^2, and both are freed before
-    the transform; the step reads the time-minor profile back as a (2n, k)
-    array without a copy and frees it as soon as its CDF is built.
-    Measured: 604 kB at n = 7 against a bound of 674 kB, and 516 kB at
-    n = 1001 against 577 kB.  Over the bound: the exp form, which also
+    the transform.  The step takes the coin and the law |a|^2, an (n, k)
+    float array it reads through its transpose without a copy, never their
+    2n-cell product, and sums the law in place or into one copy.
+    Measured: 583 kB at n = 7 against a bound of 674 kB, and 516 kB at
+    n = 1001 against 577 kB; 604 and 515 kB when the step summed the
+    2n-cell profile.  Over the bound: the exp form, which also
     held the folded complex phases (754 and 644 kB), a build that keeps one
     float array (679 and 580 kB) or both (754 and 644 kB) through the
     transform; a step that holds the profile while it builds the CDF is

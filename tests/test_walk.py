@@ -301,6 +301,9 @@ def test_batch_across_the_light_cone_is_its_single_calls(n, cycle_lengths):
         inside = np.abs(times) <= top
         assert not odd[inside].any() and odd.max() <= 1e-15
         assert np.abs(batched - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
+        # the factors, placed by the same rule, multiply to the profiles
+        coin, law = walk.probability_factors(n, times)
+        assert np.array_equal(coin.T[:, :, None] * law[:, None, :], batched)
     assert n in cycle_lengths and walk.SHORT_CYCLES[0] in cycle_lengths
 
 
@@ -312,6 +315,8 @@ def test_batch_below_the_light_cone_is_its_single_calls(n):
     batched = walk.probability_profiles(n, times)
     assert np.array_equal(batched, np.stack([walk.probability_profiles(n, [t])[0] for t in times]))
     assert np.abs(batched - oracles.fft_probability_profiles(n, times)).max() <= 1e-15
+    coin, law = walk.probability_factors(n, times)
+    assert np.array_equal(coin.T[:, :, None] * law[:, None, :], batched)
 
 
 def usable_reach(n):
