@@ -222,9 +222,16 @@ def test_wide_run_is_its_narrow_slices(n):
     # a full run sums the law row by row, a slice of fewer than 256 draws by
     # np.cumsum: the same additions in the same order, so the cells agree
     # bit for bit, as `measured_walk` and `empirical_check` need when they
-    # cut the same draws into different runs
-    draws = np.random.default_rng(n + 2).random((dihedral.BLOCK // (4 * n), 2))
+    # cut the same draws into different runs.  Half the uniforms sit on a
+    # cell boundary of their profile's CDF, where a sum rounded differently
+    # in either run would move the cell
+    rng = np.random.default_rng(n + 2)
+    draws = rng.random((dihedral.BLOCK // (4 * n), 2))
     assert len(draws) >= 256
+    coin, law = walk.probability_factors(n, 1e3 * draws[:, 0])
+    cdf = np.cumsum((coin.T[:, :, None] * law[:, None, :]).reshape(len(draws), -1), axis=1)
+    edge = rng.integers(0, 2 * n - 1, len(draws))
+    draws[::2, 1] = (cdf[np.arange(len(draws)), edge] / cdf[:, -1])[::2]
     wide = sampling._measured_step(n, 1e3, draws)
     narrow = [sampling._measured_step(n, 1e3, draws[i : i + 100]) for i in range(0, len(draws), 100)]
     assert np.array_equal(wide, np.concatenate(narrow))
