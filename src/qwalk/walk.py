@@ -2,7 +2,7 @@
 
 Transition probabilities of the propagator e^{i A t / 3}, the
 finite-horizon time average and its exact limit.  The first two each have
-one batch form over times (`probability_batch`, `averaged_profiles`)
+one batch form over times (`probability_profiles`, `averaged_profiles`)
 that the single-time calls view; `light_cone` runs each of their times on
 the shortest cycle that holds its light cone.  The graph is the prism
 C_n x K_2, so the two eigenvalue families differ by exactly 2/3 mode by
