@@ -64,6 +64,9 @@ CASES = {
     # the folded gap grid spans several blocks
     "walk-cone": ["walk", "--n", "4001", "--from", "1", "--to", "3", "--t-max", "400", "--steps", "16"],
     "walk-prime-far": ["walk", "--n", "4007", "--from", "1", "--to", "4008", "--t-max", "4000", "--steps", "4"],
+    # a flip-1 cell inside the cone: 15 of its 17 times run on short cycles,
+    # t = 375 and 400 on n, past the cone edge at 364.8
+    "walk-cone-cross": ["walk", "--n", "4001", "--from", "1", "--to", "4003", "--t-max", "400", "--steps", "16"],
     "figure-1b-large": [
         "figure-1b", "--n", "4001", "--to", "3", "--T-max", "1e4", "--t-max", "30", "--points", "9",
     ],
