@@ -2,13 +2,13 @@
 
 Transition probabilities of the propagator e^{i A t / 3}, the
 finite-horizon time average and its exact limit.  The first two each have
-one batch form over times (`probability_profiles`, `averaged_profiles`)
-that the single-time calls view; `light_cone` runs each of their times on
-the shortest cycle that holds its light cone.  The graph is the prism
-C_n x K_2, so the two eigenvalue families differ by exactly 2/3 mode by
-mode: P_t is a cycle walk times a two-state coin, one inverse DFT per
-time, and the averaged kernel is real and finished by `cosine_profiles`.
-The dense propagator and the direct double sum are test oracles.
+one batch transform over times (`probability_factors`, `averaged_profiles`)
+that the other calls view; `light_cone` runs each of their times on the
+shortest cycle that holds its light cone.  The graph is the prism C_n x K_2,
+so the eigenvalue families differ by exactly 2/3 mode by mode: P_t is a
+cycle law times a two-state coin, one inverse DFT per time, and their
+product is `probability_profiles`; the averaged kernel is real, finished by
+`cosine_profiles`.  The dense propagator and direct double sum are oracles.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ ROW_SUM_TOL = 1e-9
 def check_horizon(T) -> None:
     """1/T and 2T must be finite, not only T: the kernel's factors scale by
     1/T and its largest phase is about 2T.  T is compared, not converted,
-    so a too-large integer is rejected too."""
+    so a too-large integer is rejected too, named by its digit count: k or
+    k + 1 for k = round(log10 |T|), found without str(), which stops at 4300."""
     if not 1 / sys.float_info.max < T <= sys.float_info.max / 2:
-        shown = f"an integer of {len(str(abs(T)))} digits" if isinstance(T, int) and abs(T) > 10**30 else repr(T)[:40]
+        k = round(math.log10(abs(T))) if isinstance(T, int) and abs(T) > 10**30 else None
+        shown = repr(T)[:40] if k is None else f"an integer of {k + (abs(T) >= 10**k)} digits"
         raise ValueError(f"averaging horizon must be positive with 1/T and 2T finite, got {shown}")
 
 
@@ -109,7 +111,7 @@ def light_cone(n, times, profiles):
 
 @functools.lru_cache(maxsize=32)
 def cycle_rates(n):
-    """The folded rates (2/3) cos(2 pi mu / n) of `probability_batch`
+    """The folded rates (2/3) cos(2 pi mu / n) of `probability_factors`
     and `mode_phases`, built once per n and read-only."""
     mu, _ = folded_modes(n)
     rates = (2.0 / 3.0) * mode_cosines(n)[mu]
@@ -118,22 +120,15 @@ def cycle_rates(n):
 
 
 def probability_profiles(n, times) -> np.ndarray:
-    """P_t profiles for many times at once, coin times law formed on each
-    time's cycle; shape (len(times), 2, n): when every time runs on n, a view
-    of a time-minor (2, n, len(times)) buffer, C order whatever the ifft's."""
-    return probability_batch(n, times, lambda coin, law: np.multiply(coin[:, None], law, order="C").transpose(2, 0, 1))
+    """P_t profiles (len(times), 2, n), coin[flip] law[r] of `probability_factors`."""
+    coin, law = probability_factors(n, times)
+    return coin.T[:, :, None] * law[:, None, :]
 
 
 def probability_factors(n, times) -> tuple[np.ndarray, np.ndarray]:
     """P_t's factors for many times at once: the coin (2, len(times)) and the
-    cycle law (len(times), n), P_t(flip, r) = coin[flip] law[r]; when every
-    time runs on n, law.T is a time-minor buffer, read without a copy."""
-    return probability_batch(n, times, lambda coin, law: (coin, law.T))
-
-
-def probability_batch(n, times, finish):
-    """`finish(coin, law)` of the time-minor coin (2, k) and cycle law |a|^2
-    (m, k) on the m-cycle each time runs on, placed by `light_cone`.
+    cycle law |a|^2 (len(times), n), P_t(flip, r) = coin[flip] law[r]; when
+    every time runs on n, law.T is a time-minor buffer, read without a copy.
 
     The graph is the prism C_n x K_2, so the branch eigenvalues are
     (2 cos(2 pi m / n) +- 1) / 3 and the walk factorises into an n-cycle
@@ -147,7 +142,7 @@ def probability_batch(n, times, finish):
     near enough an odd multiple of pi / 2 for u^2 to overflow.  numpy 2.x
     has a SIMD float64 tan but computes complex exp in scalar libm.  The
     coin is read from mode 0's phase e^{2 i t / 3}: cos^2, sin^2(t / 3) =
-    (1 +- cos(2 t / 3)) / 2.
+    (1 +- cos(2 t / 3)) / 2, and comes back through `light_cone` as a head.
 
     Each time runs on the cycle `light_cone` picks; on n P_t is even only to
     rounding.  A row costs O(n + t log t) inside the cone, O(n log n) outside.
@@ -182,7 +177,7 @@ def probability_batch(n, times, finish):
         del phases
         cycle = np.abs(cycle)
         np.square(cycle, out=cycle)
-        return finish(coin, cycle)
+        return coin, cycle.T
 
     return light_cone(int(n), times, transform)
 

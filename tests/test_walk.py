@@ -496,13 +496,21 @@ def test_small_phase_seam_matches_direct_kernel():
         assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon]))) <= 1e-15
 
 
-def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch):
+@pytest.mark.parametrize(
+    "n, block, heights, resonant_rows",
+    [(101, 204, [4] * 12 + [3], []), (37, 57, [3] * 6 + [1], [10])],
+    ids=["101", "37"],
+)
+def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch, n, block, heights, resonant_rows):
     # BLOCK 204 cuts n = 101's 51 folded rows into runs of 4 and a last run
     # of 3: multi-row blocks, binned by diagonal sums, and a shorter block
-    # that reuses the first rows of the tallest block's buffers
-    n = 101
-    monkeypatch.setattr(dihedral, "BLOCK", 204)
-    assert [r.stop - r.start for r in dihedral.blocks(51, 51)] == [4] * 12 + [3]
+    # that reuses the first rows of the tallest block's buffers.  BLOCK 57
+    # cuts n = 37's 19 rows into runs of 3, and its resonant row 10 falls
+    # in the fourth block, whose direct values are written over its quotients
+    monkeypatch.setattr(dihedral, "BLOCK", block)
+    size = (n + 1) // 2
+    assert [r.stop - r.start for r in dihedral.blocks(size, size)] == heights
+    assert walk.resonant_pairs(n)[0].tolist() == resonant_rows
     horizons = HORIZONS + seam_horizons(n)
     got = walk.averaged_profiles(n, horizons)
     assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, horizons))) <= 1e-15
@@ -751,10 +759,18 @@ def test_rejected_horizon_message_is_bounded():
         assert len(str(info.value)) < 120
     with pytest.raises(ValueError, match="an integer of 401 digits"):
         walk.averaged_matrix(5, 10**400)
+    # past Python's 4300-digit int-to-str limit the length is still counted
+    # exactly, through the kernel and through the sampler's configuration
+    for bad, digits in ((10**5000, 5001), (10**5000 - 1, 5000)):
+        message = f"averaging horizon .* got an integer of {digits} digits$"
+        with pytest.raises(ValueError, match=message):
+            walk.averaged_matrix(5, bad)
+        with pytest.raises(ValueError, match=message):
+            sampling.SamplerConfig(n=5, start_vertex=0, horizon=bad, steps=1, trials=1, seed=0)
 
 
 def test_probability_times_must_be_finite():
-    # every P_t path goes through probability_profiles, which rejects a
+    # every P_t path goes through probability_factors, which rejects a
     # non-finite time instead of returning a NaN row; the sampler rejects a
     # non-finite horizon when it is configured
     for bad in (float("inf"), float("-inf"), float("nan")):
