@@ -112,17 +112,23 @@ class DecomposedSum:
 def _gap_rows(n) -> np.ndarray:
     """Row sums of one sweep of `folded_gap_blocks`, read-only and kept for
     the last n: rows[0] and rows[1] sum 1 / |lp_j - lm_k| over k < q and
-    k >= q, q = n // 4 + 1; rows[2] sums 1 / |lp_j - lp_k|, whose diagonal
-    gap is set to inf, so that term is exactly 0."""
+    k >= q, q = n // 4 + 1; rows[2] sums 1 / |lp_j - lp_k| over k != j.
+    The sweep reads each same-branch pair once, as 2 / x > 0 above the
+    diagonal, so rows[2] is half the row plus the column sums of that
+    triangle; the diagonal term is exactly 0."""
     cross_branch_gap_check(n)
     q = n // 4 + 1
-    rows = np.empty((3, (n + 1) // 2))
-    for r, gaps in folded_gap_blocks(n):
-        np.fill_diagonal(gaps[0, :, r.start :], np.inf)
-        np.abs(gaps, out=gaps)
-        np.divide(1.0, gaps, out=gaps)
-        rows[0, r], rows[1, r] = gaps[1, :, :q].sum(axis=1), gaps[1, :, q:].sum(axis=1)
-        rows[2, r] = gaps[0].sum(axis=1)
+    size = (n + 1) // 2
+    rows, columns = np.empty((3, size)), np.zeros(size)
+    # the sweep's blocks may be read-only: 1 / |gap| goes to its own buffer
+    inverse = np.empty((next(blocks(size, size)).stop, size))
+    for r, (same, cross) in folded_gap_blocks(n):
+        rows[2, r] = same.sum(axis=1)
+        columns[size - same.shape[1] :] += same.sum(axis=0)
+        cross = np.divide(1.0, cross, out=inverse[: r.stop - r.start])
+        np.abs(cross, out=cross)
+        rows[0, r], rows[1, r] = cross[:, :q].sum(axis=1), cross[:, q:].sum(axis=1)
+    rows[2] = 0.5 * (rows[2] + columns)
     rows.flags.writeable = False
     return rows
 

@@ -39,12 +39,24 @@ ROW_SUM_TOL = 1e-9
 def check_horizon(T) -> None:
     """1/T and 2T must be finite, not only T: the kernel's factors scale by
     1/T and its largest phase is about 2T.  T is compared, not converted,
-    so a too-large integer is rejected too, named by its digit count: k or
-    k + 1 for k = round(log10 |T|), found without str(), which stops at 4300."""
+    so a too-large integer or Fraction is rejected too.  One with a part
+    past 10^30 is named by its parts' digit counts, found without str(),
+    which stops at 4300 digits."""
     if not 1 / sys.float_info.max < T <= sys.float_info.max / 2:
-        k = round(math.log10(abs(T))) if isinstance(T, int) and abs(T) > 10**30 else None
-        shown = repr(T)[:40] if k is None else f"an integer of {k + (abs(T) >= 10**k)} digits"
+        p, q = (T.numerator, T.denominator) if isinstance(T, (int, Fraction)) else (0, 1)
+        if max(abs(p), q) <= 10**30:
+            shown = repr(T)[:40]
+        elif q == 1:
+            shown = f"an integer of {decimal_digits(p)} digits"
+        else:
+            shown = f"a fraction of {decimal_digits(p)} over {decimal_digits(q)} digits"
         raise ValueError(f"averaging horizon must be positive with 1/T and 2T finite, got {shown}")
+
+
+def decimal_digits(k) -> int:
+    """Digits of a nonzero integer: e or e + 1 for e = round(log10 |k|)."""
+    e = round(math.log10(abs(k)))
+    return e + (abs(k) >= 10**e)
 
 
 def short_cycle_ladder() -> tuple[int, ...]:
@@ -252,40 +264,70 @@ def mode_phases(n, Ts) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=32)
 def gap_tables(n):
     """The O(n) tables of the folded (mu, mu') gap grid, built once per n and
-    read-only: (hankel, toeplitz, spectrum, w).  hankel * toeplitz is the
-    same-branch gap -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n), both
-    views of one circulant of a sine table; spectrum is `folded_eigenvalues`,
+    read-only: (hankel, toeplitz, spectrum, w).  hankel * toeplitz is 2 / x
+    for the same-branch gap x = -(4/3) sin(pi (mu + mu') / n)
+    sin(pi (mu - mu') / n) above the diagonal and exactly 0 on and below it:
+    hankel holds -(3/4) / sin(pi (mu + mu') / n) (0 at mu = mu' = 0) and
+    toeplitz 2 / sin(pi (mu - mu') / n) where mu' > mu, both views of one
+    circulant of a reciprocal sine table.  spectrum is `folded_eigenvalues`,
     lambda+ then lambda-, each decreasing in mu; w the fold weights."""
     mu, w = folded_modes(n)
     size = len(mu)
     spectrum = folded_eigenvalues(n)
-    # sin(pi k / n) at k = 0..size-1 and, by negative index, at k = 1-size..-1
-    sine = np.sin(np.pi / n * np.concatenate([mu, -mu[:0:-1]]))
-    # table[r, c] = t[(c - r) mod 2n] with t = (-sine[:size], -(4/3) |sine|,
-    # -sine[size:]): hankel[mu, mu'] = -(4/3) |sine[mu + mu']| and
-    # toeplitz[mu, mu'] = sine[mu - mu']
-    table = circulant(np.concatenate([-sine[:size], -4.0 / 3.0 * np.abs(sine), -sine[size:]]))
+    # |sin(pi k / n)| at k = 1..n-1, past size - 1 as sin(pi (n - k) / n) of
+    # the small angle, at full relative precision
+    sine = np.abs(np.sin(np.pi / n * np.concatenate([mu[1:], -mu[:0:-1]])))
+    # table[r, c] = t[(c - r) mod 2n] with t = (0, -2 / sine[:size - 1], 0,
+    # -(3/4) / sine, size - 1 zeros): hankel[mu, mu'] = t[size + mu + mu'] and
+    # toeplitz[mu, mu'] = t[mu' - mu], 0 where mu' <= mu
+    zero = np.zeros(1)
+    table = circulant(np.concatenate([zero, -2.0 / sine[: size - 1], zero, -0.75 / sine, np.zeros(size - 1)]))
     hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
     spectrum.flags.writeable = w.flags.writeable = False
     return hankel, toeplitz, spectrum, w
 
 
 def folded_gap_blocks(n):
-    """(r, gaps) for each `blocks` row slice r of the folded (mu, mu') grid,
-    in one (2, rows, size) buffer that the next block overwrites.  gaps[0] is
-    the same-branch gap -(4/3) sin(pi (mu + mu') / n) sin(pi (mu - mu') / n):
-    0 on the diagonal only, at full relative precision near it.  gaps[1] is
-    the cross-branch gap lambda+_mu - lambda-_mu'.  The tables are
-    `gap_tables`."""
+    """(r, (same, cross)) for each `blocks` row slice r of the folded
+    (mu, mu') grid, in one (2, rows, size) buffer that the next block
+    overwrites.  same is 2 / x of the same-branch gap x, from column
+    first = max(0, r.start - rows + 1) on, the product of the `gap_tables`
+    tables: nonzero only above the diagonal, so a block reads each unordered
+    pair once and the columns it sweeps left of the diagonal are exactly 0.
+    cross is the cross-branch gap lambda+_mu - lambda-_mu' at every column.
+    A grid that fits one slice, size^2 <= BLOCK (n <= 511), comes whole from
+    `one_block_gaps`, read-only; a larger one is never kept, as it would be
+    O(n^2)."""
     hankel, toeplitz, (plus, minus), _ = gap_tables(n)
     size = len(plus)
-    buffer = np.empty((2, next(blocks(size, size)).stop, size))
+    height = next(blocks(size, size)).stop
+    if height == size:
+        yield slice(0, size), one_block_gaps(n)
+        return
+    buffer = np.empty((2, height, size))
     for r in blocks(size, size):
-        gaps = buffer[:, : r.stop - r.start]
-        np.multiply(hankel[r], toeplitz[r], out=gaps[0])
-        np.copyto(gaps[1], plus[r, None])
-        gaps[1] -= minus
-        yield r, gaps
+        rows = r.stop - r.start
+        first = max(0, r.start - rows + 1)
+        same, cross = buffer[0, :rows, first:], buffer[1, :rows]
+        np.multiply(hankel[r, first:], toeplitz[r, first:], out=same)
+        # a row fill and a subtraction of rows: the same bits as one
+        # broadcast np.subtract of the column plus[r, None], and 1.4x faster
+        # at n = 4001 (x86-64, numpy 2.4)
+        np.copyto(cross, plus[r, None])
+        cross -= minus
+        yield r, (same, cross)
+
+
+@functools.lru_cache(maxsize=32)
+def one_block_gaps(n):
+    """The (same, cross) grids of `folded_gap_blocks` at an n whose folded
+    grid is one `blocks` slice, as its loop would build them, once per n and
+    read-only: 2 size^2 <= 2 BLOCK floats, 1 MiB at most."""
+    hankel, toeplitz, (plus, minus), _ = gap_tables(n)
+    gaps = hankel * toeplitz, np.subtract.outer(plus, minus)
+    for part in gaps:
+        part.flags.writeable = False
+    return gaps
 
 
 @functools.lru_cache(maxsize=32)
@@ -332,19 +374,24 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     kernel value is binned at |mu - mu'| and at mu + mu', and
     `cosine_profiles` finishes the job.
 
-    Each block of rows takes its gaps x from `folded_gap_blocks`.  Per
+    Each block of rows takes its gaps from `folded_gap_blocks`.  Per
     horizon, sin(xT) w w' / (2T) is a rank-2 product of `mode_phases`
-    factors divided by x.  That quotient holds to rounding wherever x is not
-    tiny: a nonzero same-branch gap exceeds 5 / n^2.  So only two kinds of
-    pair take their value directly: the same-branch diagonal, x = 0, whose
-    value is w^2 / 2 at every T, and the at most 2 rows of `resonant_pairs`,
-    which take w w' / 2 sin(xT) / (xT) for the whole batch at once.  Both
-    are split by block before the sweep; a block writes them over its
-    quotients.
+    factors.  The same-branch x is symmetric in (mu, mu'), so a block sweeps
+    its upper triangle only, from the block's first column on, times the
+    cached 2 / x: both bins of a pair are reached from one entry, and the
+    zeros left of the diagonal bin to nothing.  A cross-branch value is
+    divided by x.  Both hold to rounding wherever x is not tiny: a nonzero
+    same-branch gap exceeds 5 / n^2.  So only two kinds of pair take their
+    value directly: the same-branch diagonal, x = 0, whose value is w^2 / 2
+    at every T, and the at most 2 rows of `resonant_pairs`, which take
+    w w' / 2 sin(xT) / (xT) for the whole batch at once.  Both are split by
+    block before the sweep; a block writes them over its products.
     The kernel block is written into a zero-padded buffer whose rows,
     re-cut one entry shorter or longer, put each anti-diagonal or diagonal
-    in one column: a column sum bins the block at mu + mu' or at mu' - mu,
-    which folds onto |mu - mu'|.  An empty batch sweeps no block.
+    in one column: a column sum bins the block at mu + mu' or at mu' - mu;
+    a cross-branch mu' - mu < 0 folds onto |mu - mu'|.  The same branch's
+    columns at mu + mu' >= 2 r.start and mu' - mu >= 0 read only what the
+    block wrote, or padding.  An empty batch sweeps no block.
     """
     if not len(Ts):
         return np.zeros((0, 2, n))
@@ -369,29 +416,32 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     starts = range(0, size, height)
     cuts = i.searchsorted(starts).tolist() + [len(i)]
     pieces = (
-        ((diagonal[s : s + height], square[s : s + height]), where[a:b], values[:, a:b])
+        (diagonal[s : s + height], square[s : s + height], where[a:b], values[:, a:b])
         for s, a, b in zip(starts, cuts, cuts[1:])
     )
-    # the quotients at gap 0 and at the resonant gaps are overwritten
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r, gaps in folded_gap_blocks(n):
-            rows, last = r.stop - r.start, r.stop - 1
-            same, at_resonant, resonant = next(pieces)
-            # only the last block can be shorter; it uses the first rows
-            kernel = kernel[:rows]
-            # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
-            # one entry longer, mu' - mu = k - last
-            sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
-            diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
-            for a, b, pair, value in zip(*factors, binned, resonant):
-                for out, gap, a_rows, (at, exact) in zip(pair, gaps, a[:, :, r], (same, (at_resonant, value))):
-                    np.matmul(a_rows.T, b, out=kernel)
-                    np.divide(kernel, gap, out=kernel)
-                    lead[at] = exact
-                    out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
-                    by_diff = diffs.sum(axis=0)
-                    out[: size - r.start] += by_diff[last:]
-                    out[last:0:-1] += by_diff[:last]
+    for r, (same, cross) in folded_gap_blocks(n):
+        rows, last, first = r.stop - r.start, r.stop - 1, size - same.shape[1]
+        at_diagonal, squares, at_resonant, resonant = next(pieces)
+        # only the last block can be shorter; it uses the first rows
+        kernel = kernel[:rows]
+        upper = kernel[:, first:]
+        # re-cut one entry shorter, column k holds mu + mu' = r.start + k;
+        # one entry longer, mu' - mu = k - last
+        sums = flat[: rows * (width - 1)].reshape(rows, width - 1)[:, height - 1 : height + size + rows - 2]
+        diffs = flat[: rows * (width + 1)].reshape(rows, width + 1)[:, height - rows : height + size - 1]
+        for a, b, (same_out, cross_out), value in zip(*factors, binned, resonant):
+            np.matmul(a[0, :, r].T, b[:, first:], out=upper)
+            upper *= same
+            lead[at_diagonal] = squares
+            same_out[2 * r.start : r.start + size + rows - 1] += sums[:, r.start :].sum(axis=0)
+            same_out[: size - r.start] += diffs[:, last:].sum(axis=0)
+            np.matmul(a[1, :, r].T, b, out=kernel)
+            np.divide(kernel, cross, out=kernel)
+            lead[at_resonant] = value
+            cross_out[r.start : r.start + size + rows - 1] += sums.sum(axis=0)
+            by_diff = diffs.sum(axis=0)
+            cross_out[: size - r.start] += by_diff[last:]
+            cross_out[last:0:-1] += by_diff[:last]
     vals = cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
     # every row of the dense matrix holds each distinct value once
     drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)

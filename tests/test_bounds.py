@@ -218,10 +218,19 @@ def full_grid_gap_sum(a, b, weight=None, shift=0.0, labels=None):
     return math.fsum((1.0 / gaps).ravel())
 
 
-@pytest.mark.parametrize("n", [3, 5, 21, 101])
-def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
-    # a 50-entry block splits every grid here into several blocks
-    monkeypatch.setattr(dihedral, "BLOCK", 50)
+@pytest.mark.parametrize(
+    "n, block",
+    [(3, 50), (5, 50), (21, 50), (101, 50), (61, 200), (63, 200), (513, None), (1075, None)],
+    ids=["3", "5", "21", "101", "61", "63", "513", "1075"],
+)
+def test_blocked_gap_sums_match_full_grid(n, block, monkeypatch):
+    # a 50-entry block splits every grid up to n = 101 into several blocks;
+    # 200-entry blocks cut n = 61 and 63 into runs of 6 rows and a last run
+    # of 1 and 2, each sweeping the same-branch triangle from column
+    # r.start - 5 on; at the real BLOCK n = 513 is the first n of two blocks,
+    # the last of 2 rows, and n = 1075 has two resonant rows
+    if block is not None:
+        monkeypatch.setattr(dihedral, "BLOCK", block)
     lp, lm = spectra.folded_eigenvalues(n)
     _, mult = spectra.folded_modes(n)
     weight = mult / 2.0
@@ -232,14 +241,19 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
     for branch in (lp, lm):
         assert dec.within == pytest.approx(full_grid_gap_sum(branch, branch, weight, labels=modes), rel=1e-12)
     # the blocked row sums, split at column q, and the views of them; the
-    # weighted within sum is the unweighted one less row 0, and row 0
-    # shares its block with few or none of the other rows here
+    # weighted within sum is the unweighted one less row 0, and the within
+    # rows gather each pair from the row and the column of its triangle entry
     low, high, within = bounds._gap_rows(n)
     q = n // 4 + 1
     cross = 1.0 / np.abs(lp[:, None] - lm[None, :])
     assert low == pytest.approx(cross[:, :q].sum(axis=1), rel=1e-12)
     assert high == pytest.approx(cross[:, q:].sum(axis=1), rel=1e-12)
-    same = np.abs(lp[:, None] - lp[None, :])
+    # the within rows against the whole grid of same-branch gaps in product
+    # form, each sine taken at an angle of at most pi / 2: subtracting
+    # eigenvalues loses up to 5.3e-12 on the smallest gaps at n = 1075
+    total = modes[:, None] + modes
+    same = np.abs(np.sin(np.pi / n * np.minimum(total, n - total)) * np.sin(np.pi / n * (modes[:, None] - modes)))
+    same *= 4.0 / 3.0
     np.fill_diagonal(same, np.inf)
     assert within == pytest.approx((1.0 / same).sum(axis=1), rel=1e-12)
     su = bounds.su_sums(n)
@@ -262,15 +276,17 @@ def test_blocked_gap_sums_match_full_grid(n, monkeypatch):
 @pytest.mark.parametrize("n", [21, 101])
 def test_each_folded_grid_swept_once(n, monkeypatch, capsys):
     """bounds_report and budget_report at one n share one sweep of the
-    same- and cross-branch grids: 2 m^2 entries for m = (n + 1) / 2 folded
-    modes, and no other grid, so no (2n)^2 enumeration; `qwalk bounds`,
-    which adds the budget from n = 100, sweeps the same."""
+    same- and cross-branch grids: m^2 cross-branch entries for m = (n + 1) / 2
+    folded modes, and the same-branch triangle each block sweeps from column
+    max(0, r.start - rows + 1) on, and no other grid, so no (2n)^2
+    enumeration; `qwalk bounds`, which adds the budget from n = 100, sweeps
+    the same."""
     swept = []
     sweep = bounds.folded_gap_blocks
 
     def counting(n):
         for r, gaps in sweep(n):
-            swept.append(gaps.size)
+            swept.append(sum(part.size for part in gaps))
             yield r, gaps
 
     def other_grid(*args, **kwargs):
@@ -279,14 +295,15 @@ def test_each_folded_grid_swept_once(n, monkeypatch, capsys):
     monkeypatch.setattr(bounds, "folded_gap_blocks", counting)
     monkeypatch.setattr(bounds, "_inv_gap_rows", other_grid)
     m = (n + 1) // 2
+    triangle = sum((r.stop - r.start) * (m - max(0, 2 * r.start - r.stop + 1)) for r in dihedral.blocks(m, m))
     assert bounds.bounds_report(n).all_passed
     bounds.budget_report(n)
-    assert sum(swept) == 2 * m * m
+    assert sum(swept) == m * m + triangle
     bounds._gap_rows.cache_clear()
     swept.clear()
     assert cli.main(["bounds", "--n", str(n)]) == 0
     assert ('"budget"' in capsys.readouterr().out) == (n >= bounds.BUDGET_MIN_N)
-    assert sum(swept) == 2 * m * m
+    assert sum(swept) == m * m + triangle
 
 
 def bruteforce_matches_decomposition_4001():

@@ -8,6 +8,7 @@ D(c) for the distance to the limit at horizon c n, and its Bessel model of
 the averaged kernel's largest non-trivial character.
 """
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -471,9 +472,11 @@ def test_averaged_profiles_match_quadrature_at_large_n(n, horizon):
     # at T = 2n, where the threshold search probes, against Gauss-Legendre
     # quadrature of P_t, which shares no gap, mode phase or binning code with
     # the kernel; n = 1075 has near-resonant cross-branch pairs.  Measured
-    # 4.4e-14 and 7.5e-14
+    # 4.4e-14 and 7.5e-14.  The direct double sum, which takes every pair's
+    # sin(xT) / (xT) by np.sinc, agrees to 1e-15
     got = walk.averaged_profiles(n, [horizon])[0]
     assert np.max(np.abs(got - oracles.quadrature_averaged_profiles(n, horizon))) <= 2e-13
+    assert np.max(np.abs(got - oracles.direct_averaged_profiles(n, [horizon])[0])) <= 1e-15
 
 
 def seam_horizons(n):
@@ -498,15 +501,25 @@ def test_small_phase_seam_matches_direct_kernel():
 
 @pytest.mark.parametrize(
     "n, block, heights, resonant_rows",
-    [(101, 204, [4] * 12 + [3], []), (37, 57, [3] * 6 + [1], [10])],
-    ids=["101", "37"],
+    [
+        (101, 204, [4] * 12 + [3], []),
+        (37, 57, [3] * 6 + [1], [10]),
+        (61, 200, [6] * 5 + [1], []),
+        (63, 200, [6] * 5 + [2], []),
+        (513, dihedral.BLOCK, [255, 2], []),
+    ],
+    ids=["101", "37", "61", "63", "513"],
 )
 def test_ragged_multi_row_blocks_match_direct_kernel(monkeypatch, n, block, heights, resonant_rows):
     # BLOCK 204 cuts n = 101's 51 folded rows into runs of 4 and a last run
     # of 3: multi-row blocks, binned by diagonal sums, and a shorter block
     # that reuses the first rows of the tallest block's buffers.  BLOCK 57
     # cuts n = 37's 19 rows into runs of 3, and its resonant row 10 falls
-    # in the fourth block, whose direct values are written over its quotients
+    # in the fourth block, whose direct values are written over its
+    # quotients.  Each block sweeps the same-branch triangle from column
+    # r.start - rows + 1 on: BLOCK 200 leaves n = 61 and 63 a last block of
+    # 1 and 2 rows, and at the real BLOCK n = 513, the first n past one
+    # block, has two, the last of 2 rows
     monkeypatch.setattr(dihedral, "BLOCK", block)
     size = (n + 1) // 2
     assert [r.stop - r.start for r in dihedral.blocks(size, size)] == heights
@@ -549,6 +562,37 @@ def test_resonant_pairs_are_few_and_read_only():
         assert not part.flags.writeable
         with pytest.raises(ValueError):
             part[0] = 0
+
+
+def test_one_block_gap_grid_built_once_per_n_and_read_only(monkeypatch):
+    # a folded grid of one `blocks` slice (n <= 511) is built by the first
+    # sweep at that n, the kernel's or the gap sums', and read from the
+    # cache after; n = 513 is two blocks, swept in the reused buffer and
+    # never kept, as a kept multi-block grid would be O(n^2)
+    build, built = walk.one_block_gaps.__wrapped__, []
+
+    def counting(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(walk, "one_block_gaps", functools.lru_cache(maxsize=32)(counting))
+    first = walk.averaged_profiles(101, [1e4, 1e12])
+    assert np.array_equal(walk.averaged_profiles(101, [1e4, 1e12]), first)
+    bounds._gap_rows.cache_clear()
+    bounds.bounds_report(101)
+    assert built == [101]
+    (r, gaps), = walk.folded_gap_blocks(101)
+    assert r == slice(0, 51) and gaps is walk.one_block_gaps(101)
+    for part in gaps:
+        assert part.shape == (51, 51) and not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 0
+    walk.averaged_profiles(513, [1e4])
+    bounds._gap_rows.cache_clear()
+    bounds.bounds_report(513)
+    assert built == [101]
+    heights = [(r.stop - r.start, [part.flags.writeable for part in gaps]) for r, gaps in walk.folded_gap_blocks(513)]
+    assert heights == [(255, [True, True]), (2, [True, True])]
 
 
 def test_kernel_matches_direct_kernel_at_every_small_odd_n():
@@ -760,9 +804,15 @@ def test_rejected_horizon_message_is_bounded():
     with pytest.raises(ValueError, match="an integer of 401 digits"):
         walk.averaged_matrix(5, 10**400)
     # past Python's 4300-digit int-to-str limit the length is still counted
-    # exactly, through the kernel and through the sampler's configuration
-    for bad, digits in ((10**5000, 5001), (10**5000 - 1, 5000)):
-        message = f"averaging horizon .* got an integer of {digits} digits$"
+    # exactly, through the kernel and through the sampler's configuration;
+    # a Fraction is named by the lengths of its numerator and denominator
+    for bad, shown in (
+        (10**5000, "an integer of 5001 digits"),
+        (10**5000 - 1, "an integer of 5000 digits"),
+        (Fraction(10**5000, 3), "a fraction of 5001 over 1 digits"),
+        (Fraction(1, 10**5000), "a fraction of 1 over 5001 digits"),
+    ):
+        message = f"averaging horizon .* got {shown}$"
         with pytest.raises(ValueError, match=message):
             walk.averaged_matrix(5, bad)
         with pytest.raises(ValueError, match=message):
