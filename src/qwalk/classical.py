@@ -38,8 +38,7 @@ def classical_profiles(n, ts) -> np.ndarray:
     if ts.size and ts.min() < 0:
         raise ValueError("step counts must be nonnegative")
     _, w = folded_modes(n)
-    plus, minus = (w * lam ** ts[:, None] for lam in folded_eigenvalues(n))
-    return cosine_profiles(plus, minus, n) / (2 * n)
+    return cosine_profiles(w * folded_eigenvalues(n) ** ts[:, None, None], n) / (2 * n)
 
 
 def profile_column_distance(n, values) -> float:
@@ -52,7 +51,7 @@ def profile_column_distance(n, values) -> float:
     circulant(reversed profile); a block swap exchanges the two halves.
     """
     vals = np.asarray(values, dtype=float)
-    columns = circulant(vals[:, (-np.arange(n)) % n])
+    columns = circulant(np.concatenate([vals[:, :1], vals[:, :0:-1]], axis=1))
     base = columns[:, 0]
     best = 0.0
     for top, bottom in ((0, 1), (1, 0)):

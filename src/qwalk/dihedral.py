@@ -13,6 +13,7 @@ oracle for the relabeling.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -39,6 +40,30 @@ def check_odd_order(n) -> None:
         raise ValueError(f"n must be at least 3, got {n}")
     if n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
+
+
+def read_only(table):
+    """`table` with its arrays, through nested tuples, made read-only."""
+    if isinstance(table, np.ndarray):
+        table.flags.writeable = False
+    for part in table if isinstance(table, tuple) else ():
+        read_only(part)
+    return table
+
+
+def odd_order_cache(build):
+    """Per-n table `build(n, *rest)`, read-only, kept for 32 arguments; n is
+    checked before each lookup, as lru_cache takes 5.0 for np.int64(5)."""
+    frozen = functools.wraps(build)(lambda *args: read_only(build(*args)))
+    cached = functools.lru_cache(maxsize=32)(frozen)
+
+    @functools.wraps(frozen)
+    def lookup(n, *rest):
+        check_odd_order(n)
+        return cached(n, *rest)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
 
 
 def check_vertex(n, i) -> None:
@@ -109,11 +134,12 @@ def pair_values_dense(n, values) -> np.ndarray:
     return np.block([[same, other], [other, same]])
 
 
-def cosine_profiles(plus, minus, n) -> np.ndarray:
-    """(..., 2, n) profiles of branch coefficients c_j, j < n (folded: j <= n/2):
-    P + M on the same block and P - M on the other, with P and M the sums
-    sum_j c_j cos(2 pi j delta / n) of plus and minus.  They are even in
-    delta, so delta = 0..(n-1)/2 is transformed and the rest mirrored."""
-    same, cross = (np.fft.rfft(c, n).real for c in (plus, minus))
+def cosine_profiles(branches, n) -> np.ndarray:
+    """(..., 2, n) profiles of (..., 2, k) branch coefficients c_j, j < k <= n
+    (folded: k = (n + 1) / 2), one rfft for both rows: P + M on the same block
+    and P - M on the other, with P and M the sums sum_j c_j cos(2 pi j delta / n)
+    of rows 0 and 1.  They are even in delta, so delta = 0..(n-1)/2 is
+    transformed and the rest mirrored."""
+    same, cross = np.moveaxis(np.fft.rfft(branches, n).real, -2, 0)
     half = np.stack([same + cross, same - cross], axis=-2)
     return np.concatenate([half, half[..., :0:-1]], axis=-1)

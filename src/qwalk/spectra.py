@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .dihedral import check_odd_order
+from .dihedral import check_odd_order, odd_order_cache
 
 PLUS = 1
 MINUS = -1
@@ -41,18 +41,19 @@ def eigenvalues(n, branch, cosines=None) -> np.ndarray:
     return (2.0 * (mode_cosines(n) if cosines is None else cosines) + branch) / 3.0
 
 
+@odd_order_cache
 def folded_modes(n) -> tuple[np.ndarray, np.ndarray]:
     """Representative modes 0..(n-1)/2 and their fold multiplicities
-    (1 at the fixed point m = 0, else 2)."""
-    check_odd_order(n)
-    half = (n - 1) // 2
-    mult = np.full(half + 1, 2.0)
+    (1 at the fixed point m = 0, else 2), built once per n and read-only."""
+    mult = np.full((n + 1) // 2, 2.0)
     mult[0] = 1.0
-    return np.arange(half + 1), mult
+    return np.arange(len(mult)), mult
 
 
+@odd_order_cache
 def folded_eigenvalues(n) -> np.ndarray:
-    """Both branches at the folded modes mu = 0..(n-1)/2, lambda+ then lambda-."""
+    """Both branches at the folded modes mu = 0..(n-1)/2, lambda+ then lambda-,
+    built once per n and read-only."""
     mu, _ = folded_modes(n)
     cosines = mode_cosines(n)[mu]
     return np.array([eigenvalues(n, PLUS, cosines), eigenvalues(n, MINUS, cosines)])

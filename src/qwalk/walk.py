@@ -13,7 +13,6 @@ product is `probability_profiles`; the averaged kernel is real, finished by
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .dihedral import (
     check_odd_order,
     circulant,
     cosine_profiles,
+    odd_order_cache,
     pair_cell,
     pair_values_dense,
     pair_values_row,
@@ -121,14 +121,12 @@ def light_cone(n, times, profiles):
     return out if head is None else (head, out)
 
 
-@functools.lru_cache(maxsize=32)
+@odd_order_cache
 def cycle_rates(n):
     """The folded rates (2/3) cos(2 pi mu / n) of `probability_factors`
     and `mode_phases`, built once per n and read-only."""
     mu, _ = folded_modes(n)
-    rates = (2.0 / 3.0) * mode_cosines(n)[mu]
-    rates.flags.writeable = False
-    return rates
+    return (2.0 / 3.0) * mode_cosines(n)[mu]
 
 
 def probability_profiles(n, times) -> np.ndarray:
@@ -243,6 +241,12 @@ class AveragedWalkMatrix:
         return float(np.abs(self.values - limit_profile(self.n)).sum())
 
 
+@odd_order_cache
+def branch_rates(n):
+    """The rates of phi and psi in `mode_phases`: `cycle_rates`, and plus 2/3."""
+    return cycle_rates(n) + np.array([[0.0], [2.0 / 3.0]])
+
+
 def mode_phases(n, Ts) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode factors a, b, (len(Ts), 2, 2, size) and (len(Ts), 2, size):
     with phi = T (2/3) cos(2 pi mu / n) from `cycle_rates` and psi = phi +
@@ -250,7 +254,7 @@ def mode_phases(n, Ts) -> tuple[np.ndarray, np.ndarray]:
     Ts[h] is column mu of a[h, 0] or a[h, 1] dotted with column mu' of b[h]."""
     *_, w = gap_tables(n)
     Ts = np.asarray(Ts, dtype=float).reshape(-1, 1, 1)
-    phases = Ts * (cycle_rates(n) + np.array([[0.0], [2.0 / 3.0]]))
+    phases = Ts * branch_rates(n)
     # a[:, k] = (sin, -cos) of phases[:, k], scaled by w / (2T); b = w (cos phi, sin phi)
     a = np.empty((len(Ts), 2, 2, len(w)))
     np.sin(phases, out=a[:, :, 0])
@@ -261,7 +265,7 @@ def mode_phases(n, Ts) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-@functools.lru_cache(maxsize=32)
+@odd_order_cache
 def gap_tables(n):
     """The O(n) tables of the folded (mu, mu') gap grid, built once per n and
     read-only: (hankel, toeplitz, spectrum, w).  hankel * toeplitz is 2 / x
@@ -283,7 +287,6 @@ def gap_tables(n):
     zero = np.zeros(1)
     table = circulant(np.concatenate([zero, -2.0 / sine[: size - 1], zero, -0.75 / sine, np.zeros(size - 1)]))
     hankel, toeplitz = table[: 2 * n - 1 - size : -1, size - 1 : 2 * size - 1], table[:size, :size]
-    spectrum.flags.writeable = w.flags.writeable = False
     return hankel, toeplitz, spectrum, w
 
 
@@ -318,19 +321,16 @@ def folded_gap_blocks(n):
         yield r, (same, cross)
 
 
-@functools.lru_cache(maxsize=32)
+@odd_order_cache
 def one_block_gaps(n):
     """The (same, cross) grids of `folded_gap_blocks` at an n whose folded
     grid is one `blocks` slice, as its loop would build them, once per n and
     read-only: 2 size^2 <= 2 BLOCK floats, 1 MiB at most."""
     hankel, toeplitz, (plus, minus), _ = gap_tables(n)
-    gaps = hankel * toeplitz, np.subtract.outer(plus, minus)
-    for part in gaps:
-        part.flags.writeable = False
-    return gaps
+    return hankel * toeplitz, np.subtract.outer(plus, minus)
 
 
-@functools.lru_cache(maxsize=32)
+@odd_order_cache
 def resonant_pairs(n):
     """The folded cross-branch pairs whose gap x = lambda+_mu - lambda-_mu',
     as `folded_gap_blocks` computes it, has |x| < 1/n^2: (rows, cols, gaps)
@@ -346,10 +346,7 @@ def resonant_pairs(n):
     rows, cols = rows[inside], cols[inside]
     gaps = plus[rows] - minus[cols]
     near = np.abs(gaps) < 1.0 / n**2
-    table = rows[near], cols[near], gaps[near]
-    for part in table:
-        part.flags.writeable = False
-    return table
+    return rows[near], cols[near], gaps[near]
 
 
 def averaged_profiles(n, Ts) -> np.ndarray:
@@ -360,6 +357,23 @@ def averaged_profiles(n, Ts) -> np.ndarray:
     for T in Ts:
         check_horizon(T)
     return light_cone(int(n), np.asarray(Ts, dtype=float), averaged_kernel)
+
+
+@odd_order_cache
+def kernel_plan(n, height):
+    """`averaged_kernel`'s O(n) index plan at n and block height: per block,
+    its diagonal's buffer positions and w^2 / 2, its resonant pairs' positions
+    and slice of `resonant_pairs`; then their scales w w' / 2 and gaps x."""
+    mu, w = folded_modes(n)
+    width = len(mu) + 2 * height - 1
+    i, j, x = resonant_pairs(n)
+    diagonal, square, where = mu % height * width + mu, 0.5 * w * w, i % height * width + j
+    cuts = i.searchsorted(mu[::height]).tolist() + [len(i)]
+    pieces = tuple(
+        (diagonal[s : s + height], square[s : s + height], where[a:b], slice(a, b))
+        for s, a, b in zip(mu[::height].tolist(), cuts, cuts[1:])
+    )
+    return pieces, 0.5 * w[i] * w[j], x
 
 
 def averaged_kernel(n, Ts) -> np.ndarray:
@@ -384,8 +398,8 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     same-branch gap exceeds 5 / n^2.  So only two kinds of pair take their
     value directly: the same-branch diagonal, x = 0, whose value is w^2 / 2
     at every T, and the at most 2 rows of `resonant_pairs`, which take
-    w w' / 2 sin(xT) / (xT) for the whole batch at once.  Both are split by
-    block before the sweep; a block writes them over its products.
+    w w' / 2 sin(xT) / (xT) for the whole batch at once.  `kernel_plan` splits
+    both by block, once per n and height; a block writes them over its products.
     The kernel block is written into a zero-padded buffer whose rows,
     re-cut one entry shorter or longer, put each anti-diagonal or diagonal
     in one column: a column sum bins the block at mu + mu' or at mu' - mu;
@@ -407,21 +421,13 @@ def averaged_kernel(n, Ts) -> np.ndarray:
     flat = np.zeros(height * (width + 1))
     kernel = flat[: height * width].reshape(height, width)[:, height - 1 : height - 1 + size]
     lead = flat[height - 1 :]
-    # per block, the positions in `lead` and the values of its diagonal,
-    # w^2 / 2, and of its resonant pairs, (len(Ts), pairs)
-    mu, w = np.arange(size), gap_tables(n)[3]
-    i, j, x = resonant_pairs(n)
-    values = (0.5 * w[i] * w[j]) * real_phase_average(x, np.asarray(Ts, dtype=float)[:, None])
-    diagonal, square, where = mu % height * width + mu, 0.5 * w * w, i % height * width + j
-    starts = range(0, size, height)
-    cuts = i.searchsorted(starts).tolist() + [len(i)]
-    pieces = (
-        (diagonal[s : s + height], square[s : s + height], where[a:b], values[:, a:b])
-        for s, a, b in zip(starts, cuts, cuts[1:])
-    )
+    plan, scales, gaps = kernel_plan(n, height)
+    # the resonant pairs' values at every horizon, (len(Ts), pairs)
+    values = scales * real_phase_average(gaps, np.reshape(Ts, (-1, 1))) if len(gaps) else np.zeros((len(Ts), 0))
     for r, (same, cross) in folded_gap_blocks(n):
         rows, last, first = r.stop - r.start, r.stop - 1, size - same.shape[1]
-        at_diagonal, squares, at_resonant, resonant = next(pieces)
+        at_diagonal, squares, at_resonant, pairs = plan[r.start // height]
+        resonant = values[:, pairs]
         # only the last block can be shorter; it uses the first rows
         kernel = kernel[:rows]
         upper = kernel[:, first:]
@@ -442,7 +448,7 @@ def averaged_kernel(n, Ts) -> np.ndarray:
             by_diff = diffs.sum(axis=0)
             cross_out[: size - r.start] += by_diff[last:]
             cross_out[last:0:-1] += by_diff[:last]
-    vals = cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
+    vals = cosine_profiles(binned, n) / (2 * n * n)
     # every row of the dense matrix holds each distinct value once
     drift = np.abs(vals.sum(axis=(1, 2)) - 1.0)
     if not (drift <= ROW_SUM_TOL).all():
@@ -500,12 +506,10 @@ def limiting_distribution(n) -> LimitingDistribution:
     )
 
 
-@functools.lru_cache(maxsize=32)
+@odd_order_cache
 def limit_profile(n) -> np.ndarray:
     """`limiting_distribution(n).values()`, built once per n and read-only."""
-    values = limiting_distribution(n).values()
-    values.flags.writeable = False
-    return values
+    return limiting_distribution(n).values()
 
 
 def distance_to_limit(n, T) -> float:

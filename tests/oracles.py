@@ -387,7 +387,7 @@ def direct_averaged_profiles(n, Ts) -> np.ndarray:
         for out, gap in zip(pair, (same, cross)):
             k = (np.sinc(gap * (T / np.pi)) * weight).ravel()
             out += np.bincount(diff, k, size) + np.bincount(fold, k, size)
-    return cosine_profiles(binned[:, 0], binned[:, 1], n) / (2 * n * n)
+    return cosine_profiles(binned, n) / (2 * n * n)
 
 
 def quadrature_averaged_profiles(n, T) -> np.ndarray:
@@ -421,7 +421,7 @@ def measured_law(n, T, steps, start) -> np.ndarray:
     check_step_count(steps)
     mu, w = folded_modes(n)
     a, b = np.fft.fft(averaged_matrix(n, T).values, axis=1).real[:, mu]
-    profile = cosine_profiles(w * (a + b) ** steps, w * (a - b) ** steps, n) / (2 * n)
+    profile = cosine_profiles(w * np.stack([a + b, a - b]) ** steps, n) / (2 * n)
     return pair_values_row(n, profile, start)
 
 

@@ -27,6 +27,14 @@ def random_doubly_stochastic(rng, size, terms=6):
     return mat
 
 
+def test_mixing_search_builds_the_folded_spectrum_once():
+    # the search's 25 probes at n = 101 all read one cached folded spectrum
+    spectra.folded_eigenvalues.cache_clear()
+    assert len(classical.classical_mixing_time(101).distance_series) == 25
+    info = spectra.folded_eigenvalues.cache_info()
+    assert (info.misses, info.hits) == (1, 24)
+
+
 def test_power_at_small_steps():
     n = 5
     assert np.array_equal(oracles.classical_power(n, 0), np.eye(2 * n))

@@ -235,7 +235,7 @@ def test_cosine_profiles_match_direct_sums(n):
     plus, minus = rng.standard_normal((2, 4, (n + 1) // 2))
     cos = np.cos(2 * np.pi * np.outer(np.arange((n + 1) // 2), np.arange(n)) / n)
     expected = np.stack([(plus + minus) @ cos, (plus - minus) @ cos], axis=1)
-    assert np.abs(dihedral.cosine_profiles(plus, minus, n) - expected).max() <= 1e-13
+    assert np.abs(dihedral.cosine_profiles(np.stack([plus, minus], axis=1), n) - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [5, 101, 1001])

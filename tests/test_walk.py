@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from qwalk import bounds, dihedral, sampling, spectra, walk
+from qwalk import bounds, classical, dihedral, sampling, spectra, walk
 
 import oracles
 
@@ -593,6 +593,97 @@ def test_one_block_gap_grid_built_once_per_n_and_read_only(monkeypatch):
     assert built == [101]
     heights = [(r.stop - r.start, [part.flags.writeable for part in gaps]) for r, gaps in walk.folded_gap_blocks(513)]
     assert heights == [(255, [True, True]), (2, [True, True])]
+
+
+# every per-n table cache, with the arguments of one small call
+PER_N_CACHES = {
+    spectra.folded_modes: (),
+    spectra.folded_eigenvalues: (),
+    walk.cycle_rates: (),
+    walk.branch_rates: (),
+    walk.gap_tables: (),
+    walk.one_block_gaps: (),
+    walk.resonant_pairs: (),
+    walk.kernel_plan: (10,),
+    walk.limit_profile: (),
+}
+
+
+def arrays_in(table):
+    """The arrays of a cached table, through nested tuples."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    return [part for item in table for part in arrays_in(item)] if isinstance(table, tuple) else []
+
+
+def test_per_n_tables_built_once_and_read_only():
+    # each cache keeps 32 n and hands back one object per n, whose arrays
+    # cannot be written; n = 37 has a resonant pair, which the kernel's plan
+    # at block height 10 puts in its second block
+    for cache, rest in PER_N_CACHES.items():
+        assert cache.cache_info().maxsize == 32, cache.__name__
+        table = cache(37, *rest)
+        assert cache(37, *rest) is table, cache.__name__
+        for part in arrays_in(table):
+            assert not part.flags.writeable, cache.__name__
+            if part.size:
+                with pytest.raises(ValueError):
+                    part.flat[0] = 0
+    plan, scales, gaps = walk.kernel_plan(37, 10)
+    assert [len(at_resonant) for _, _, at_resonant, _ in plan] == [0, 1]
+    assert scales.tolist() == [2.0] and gaps is walk.resonant_pairs(37)[2]
+
+
+def test_float_n_rejected_after_the_same_n_is_cached():
+    # lru_cache takes np.int64(5), 5.0 and np.float64(5) as one key, so n is
+    # checked before each lookup: a float n is rejected also once the same
+    # n is cached, by every public function that takes n and by each cache
+    calls = [
+        spectra.folded_modes,
+        spectra.folded_eigenvalues,
+        lambda n: classical.classical_profile(n, 3),
+        classical.classical_mixing_time,
+        lambda n: walk.distance_to_limit(n, 10.0),
+        lambda n: walk.averaged_matrix(n, 10.0),
+        lambda n: walk.probability_row(n, 0, 1.0),
+        bounds.bounds_report,
+        bounds.quantum_mixing_threshold,
+        *(lambda n, cache=cache, rest=rest: cache(n, *rest) for cache, rest in PER_N_CACHES.items()),
+    ]
+    for call in calls:
+        call(np.int64(5))
+        for n in (5.0, np.float64(5)):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                call(n)
+
+
+@pytest.mark.parametrize("n", [37, 101])
+def test_kernel_plan_keyed_by_block_height(monkeypatch, n):
+    # a plan made at the real BLOCK, one block at these n, is not read when
+    # BLOCK = 200 cuts the folded grid into blocks of 10 or 3 rows
+    horizons = [0.5, 7.0, 2e3, 1e6]
+    default = walk.averaged_profiles(n, horizons)
+    size = (n + 1) // 2
+    monkeypatch.setattr(dihedral, "BLOCK", 200)
+    got = walk.averaged_profiles(n, horizons)
+    assert np.max(np.abs(got - default)) <= 1e-15
+    height = 200 // size
+    assert len(walk.kernel_plan(n, height)[0]) == -(-size // height) > len(walk.kernel_plan(n, size)[0]) == 1
+
+
+@pytest.mark.parametrize("n", [21, 101, 513])
+def test_mixing_reports_equal_with_caches_cold_and_warm(n):
+    def reports():
+        return [
+            classical.classical_mixing_time(n).to_dict(),
+            classical.classical_mixing_time(n, norm_kind="column_pairs").to_dict(),
+            bounds.quantum_mixing_threshold(n).to_dict(),
+        ]
+
+    for cache in (*PER_N_CACHES, bounds._gap_rows):
+        cache.cache_clear()
+    cold = reports()
+    assert reports() == cold
 
 
 def test_kernel_matches_direct_kernel_at_every_small_odd_n():
